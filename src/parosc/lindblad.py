@@ -6,11 +6,18 @@ with the single lowering-operator dissipator (bath temperature far below the
 oscillator quantum).  The Liouvillian is kept as a dense dim^2 x dim^2 matrix
 acting on row-stacked density matrices: at desk-scale truncations robustness
 beats scalability.
+
+H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
+|m-1><n-1|, so the generator never couples entries with even m + n to entries
+with odd m + n.  Each Liouvillian carries these two parity sectors as separate
+dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); spectra, steady
+states and the propagators of the radiation module work block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,17 +26,32 @@ from .fock import FockSpace, check_state, ladder_operators, number_operator
 from .rwa import RwaSystem, build_h_rwa
 
 
+class Sector(NamedTuple):
+    """Row-stacked indices m*dim + n with (m + n) % 2 fixed, and the generator block."""
+
+    idx: np.ndarray
+    block: np.ndarray
+
+
 @dataclass
 class Liouvillian:
-    """Dense generator of the dissipative evolution, with cached spectral data."""
+    """Dense generator of the dissipative evolution and its two parity-sector blocks."""
 
     space: FockSpace
     sys: RwaSystem
     gamma_tilde: float
     matrix: np.ndarray
-    _spectral: tuple | None = field(default=None, repr=False)
+    sectors: tuple[Sector, Sector] = field(init=False, repr=False)
     _eigvals: np.ndarray | None = field(default=None, repr=False)
     _steady: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        m, n = np.divmod(np.arange(self.dim * self.dim), self.dim)
+        parity = (m + n) % 2
+        self.sectors = tuple(
+            Sector(idx, self.matrix[np.ix_(idx, idx)])
+            for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+        )
 
     @property
     def dim(self) -> int:
@@ -40,31 +62,11 @@ class Liouvillian:
         return (self.matrix @ rho.reshape(d * d)).reshape(d, d)
 
     def eigenvalues(self) -> np.ndarray:
-        """Generator eigenvalues; robust even where the eigenbasis is not."""
+        """Generator eigenvalues: the even-sector ones followed by the odd-sector ones."""
         if self._eigvals is None:
-            if self._spectral is not None:
-                self._eigvals = self._spectral[0]
-            else:
-                self._eigvals = np.linalg.eigvals(self.matrix)
+            self._eigvals = np.concatenate(
+                [np.linalg.eigvals(s.block) for s in self.sectors])
         return self._eigvals
-
-    def spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigendecomposition (mu, R, Rinv) of the generator; cached.
-
-        Raises if the eigenbasis is too ill-conditioned to represent the flow,
-        which happens near exceptional points where eigenvectors coalesce.
-        """
-        if self._spectral is None:
-            mu, r = np.linalg.eig(self.matrix)
-            cond = np.linalg.cond(r)
-            # cond*eps bounds the relative error of spectral propagation
-            if cond > 1e13:
-                raise np.linalg.LinAlgError(
-                    f"Liouvillian eigenbasis condition number {cond:.2e} too large"
-                )
-            self._spectral = (mu, r, np.linalg.inv(r))
-            self._eigvals = mu
-        return self._spectral
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -108,31 +110,24 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
     t_grid = np.asarray(t_grid, dtype=float)
     dim = liou.dim
     lmat = liou.matrix
-    n2 = dim * dim
-
-    def rhs(t, y):
-        x = y[:n2] + 1j * y[n2:]
-        dx = lmat @ x
-        return np.concatenate([dx.real, dx.imag])
-
     x0 = _vec(np.asarray(rho0, dtype=complex))
-    y0 = np.concatenate([x0.real, x0.imag])
     span = (min(0.0, t_grid[0]), t_grid[-1])
     # rel_tol is a global target; step control is local, so integrate tighter
-    sol = solve_ivp(rhs, span, y0, t_eval=t_grid, method="DOP853",
+    sol = solve_ivp(lambda t, x: lmat @ x, span, x0, t_eval=t_grid, method="DOP853",
                     rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
     if not sol.success:
         raise RuntimeError(f"master-equation propagation failed: {sol.message}")
-    out = (sol.y[:n2] + 1j * sol.y[n2:]).T
-    return out.reshape(len(t_grid), dim, dim)
+    return sol.y.T.reshape(len(t_grid), dim, dim)
 
 
 def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     """Stationary density matrix: null vector of L under the trace constraint.
 
-    Solved as the least-squares solution of L x = 0 stacked with Tr x = 1, with
-    the null-space dimension checked through the generator's eigenvalues
-    (must be exactly one near zero for gamma_tilde > 0).
+    Solved as the least-squares solution of L x = 0 stacked with Tr x = 1 on
+    the even sector, which holds the diagonal and hence the trace; the odd
+    entries of the result are exactly zero.  The null-space dimension is
+    checked through the generator's eigenvalues (must be exactly one near zero
+    for gamma_tilde > 0).
     """
     if liou.gamma_tilde <= 0:
         raise ValueError("steady state requires gamma_tilde > 0")
@@ -145,11 +140,14 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     if n_null != 1:
         raise RuntimeError(f"degenerate null space: {n_null} eigenvalues below "
                            f"{null_tol * scale:.3g}")
-    tr_row = _vec(np.eye(dim)).astype(complex)
-    a_mat = np.vstack([liou.matrix, tr_row])
-    b = np.zeros(dim * dim + 1, dtype=complex)
+    even = liou.sectors[0]
+    tr_row = _vec(np.eye(dim))[even.idx].astype(complex)
+    a_mat = np.vstack([even.block, tr_row])
+    b = np.zeros(len(even.idx) + 1, dtype=complex)
     b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
+    x_even, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
+    x = np.zeros(dim * dim, dtype=complex)
+    x[even.idx] = x_even
     rho = _unvec(x, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real

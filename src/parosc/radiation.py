@@ -4,10 +4,13 @@ Two-time correlators <a_dag(t1) a(t2)> follow from the quantum regression rule:
 propagate rho to t1, deform it by a_dag on the right, propagate the deformation
 for tau = t2 - t1, and trace against a.
 
-Propagation uses the spectral decomposition of the Liouvillian when its
-eigenbasis is well conditioned; near exceptional points (eigenvector
-coalescence makes the eigenbasis useless) it falls back to exact stepping with
-the matrix exponential of one uniform time step.
+Propagation is exact stepping on a uniform time grid with the matrix
+exponential expm(L_s dt) of each (m + n)-parity sector block L_s of the
+Liouvillian.  No eigendecomposition of the non-normal generator is involved,
+so the flow stays accurate near exceptional points, where eigenvectors
+coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The steady state and
+every rho built from parity eigenstates live in the even sector; their seeds
+rho a_dag and the trace against a live in the odd one.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -51,69 +54,64 @@ class SpectralDensity:
 
 
 # ---------------------------------------------------------------------------
-# propagation backends
-
-class _SpectralFlow:
-    def __init__(self, liou: Liouvillian):
-        self.mu, self.r, self.rinv = liou.spectral()
-
-    def evolve_columns(self, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Columns exp(L t) x0 for every t."""
-        c0 = self.rinv @ x0
-        return self.r @ (np.exp(np.outer(self.mu, ts)) * c0[:, None])
-
-    def adjoint_rows(self, row: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Rows row^T exp(L t) for every t, stacked as shape (len(ts), d^2)."""
-        g = row @ self.r
-        return (np.exp(np.outer(ts, self.mu)) * g[None, :]) @ self.rinv
-
+# propagation
 
 class _SteppingFlow:
-    """Exact uniform-step flow through expm(L dt); used near exceptional points."""
+    """Exact flow on a uniform grid ts, stepped by expm(L_s dt) per parity sector.
 
-    def __init__(self, liou: Liouvillian, dt: float):
-        self.prop = expm(liou.matrix * dt)
-        self.dt = dt
+    Vectors are row-stacked d^2 vectors.  Only the sectors a vector occupies
+    are stepped; the others stay exactly zero along the flow.
+    """
 
-    def _check(self, ts):
+    def __init__(self, liou: Liouvillian, ts: np.ndarray):
         steps = np.diff(ts)
-        if len(ts) > 1 and not np.allclose(steps, self.dt, rtol=1e-9, atol=0.0):
-            raise ValueError("stepping flow needs the uniform grid it was built for")
+        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("propagation needs a uniform time grid")
+        self.dt = float(steps[0]) if len(steps) else 0.0
+        self.n_t = len(ts)
+        self.sectors = liou.sectors
 
-    def evolve_columns(self, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        self._check(ts)
-        out = np.empty((x0.size, len(ts)), dtype=complex)
-        x = x0.astype(complex)
-        for k in range(len(ts)):
-            out[:, k] = x
-            x = self.prop @ x
+    def _steps(self, v: np.ndarray, adjoint: bool):
+        """(idx, states) per occupied sector; states[k] = sector part at step k."""
+        for sector in self.sectors:
+            x = v[sector.idx].astype(complex)
+            if not np.any(x):
+                continue
+            states = np.empty((self.n_t, x.size), dtype=complex)
+            states[0] = x
+            if self.n_t > 1:
+                prop = expm(sector.block * self.dt)
+                if adjoint:
+                    prop = prop.T
+                for k in range(1, self.n_t):
+                    states[k] = prop @ states[k - 1]
+            yield sector.idx, states
+
+    def evolve_columns(self, x0: np.ndarray) -> np.ndarray:
+        """Columns exp(L t) x0 for every t, shape (d^2, len(ts))."""
+        out = np.zeros((x0.size, self.n_t), dtype=complex)
+        for idx, states in self._steps(x0, adjoint=False):
+            out[idx] = states.T
         return out
 
-    def adjoint_rows(self, row: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        self._check(ts)
-        out = np.empty((len(ts), row.size), dtype=complex)
-        v = row.astype(complex)
-        for k in range(len(ts)):
-            out[k] = v
-            v = v @ self.prop
+    def adjoint_rows(self, row: np.ndarray) -> np.ndarray:
+        """Rows row^T exp(L t) for every t, shape (len(ts), d^2)."""
+        out = np.zeros((self.n_t, row.size), dtype=complex)
+        for idx, states in self._steps(row, adjoint=True):
+            out[:, idx] = states
         return out
-
-
-def _flow(liou: Liouvillian, dt: float | None):
-    try:
-        return _SpectralFlow(liou)
-    except np.linalg.LinAlgError:
-        if dt is None:
-            raise
-        return _SteppingFlow(liou, dt)
 
 
 def _operators(liou: Liouvillian):
+    """Row tr_a with Tr[a M] = tr_a . vec(M), and a_dag for the seeds M a_dag."""
     a, a_dag = ladder_operators(liou.space)
-    dim = liou.dim
-    tr_a = a.T.reshape(-1)                        # Tr[a M] = vec(a^T) . vec(M)
-    right_adag = np.kron(np.eye(dim), a_dag.T)    # vec(M a_dag)
-    return tr_a, right_adag
+    return a.T.reshape(-1), a_dag
+
+
+def _times_adag(vecs: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
+    """vec(M a_dag) for vec(M) and for every column vec(M) of vecs."""
+    d = a_dag.shape[0]
+    return (a_dag.T @ vecs.reshape(d, d, -1)).reshape(vecs.shape)
 
 
 def _default_dt(gamma_tilde: float, omega_grid: np.ndarray) -> float:
@@ -122,13 +120,6 @@ def _default_dt(gamma_tilde: float, omega_grid: np.ndarray) -> float:
     if x_max > 0:
         dt = min(dt, 0.2 / x_max)
     return dt
-
-
-def _uniform(t_grid: np.ndarray) -> float | None:
-    steps = np.diff(t_grid)
-    if len(steps) and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        return float(steps[0])
-    return None
 
 
 def _trapz_weights(n: int, dt: float) -> np.ndarray:
@@ -157,23 +148,16 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must ascend from 0")
-    tr_a, right_adag = _operators(liou)
-    flow = _flow(liou, _uniform(t_grid))
-    rho_vecs = flow.evolve_columns(np.asarray(rho0, complex).reshape(-1), t_grid)
-    seeds = right_adag @ rho_vecs
+    tr_a, a_dag = _operators(liou)
+    flow = _SteppingFlow(liou, t_grid)
+    rho_vecs = flow.evolve_columns(np.asarray(rho0, complex).reshape(-1))
+    seeds = _times_adag(rho_vecs, a_dag)
+    rows = flow.adjoint_rows(tr_a)                # row j = tr_a Lambda^{j dt}
+    full = rows @ seeds                           # (tau index, t1 index)
     n_t = len(t_grid)
     values = np.zeros((n_t, n_t), dtype=complex)
-    if isinstance(flow, _SpectralFlow):
-        g = tr_a @ flow.r
-        comp = flow.rinv @ seeds
-        for i in range(n_t):
-            taus = t_grid[i:] - t_grid[i]
-            values[i, i:] = (g * comp[:, i]) @ np.exp(np.outer(flow.mu, taus))
-    else:
-        rows = flow.adjoint_rows(tr_a, t_grid)        # row j = tr_a Lambda^{j dt}
-        full = rows @ seeds                           # (tau index, t1 index)
-        for i in range(n_t):
-            values[i, i:] = full[: n_t - i, i]
+    for i in range(n_t):
+        values[i, i:] = full[: n_t - i, i]
     return CorrelatorGrid(t_grid=t_grid, values=values)
 
 
@@ -183,10 +167,9 @@ def stationary_correlator(liou: Liouvillian, taus: np.ndarray,
     if rho_st is None:
         rho_st = steady_state(liou)
     taus = np.asarray(taus, dtype=float)
-    tr_a, right_adag = _operators(liou)
-    seed = right_adag @ np.asarray(rho_st, complex).reshape(-1)
-    flow = _flow(liou, _uniform(taus))
-    return flow.adjoint_rows(tr_a, taus) @ seed
+    tr_a, a_dag = _operators(liou)
+    seed = _times_adag(np.asarray(rho_st, complex).reshape(-1), a_dag)
+    return _SteppingFlow(liou, taus).adjoint_rows(tr_a) @ seed
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +198,25 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     dt = ts[1] - ts[0]
 
     rho_st = steady_state(liou)
-    tr_a, right_adag = _operators(liou)
-    flow = _flow(liou, dt)
+    tr_a, a_dag = _operators(liou)
+    flow = _SteppingFlow(liou, ts)
     # evolve the deviation from the steady state; its correlator seeds are
     # exactly C(t', t' + tau) - C_st(tau)
     dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)
-    dev_vecs = flow.evolve_columns(dev0, ts)
+    dev_vecs = flow.evolve_columns(dev0)
     if float(np.max(np.abs(dev_vecs[:, -1]))) > relax_tol:
         warnings.warn(
             f"state not relaxed at T_max: deviation {np.max(np.abs(dev_vecs[:, -1])):.2e}",
             RuntimeWarning, stacklevel=2,
         )
-    seeds = right_adag @ dev_vecs                 # (d^2, n_t), per t'
+    seeds = _times_adag(dev_vecs, a_dag)          # (d^2, n_t), per t'
 
     # trapezoid prefix over t': B[:, r] = Int_0^{t_r} seeds dt'
     prefix = np.cumsum(seeds, axis=1) * dt
     b = prefix - 0.5 * dt * (seeds + seeds[:, :1])
     # S(tau_j) = Int_0^{T - tau_j} dt' dC(t', t' + tau_j)
     #          = [tr_a Lambda^{tau_j}] . B[:, n-1-j]
-    rows = flow.adjoint_rows(tr_a, ts)
+    rows = flow.adjoint_rows(tr_a)
     s_tau = np.einsum("jm,mj->j", rows, b[:, ::-1])
 
     w_tau = _trapz_weights(n_t, dt)
@@ -264,8 +247,8 @@ def excess_occupation(liou: Liouvillian, rho0: np.ndarray, t: np.ndarray) -> np.
     """<n>(t) - <n>_st along the dissipative flow; helper for tests and the CLI."""
     t = np.asarray(t, dtype=float)
     rho_st = steady_state(liou)
-    flow = _flow(liou, _uniform(t))
-    dev = flow.evolve_columns((np.asarray(rho0, complex) - rho_st).reshape(-1), t)
+    dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)
+    dev = _SteppingFlow(liou, t).evolve_columns(dev0)
     n_row = np.diag(np.arange(liou.dim)).T.reshape(-1)
     return np.real(n_row @ dev)
 
@@ -282,18 +265,21 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     gt = liou.gamma_tilde
     if x_max is None:
         # cover every oscillation frequency that carries weight for this seed;
-        # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin)
-        try:
-            mu, r, rinv = liou.spectral()
-        except np.linalg.LinAlgError as exc:
+        # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The
+        # trace against a only sees the odd sector, so its modes suffice.
+        odd = liou.sectors[1]
+        mu, r = np.linalg.eig(odd.block)
+        cond = np.linalg.cond(r)
+        # cond*eps bounds the relative error of the mode weights
+        if cond > 1e13:
             raise ValueError(
-                "x_max must be given explicitly when the eigenbasis is "
-                "ill-conditioned"
-            ) from exc
-        tr_a, right_adag = _operators(liou)
+                f"x_max must be given explicitly: odd-sector eigenbasis condition "
+                f"number {cond:.2e} too large"
+            )
+        tr_a, a_dag = _operators(liou)
         rho_st = steady_state(liou)
-        seed = rinv @ (right_adag @ (np.asarray(rho0, complex) - rho_st).reshape(-1))
-        w = np.abs((tr_a @ r) * seed)
+        seed = _times_adag((np.asarray(rho0, complex) - rho_st).reshape(-1), a_dag)
+        w = np.abs((tr_a[odd.idx] @ r) * np.linalg.solve(r, seed[odd.idx]))
         active = w > 1e-12 * max(float(w.max()), 1e-300)
         x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
             + 100.0 * gt

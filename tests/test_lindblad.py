@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from parosc.fock import FockSpace, check_density_matrix
 from parosc.lindblad import (
@@ -44,6 +47,28 @@ class TestGenerator:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             make_liouvillian(8, 0.0, 0.0, -0.1)
+
+
+class TestParitySectors:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0),
+           gt=st.floats(0.05, 1.0), dim=st.integers(3, 12))
+    def test_sector_structure(self, delta, f, gt, dim):
+        liou = make_liouvillian(dim, delta, f, gt)
+        m, n = np.divmod(np.arange(dim * dim), dim)
+        parity = (m + n) % 2
+        cross = parity[:, None] != parity[None, :]
+        assert np.all(liou.matrix[cross] == 0.0)
+
+        # sector eigenvalues against the unsplit matrix, paired as multisets
+        mu = liou.eigenvalues()
+        ref = np.linalg.eigvals(liou.matrix)
+        rows, cols = linear_sum_assignment(np.abs(mu[:, None] - ref[None, :]))
+        scale = max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(mu[rows] - ref[cols])) < 1e-9 * scale
+
+        rho_st = steady_state(liou)
+        assert np.all(rho_st.reshape(-1)[parity == 1] == 0.0)
 
 
 class TestEvolve:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from parosc.fock import FockSpace
+from parosc.fock import FockSpace, ladder_operators
 from parosc.lindblad import build_liouvillian, evolve_master, expectation_number, steady_state
 from parosc.radiation import (
+    _SteppingFlow,
     excess_occupation,
     stationary_correlator,
     steady_spectrum,
@@ -183,40 +185,50 @@ class TestSteadySpectrum:
         assert xs[np.argmax(spec.values)] == pytest.approx(gap, abs=0.1)
 
 
-class TestPropagationBackends:
-    def test_stepping_flow_matches_spectral_flow(self):
-        # the expm-stepping fallback (used near exceptional points of the
-        # generator) must agree with spectral propagation wherever both work
-        from parosc.radiation import _SpectralFlow, _SteppingFlow
+class TestPropagation:
+    """The sector-wise stepping flow against expm of the full, unsplit generator."""
 
+    @staticmethod
+    def coherent_case():
+        # a coherent state occupies both (m + n)-parity sectors of rho
+        dim = 8
+        sp = FockSpace(dim)
+        liou = make_liouvillian(dim, 1.1, 0.9, 0.25)
+        psi = sp.coherent_state(0.6 + 0.3j)
+        return sp, liou, np.outer(psi, psi.conj())
+
+    def test_flow_matches_full_expm(self):
+        sp, liou, rho0 = self.coherent_case()
         rng = np.random.default_rng(8)
-        liou = make_liouvillian(8, 1.1, 0.9, 0.25)
-        ts = np.linspace(0.0, 5.0, 26)
-        spec = _SpectralFlow(liou)
-        step = _SteppingFlow(liou, ts[1] - ts[0])
-        x0 = rng.normal(size=64) + 1j * rng.normal(size=64)
-        row = rng.normal(size=64) + 1j * rng.normal(size=64)
-        assert np.max(np.abs(spec.evolve_columns(x0, ts)
-                             - step.evolve_columns(x0, ts))) < 1e-9
-        assert np.max(np.abs(spec.adjoint_rows(row, ts)
-                             - step.adjoint_rows(row, ts))) < 1e-9
+        ts = np.linspace(0.0, 5.0, 11)
+        x0 = rho0.reshape(-1)
+        row = rng.normal(size=x0.size) + 1j * rng.normal(size=x0.size)
+        props = [expm(liou.matrix * t) for t in ts]
+        flow = _SteppingFlow(liou, ts)
+        cols = np.stack([p @ x0 for p in props], axis=1)
+        rows = np.stack([row @ p for p in props])
+        assert np.max(np.abs(flow.evolve_columns(x0) - cols)) < 1e-9
+        assert np.max(np.abs(flow.adjoint_rows(row) - rows)) < 1e-9
 
-    def test_stepping_correlator_matches_spectral(self):
-        liou = make_liouvillian(8, 0.3, 0.6, 0.2)
-        sp = FockSpace(8)
-        rho0 = np.outer(sp.basis_state(2), sp.basis_state(2))
+    def test_correlator_matches_full_expm(self):
+        sp, liou, rho0 = self.coherent_case()
+        a, a_dag = ladder_operators(sp)
+        d = sp.dim
         ts = np.linspace(0.0, 4.0, 17)
-        ref = two_time_correlator(liou, rho0, ts)
-        from parosc import radiation as rad
+        grid = two_time_correlator(liou, rho0, ts)
+        props = [expm(liou.matrix * t) for t in ts]     # uniform grid: tau = ts[j - i]
+        for i in range(len(ts)):
+            rho_t1 = (props[i] @ rho0.reshape(-1)).reshape(d, d)
+            seed = (rho_t1 @ a_dag).reshape(-1)
+            for j in range(i, len(ts)):
+                m = (props[j - i] @ seed).reshape(d, d)
+                assert abs(grid.values[i, j] - np.trace(a @ m)) < 1e-9
 
-        forced = rad._SteppingFlow(liou, ts[1] - ts[0])
-        original = rad._flow
-        rad._flow = lambda liou_, dt: forced
-        try:
-            alt = two_time_correlator(liou, rho0, ts)
-        finally:
-            rad._flow = original
-        assert np.max(np.abs(ref.values - alt.values)) < 1e-9
+    def test_nonuniform_grid_raises(self):
+        sp, liou, rho0 = self.coherent_case()
+        ts = np.array([0.0, 0.5, 1.5, 2.0])
+        with pytest.raises(ValueError, match="uniform"):
+            two_time_correlator(liou, rho0, ts)
 
 
 class TestSumRule:
