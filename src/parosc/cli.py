@@ -212,33 +212,31 @@ def _run_ramp(cfg, outdir):
     return [path], extras, convergence_report(probe, cfg["dim"])
 
 
-def _run_wigner(cfg, outdir):
-    space = FockSpace(cfg["dim"])
+def _wigner_run(dim, cfg, qs, ps):
+    space = FockSpace(dim)
     protocol = RampProtocol(delta=cfg["delta"], f_final=cfg["f_final"],
                             s_tilde=cfg["s_tilde"], initial_state=space.vacuum())
     result = evolve_ramp(space, protocol, rel_tol=cfg["rel_tol"])
-    lam = 1.0 / (2.0 * cfg["f_final"])
+    rho = np.outer(result.final_state, result.final_state.conj())
+    return result, wigner_transform(rho, 1.0 / (2.0 * cfg["f_final"]), qs, ps)
+
+
+def _run_wigner(cfg, outdir):
     qs = np.linspace(-cfg["q_max"], cfg["q_max"], cfg["q_points"])
     ps = np.linspace(-cfg["p_max"], cfg["p_max"], cfg["p_points"])
-    rho = np.outer(result.final_state, result.final_state.conj())
-    grid = wigner_transform(rho, lam, qs, ps)
+    result, grid = _wigner_run(cfg["dim"], cfg, qs, ps)
     path = write_csv(outdir / "wigner.csv", ["Q", "P", "W"], wigner_rows(grid))
+    summary = {"lambda": grid.lam, "norm": grid.norm(),
+               "boundary_mass": grid.boundary_mass}
     meta = write_json(outdir / "wigner_meta.json", {
-        "lambda": lam,
+        **summary,
         "q_axis": [float(qs[0]), float(qs[-1]), len(qs)],
         "p_axis": [float(ps[0]), float(ps[-1]), len(ps)],
-        "norm": grid.norm(),
     })
-    extras = {"lambda": lam, "norm": grid.norm(),
-              "final_fidelity": result.final_fidelity}
+    extras = {**summary, "final_fidelity": result.final_fidelity}
 
     def probe(dim):
-        sp = FockSpace(dim)
-        pr = RampProtocol(delta=cfg["delta"], f_final=cfg["f_final"],
-                          s_tilde=cfg["s_tilde"], initial_state=sp.vacuum())
-        res = evolve_ramp(sp, pr, rel_tol=cfg["rel_tol"])
-        g = wigner_transform(np.outer(res.final_state, res.final_state.conj()),
-                             lam, qs, ps)
+        g = _wigner_run(dim, cfg, qs, ps)[1]
         return np.array([g.norm(), float(g.values.max())])
 
     return [path, meta], extras, convergence_report(probe, cfg["dim"])

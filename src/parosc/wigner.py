@@ -8,9 +8,12 @@ and is what places the double-well states on the Q axis.
 
 W(Q, P) = (1/(pi*lam)) Int dxi exp(-2i*P*xi/lam) rho(Q + xi, Q - xi)
 
-The xi integral of each Fock pair is a polynomial times a Gaussian, so after a
-contour shift it is evaluated exactly by Gauss-Hermite quadrature: a direct
-per-pair sum of Hermite-function products on the grid, not an FFT.
+With a = (P - iQ)/sqrt(2*lam), the element of each Fock pair m <= n is a
+Gaussian times a Laguerre polynomial (Cahill & Glauber, Phys. Rev. 177, 1882
+(1969)): w_mn = (-1)^m sqrt(m!/n!) (2a)^(n-m) L_m^(n-m)(4|a|^2) e^(-2|a|^2)/(pi*lam)
+and W = sum_m rho_mm w_mm + 2 Re sum_{m<n} rho_mn w_mn.  The elements are built
+row by row by the stable recurrence w_mn = (2a w_m,n-1 - sqrt(m) w_m-1,n-1)/sqrt(n)
+(2conj(a) on the diagonal), holding one grid per Fock index, not one per pair.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ class WignerGrid:
     p_axis: np.ndarray
     values: np.ndarray      # shape (len(q_axis), len(p_axis))
     lam: float
+    boundary_mass: float = float("nan")   # |W| mass on the edge ring
 
     def norm(self) -> float:
         dq = self.q_axis[1] - self.q_axis[0]
@@ -37,57 +41,51 @@ class WignerGrid:
         return self.values.sum(axis=1) * dp
 
 
-def _hermite_values(x: np.ndarray, n_max: int) -> np.ndarray:
-    """H_0..H_{n_max-1} on x (may be complex), by the three-term recurrence."""
-    out = np.empty((n_max,) + x.shape, dtype=complex)
-    out[0] = 1.0
-    if n_max > 1:
-        out[1] = 2.0 * x
-    for k in range(2, n_max):
-        out[k] = 2.0 * x * out[k - 1] - 2.0 * (k - 1) * out[k - 2]
-    return out
+def _uniform_axis(name: str, axis) -> np.ndarray:
+    axis = np.asarray(axis, dtype=float)
+    steps = np.diff(axis) if axis.ndim == 1 else np.empty(0)
+    if steps.size == 0 or steps.min() <= 0 or np.ptp(steps) > 1e-6 * steps.min():
+        raise ValueError(f"{name} must be uniform, ascending, with at least 2 points")
+    return axis
 
 
 def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
                      p_axis: np.ndarray, boundary_tol: float = 1e-4) -> WignerGrid:
     """Wigner function of a Fock-basis density matrix on a rectangular grid.
 
-    Raises if the grid is too small for the state (boundary mass check).
+    Raises if an axis is not uniform and ascending, or if the grid is too
+    small for the state (boundary mass check).
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    q_axis = np.asarray(q_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+    q_axis = _uniform_axis("q_axis", q_axis)
+    p_axis = _uniform_axis("p_axis", p_axis)
 
-    nodes, weights = np.polynomial.hermite.hermgauss(dim + 2)
     Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
-    z = (Q - 1j * P) / np.sqrt(lam)
-    zc = (Q + 1j * P) / np.sqrt(lam)
+    two_a = np.sqrt(2.0 / lam) * (P - 1j * Q)
+    root = np.sqrt(np.arange(dim))
+    weight = 2.0 * np.triu(rho, 1) + np.diag(rho.diagonal().real)
+    # w[n] holds w_mn of the current row m for n >= m (row -1 is all zero)
+    w = [np.exp(-0.5 * np.abs(two_a) ** 2) / (np.pi * lam)] + [0.0] * (dim - 1)
+    acc = np.zeros_like(two_a)
+    for m in range(dim):
+        carry = w[m]        # w_m-1,m, then w_m-1,n-1 along the row
+        if m:
+            w[m] = (two_a.conj() * carry - root[m] * w[m - 1]) / root[m]
+        acc += weight[m, m] * w[m]
+        for n in range(m + 1, dim):
+            w[n], carry = (two_a * w[n - 1] - root[m] * carry) / root[n], w[n]
+            acc += weight[m, n] * w[n]
 
-    # fold the i^m (-i)^n wavefunction phases into the density matrix
-    ph = 1j ** np.arange(dim)
-    rho_eff = ph[:, None] * rho * ph.conj()[None, :]
-    # Hermite-function normalizations (2^n n! sqrt(pi*lam))^{-1/2}, log-safe
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
-    c = np.exp(-0.5 * (np.arange(dim) * np.log(2.0) + log_fact
-                       + 0.5 * np.log(np.pi * lam)))
-
-    pref = np.sqrt(lam) * np.exp(-(Q ** 2 + P ** 2) / lam) / (np.pi * lam)
-    values = np.zeros_like(Q)
-    for t, wgt in zip(nodes, weights):
-        hm = c[:, None, None] * _hermite_values(z + t, dim)
-        hn = c[:, None, None] * _hermite_values(zc - t, dim)
-        s = np.einsum("mij,mn,nij->ij", hm, rho_eff, hn)
-        values += wgt * (pref * s).real
-
-    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values, lam=lam)
-    _check_boundary(grid, boundary_tol)
+    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=acc.real, lam=lam)
+    grid.boundary_mass = _check_boundary(grid, boundary_tol)
     return grid
 
 
-def _check_boundary(grid: WignerGrid, tol: float) -> None:
+def _check_boundary(grid: WignerGrid, tol: float) -> float:
+    """|W| mass on the boundary ring; raises if it exceeds tol."""
     dq = grid.q_axis[1] - grid.q_axis[0]
     dp = grid.p_axis[1] - grid.p_axis[0]
     edges = np.concatenate([
@@ -101,6 +99,7 @@ def _check_boundary(grid: WignerGrid, tol: float) -> None:
             f"grid too small: boundary mass {mass:.3g} exceeds {tol:.3g}; "
             "widen q_axis/p_axis"
         )
+    return mass
 
 
 def wigner_rows(grid: WignerGrid):

@@ -130,3 +130,21 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_wigner_run_records_boundary_mass(tmp_path, capsys):
+    out = tmp_path / "w"
+    cfg = write_config(tmp_path, {"experiment": "wigner", "delta": 0.0,
+                                  "f_final": 0.5, "s_tilde": 0.25, "dim": 16,
+                                  "q_max": 5.0, "q_points": 41,
+                                  "p_max": 5.0, "p_points": 41,
+                                  "output_dir": str(out)})
+    assert main(["run", "--config", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    meta = json.loads((out / "wigner_meta.json").read_text())
+    assert 0.0 <= meta["boundary_mass"] < 1e-4
+    assert manifest["results"]["boundary_mass"] == meta["boundary_mass"]
+    assert manifest["results"]["norm"] == pytest.approx(1.0, abs=1e-3)
+    # a one-point axis has no cell size: the CLI reports it, not an IndexError
+    assert main(["run", "--config", cfg, "--set", "q_points=1"]) == 1
+    assert "q_axis" in capsys.readouterr().err
