@@ -28,6 +28,8 @@ from .rwa import (
     build_h_rwa,
     classical_hamiltonian_function,
     coherent_eigen_residual,
+    h_rwa_bands,
+    parity_eigh,
     perturbative_shift,
     semiclassics,
     zero_drive_levels,
@@ -36,7 +38,6 @@ from .spectrum import (
     SpectrumSeries,
     eigenstate_by_label,
     find_degeneracy_points,
-    parity_split,
     same_parity_gap,
     spectrum_vs_drive,
 )

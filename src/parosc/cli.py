@@ -27,7 +27,7 @@ from .lindblad import build_liouvillian, state_decay_rate
 from .lz import LzProblem, lz_asymptotic_alphas, lz_rows, weber_solution
 from .radiation import spectrum_rows, steady_spectrum, sum_rule_check, transient_spectrum
 from .ramp import RampProtocol, evolve_ramp, ramp_rows
-from .rwa import RwaSystem, zero_drive_levels
+from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import (
     eigenstate_by_label,
     same_parity_gap,
@@ -169,9 +169,8 @@ def _run_zero_drive(cfg, outdir):
                      ((int(n), float(e)) for n, e in enumerate(levels)))
 
     def probe(dim):
-        from .rwa import build_h_rwa
-        h = build_h_rwa(FockSpace(dim), RwaSystem(delta=cfg["delta"], f=0.0))
-        return np.sort(np.diag(h).real)[:cfg["n_max"] + 1]
+        diag, _ = h_rwa_bands(dim, RwaSystem(delta=cfg["delta"], f=0.0))
+        return np.sort(diag)[:cfg["n_max"] + 1]
 
     return [path], {}, convergence_report(probe, max(cfg["n_max"] + 2, 16))
 

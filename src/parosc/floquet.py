@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace
-from .rwa import RwaSystem, build_h_rwa
-from .spectrum import even_indices, odd_indices, parity_split
+from .rwa import RwaSystem, parity_eigh
 
 
 @dataclass
@@ -166,17 +164,11 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
     against this embedding identifies the state across the omegaF ambiguity.
     """
     dim = rwa_dim or p.n_cut
-    space = FockSpace(dim)
-    h = build_h_rwa(space, RwaSystem(delta=p.delta, f=p.f)) * p.V
-    eb, ob = parity_split(h, space)
-    ev_w, ev_v = np.linalg.eigh(eb)
-    od_w, od_v = np.linalg.eigh(ob)
-    states = []
-    for r in range(len(ev_w)):
-        states.append((ev_w[r], 1, r))
-    for r in range(len(od_w)):
-        states.append((od_w[r], -1, r))
-    states.sort(key=lambda t: t[0])
+    system = RwaSystem(delta=p.delta, f=p.f)
+    chains = {parity: parity_eigh(dim, system, parity) for parity in (1, -1)}
+    states = sorted(((w * p.V, parity, r)
+                     for parity, (_, ws, _) in chains.items() for r, w in enumerate(ws)),
+                    key=lambda t: t[0])
 
     m = build_floquet_matrix(p)
     w, vecs = np.linalg.eigh(m)
@@ -184,15 +176,11 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
 
     out = []
     for energy, parity, rank in states[:n_track]:
-        block_v = ev_v if parity == 1 else od_v
-        idx = even_indices(dim) if parity == 1 else odd_indices(dim)
+        idx, _, v = chains[parity]
+        keep = (idx < p.n_cut) & (idx // 2 <= p.k_cut)
+        n = idx[keep]
         embedded = np.zeros(nk * p.n_cut)
-        for pos, n in enumerate(idx):
-            if n >= p.n_cut:
-                continue
-            k = n // 2 if parity == 1 else (n - 1) // 2
-            if -p.k_cut <= k <= p.k_cut:
-                embedded[(k + p.k_cut) * p.n_cut + n] = block_v[pos, rank].real
+        embedded[(n // 2 + p.k_cut) * p.n_cut + n] = v[keep, rank]
         embedded /= np.linalg.norm(embedded)
         overlaps = np.abs(vecs.T @ embedded)
         j = int(np.argmax(overlaps))

@@ -15,7 +15,12 @@ Exact solution: each C satisfies a Weber equation in z = sqrt(2s) e^{+-i pi/4} t
 solved by parabolic cylinder functions D_nu with pure imaginary order
 nu = +-i p, p = Delta^2 / (2 s).  Along those 45-degree rays both fundamental
 solutions are oscillatory (|exp(+-z^2/4)| = 1), so evaluating D_nu by
-integrating its defining ODE outward from z = 0 is well conditioned.
+integrating its defining ODE (complex state, DOP853) outward from z = 0 is well
+conditioned.  The limiting amplitudes are evaluated in log space
+(``scipy.special.loggamma``): the gamma factors separately over- or underflow
+near Delta^2/s = 600 while their products stay of order one.  D_nu(0) itself
+holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4), which limits ``weber_solution`` to
+Delta^2/s below about 1800.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import gamma, loggamma
 
 
 @dataclass(frozen=True)
@@ -57,41 +63,12 @@ class LzSolution:
     alpha_down: complex | None = None
 
 
-# ---------------------------------------------------------------------------
-# complex gamma function (Lanczos, g = 7, 9 coefficients; ~1e-13 relative)
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def complex_gamma(z: complex) -> complex:
-    """Gamma(z) for complex z by the Lanczos approximation with reflection.
-
-    Accurate to better than 1e-12 relative error for |z| <= 20.  Non-positive
-    integers are poles and raise.
-    """
+    """Gamma(z) for complex z (scipy.special.gamma); non-positive integers are poles and raise."""
     z = complex(z)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise ValueError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_COEF[0]
-    for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return complex(gamma(z))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +94,18 @@ def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
         raise ValueError("t_max must be > 0")
     Delta, s = prob.Delta, prob.s
 
-    def rhs(t, y):
-        c = y[:2] + 1j * y[2:]
+    def rhs(t, c):
         nu = s * t
-        dc = -1j * np.array([nu * c[0] + Delta * c[1], Delta * c[0] - nu * c[1]])
-        return np.concatenate([dc.real, dc.imag])
+        return -1j * np.array([nu * c[0] + Delta * c[1], Delta * c[0] - nu * c[1]])
 
     ts = np.linspace(0.0, t_max, n_out)
-    y0 = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    y0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     # rel_tol is a global target; step control is local, so integrate tighter
     sol = solve_ivp(rhs, (0.0, t_max), y0, t_eval=ts, method="DOP853",
                     rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    c_plus = sol.y[0] + 1j * sol.y[2]
-    c_minus = sol.y[1] + 1j * sol.y[3]
+    c_plus, c_minus = sol.y
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, ts)
     return LzSolution(t_grid=ts, c_plus=c_plus, c_minus=c_minus,
                       c_up=c_up, c_down=c_down)
@@ -156,18 +130,17 @@ def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     d0, d0p = _pcf_d0(nu)
+    k2 = k * k
 
     def rhs(t, y):
-        u = y[0] + 1j * y[1]
-        upp = (k ** 2) * (((k * t) ** 2) / 4.0 - nu - 0.5) * u
-        return [y[2], y[3], upp.real, upp.imag]
+        return np.array([y[1], k2 * (k2 * t * t / 4.0 - nu - 0.5) * y[0]])
 
-    y0 = [d0.real, d0.imag, (k * d0p).real, (k * d0p).imag]
+    y0 = np.array([d0, k * d0p], dtype=complex)
     sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
                     method="DOP853", rtol=rel_tol, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"parabolic cylinder integration failed: {sol.message}")
-    return sol.y[0] + 1j * sol.y[1]
+    return sol.y[0]
 
 
 def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
@@ -237,15 +210,18 @@ def lz_asymptotic_alphas(prob: LzProblem) -> tuple[complex, complex]:
         r = 1.0 / math.sqrt(2.0)
         return complex(r), complex(r)
     sgn = 1.0 if prob.Delta > 0 else -1.0
-    lam_plus = ((2.0 * p / math.e) ** (-1j * p / 2.0)
-                * (math.exp(3.0 * math.pi * p / 4.0) - math.exp(-5.0 * math.pi * p / 4.0))
-                * math.sqrt(p) * complex_gamma(1j * p) / (4.0 * math.sqrt(2.0) * math.pi))
-    lam_minus = lam_plus.conjugate()
-    alpha_up = lam_plus * (math.sqrt(p) * complex_gamma(-1j * p / 2.0)
-                           + sgn * (1.0 + 1j) * complex_gamma((1.0 - 1j * p) / 2.0))
-    alpha_down = lam_minus * (math.sqrt(p) * complex_gamma(1j * p / 2.0)
-                              + sgn * (-1.0 + 1j) * complex_gamma((1.0 + 1j * p) / 2.0))
-    return alpha_up, alpha_down
+    # log of lam_plus = (2p/e)^(-ip/2) (e^{3 pi p/4} - e^{-5 pi p/4}) sqrt(p) Gamma(ip)
+    # / (4 sqrt(2) pi): each factor alone over- or underflows near p = 300
+    log_lam = (-0.5j * p * (math.log(2.0 * p) - 1.0) + 0.75 * math.pi * p
+               + math.log1p(-math.exp(-2.0 * math.pi * p)) + 0.5 * math.log(p)
+               + loggamma(1j * p) - math.log(4.0 * math.sqrt(2.0) * math.pi))
+    # Gamma((1 -+ ip)/2) factored out of each bracket, Gamma(-+ip/2) enters as a ratio
+    lg_up, lg_down = loggamma((1.0 - 1j * p) / 2.0), loggamma((1.0 + 1j * p) / 2.0)
+    alpha_up = cmath.exp(log_lam + lg_up) * (
+        math.sqrt(p) * cmath.exp(loggamma(-0.5j * p) - lg_up) + sgn * (1.0 + 1j))
+    alpha_down = cmath.exp(log_lam.conjugate() + lg_down) * (
+        math.sqrt(p) * cmath.exp(loggamma(0.5j * p) - lg_down) + sgn * (-1.0 + 1j))
+    return complex(alpha_up), complex(alpha_down)
 
 
 def dynamical_phase(prob: LzProblem, t: float) -> float:

@@ -1,5 +1,11 @@
 """RWA Hamiltonian of the parametrically driven Kerr oscillator and analytic companions.
 
+H = -delta*n + (n^2 + n)/2 + (f/2)(a^2 + a_dag^2) couples |n> only to |n+-2>,
+so its single encoding is a pair of bands (``h_rwa_bands``): the diagonal and
+the second off-diagonal.  Each occupation-number parity block is then an exact
+tridiagonal chain, diagonalized by ``parity_eigh``; ``build_h_rwa`` assembles
+the dense matrix from the same bands for the Liouvillian.
+
 Unit convention (everywhere in this package): hbar = 1, energies and rates in
 units of the Kerr nonlinearity V, time in units of 1/V.  The dimensionless
 controls are the scaled detuning delta = (omega_F/2 - omega_0)/V and the
@@ -11,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .fock import FockSpace, ladder_operators, number_operator
+from .fock import FockSpace
 
 
 @dataclass(frozen=True)
@@ -55,16 +62,40 @@ class SemiclassicalSummary:
     gap_estimate: float  # intrawell level spacing in units of V, 2*sqrt((delta + f) f)
 
 
-def build_h_rwa(space: FockSpace, system: RwaSystem) -> np.ndarray:
-    """Rotating-frame Hamiltonian -delta*n + (n^2 + n)/2 + (f/2)(a^2 + a_dag^2).
+def h_rwa_bands(dim: int, system: RwaSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero bands of H = -delta*n + (n^2 + n)/2 + (f/2)(a^2 + a_dag^2) on |0..dim-1>.
 
-    Hermitian, commutes with occupation-number parity; units of V.
+    Returns (diag, off2) with diag[n] = <n|H|n> and off2[n] = <n+2|H|n> =
+    (f/2) sqrt((n+1)(n+2)).  The parity-(-1)^p block is the tridiagonal chain
+    with diagonal diag[p::2] and off-diagonal off2[p::2].
     """
-    a, a_dag = ladder_operators(space)
-    n_op = number_operator(space)
-    h = -system.delta * n_op + 0.5 * (n_op @ n_op + n_op)
-    h += 0.5 * system.f * (a @ a + a_dag @ a_dag)
+    n = np.arange(dim, dtype=float)
+    diag = -system.delta * n + 0.5 * (n * n + n)
+    off2 = 0.5 * system.f * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    return diag, off2
+
+
+def build_h_rwa(space: FockSpace, system: RwaSystem) -> np.ndarray:
+    """Dense rotating-frame Hamiltonian assembled from ``h_rwa_bands``; units of V."""
+    diag, off2 = h_rwa_bands(space.dim, system)
+    h = np.diag(diag).astype(complex)
+    h += np.diag(off2, 2) + np.diag(off2, -2)
     return h
+
+
+def parity_eigh(dim: int, system: RwaSystem,
+                parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the parity block (+1 even, -1 odd) of H, ascending.
+
+    Returns (fock_idx, w, v): the Fock indices the block spans, its eigenvalues,
+    and its real eigenvectors as the columns of v, indexed like fock_idx.
+    """
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    p = 0 if parity == 1 else 1
+    diag, off2 = h_rwa_bands(dim, system)
+    w, v = eigh_tridiagonal(diag[p::2], off2[p::2])
+    return np.arange(p, dim, 2), w, v
 
 
 def zero_drive_levels(delta: float, n_max: int) -> np.ndarray:
@@ -147,13 +178,10 @@ def exact_level_shift(space: FockSpace, delta: float, f: float, n: int) -> float
     is preserved because same-parity levels repel.  Used as the oracle against
     which ``perturbative_shift`` is checked.
     """
-    from .spectrum import level_label_at_zero_drive, parity_split
+    from .spectrum import level_label_at_zero_drive
 
     parity, rank = level_label_at_zero_drive(delta, n)
-    h = build_h_rwa(space, RwaSystem(delta=delta, f=f))
-    even_block, odd_block = parity_split(h, space)
-    block = even_block if parity == 1 else odd_block
-    levels = np.linalg.eigvalsh(block)
+    _, levels, _ = parity_eigh(space.dim, RwaSystem(delta=delta, f=f), parity)
     # diagonal of H at f=0 equals Ebar_n - Ebar_0, i.e. the zero-drive levels
     return float(levels[rank]) - zero_drive_levels(delta, n)[n]
 
@@ -161,7 +189,9 @@ def exact_level_shift(space: FockSpace, delta: float, f: float, n: int) -> float
 __all__ = [
     "RwaSystem",
     "SemiclassicalSummary",
+    "h_rwa_bands",
     "build_h_rwa",
+    "parity_eigh",
     "zero_drive_levels",
     "perturbative_shift",
     "classical_hamiltonian_function",

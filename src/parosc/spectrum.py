@@ -1,9 +1,11 @@
 """Parity-resolved spectral flows of the rotating-frame Hamiltonian vs drive amplitude.
 
-Level identity is (parity, ascending rank within the parity block).  Same-parity
-levels repel and never cross as the drive grows, so the rank is a stable label
-along the whole flow; this is what makes adiabatic state preparation and the
-labeling used by the ramp and radiation modules well defined.
+Each parity block of H is an exact tridiagonal chain (``rwa.parity_eigh``), so
+parity holds by construction and every level carries the label (parity,
+ascending rank within the chain).  Same-parity levels repel and never cross
+as the drive grows, so the rank is a stable label along the whole flow; this
+is what makes adiabatic state preparation and the labeling used by the ramp
+and radiation modules well defined.
 """
 
 from __future__ import annotations
@@ -12,41 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ConvergenceError, FockSpace, tail_population
-from .rwa import RwaSystem, build_h_rwa, zero_drive_levels
-
-
-def even_indices(dim: int) -> np.ndarray:
-    return np.arange(0, dim, 2)
-
-
-def odd_indices(dim: int) -> np.ndarray:
-    return np.arange(1, dim, 2)
-
-
-def parity_split(h: np.ndarray, space: FockSpace,
-                 comm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Split a parity-conserving operator into its even and odd Fock blocks.
-
-    Raises if the operator couples the two parity sublattices, i.e. if it does
-    not commute with the parity operator within ``comm_tol``.
-    """
-    dim = space.dim
-    ev, od = even_indices(dim), odd_indices(dim)
-    cross = max(np.max(np.abs(h[np.ix_(ev, od)])), np.max(np.abs(h[np.ix_(od, ev)])))
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    if cross > comm_tol * scale:
-        raise ValueError(
-            f"operator violates parity: cross-block magnitude {cross:.3g} "
-            f"exceeds {comm_tol:.3g} relative tolerance"
-        )
-    return h[np.ix_(ev, ev)], h[np.ix_(od, od)]
+from .fock import ConvergenceError, FockSpace
+from .rwa import RwaSystem, parity_eigh, zero_drive_levels
 
 
 def level_label_at_zero_drive(delta: float, n: int) -> tuple[int, int]:
-    """(parity, rank) label of the Fock state |n> within its parity block at f = 0."""
+    """(parity, rank) label of the Fock state |n> within its parity block at f = 0.
+
+    A same-parity level |m> lies at or below |n> iff |m + 1/2 - delta| <=
+    |n + 1/2 - delta|, so every such m is at most n + 2|n + 1/2 - delta|.
+    """
     parity = 1 if n % 2 == 0 else -1
-    same = np.arange(n % 2, max(n + 3, 12), 2)
+    same = np.arange(n % 2, int(n + 2 * abs(n + 0.5 - delta)) + 3, 2)
     levels = zero_drive_levels(delta, int(same[-1]))[same]
     order = np.argsort(levels, kind="stable")
     rank = int(np.where(same[order] == n)[0][0])
@@ -60,13 +39,9 @@ def eigenstate_by_label(space: FockSpace, delta: float, f: float,
     The eigenvector is embedded in the full Fock space, with its global phase
     fixed so that the largest-magnitude component is real and positive.
     """
-    h = build_h_rwa(space, RwaSystem(delta=delta, f=f))
-    even_block, odd_block = parity_split(h, space)
-    idx = even_indices(space.dim) if parity == 1 else odd_indices(space.dim)
-    block = even_block if parity == 1 else odd_block
+    idx, w, v = parity_eigh(space.dim, RwaSystem(delta=delta, f=f), parity)
     if not 0 <= rank < len(idx):
         raise ValueError(f"rank {rank} out of range for parity {parity:+d}")
-    w, v = np.linalg.eigh(block)
     phi = np.zeros(space.dim, dtype=complex)
     phi[idx] = v[:, rank]
     k = int(np.argmax(np.abs(phi)))
@@ -104,18 +79,18 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
     if np.any(np.diff(f_grid) < 0):
         raise ValueError("f_grid must be ascending")
     dim = space.dim
-    n_even = min(n_levels, len(even_indices(dim)))
-    n_odd = min(n_levels, len(odd_indices(dim)))
+    n_even = min(n_levels, (dim + 1) // 2)
+    n_odd = min(n_levels, dim // 2)
 
     even_flow = np.empty((len(f_grid), n_even))
     odd_flow = np.empty((len(f_grid), n_odd))
     for i, f in enumerate(f_grid):
-        h = build_h_rwa(space, RwaSystem(delta=delta, f=f))
-        eb, ob = parity_split(h, space)
-        if i == len(f_grid) - 1:
-            _check_tracked_tails(eb, ob, n_even, n_odd, dim, tail_tol)
-        even_flow[i] = np.linalg.eigvalsh(eb)[:n_even]
-        odd_flow[i] = np.linalg.eigvalsh(ob)[:n_odd]
+        system = RwaSystem(delta=delta, f=f)
+        for parity, flow in ((1, even_flow), (-1, odd_flow)):
+            idx, w, v = parity_eigh(dim, system, parity)
+            flow[i] = w[:flow.shape[1]]
+            if i == len(f_grid) - 1:
+                _check_tracked_tails(idx, v[:, :flow.shape[1]], dim, tail_tol)
 
     levels = np.concatenate([even_flow, odd_flow], axis=1)
     parities = np.concatenate([np.ones(n_even, dtype=int), -np.ones(n_odd, dtype=int)])
@@ -125,21 +100,18 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
                           parities=parities[order], ranks=ranks[order], dim=dim)
 
 
-def _check_tracked_tails(even_block, odd_block, n_even, n_odd, dim, tail_tol):
-    """Truncation check at the largest drive: tracked eigenvectors must not lean
-    on the top Fock levels."""
+def _check_tracked_tails(idx, v, dim, tail_tol):
+    """Truncation check at the largest drive: the tracked eigenvectors (columns
+    of v over Fock indices idx) must not lean on the top Fock levels."""
     tail = max(4, dim // 8)
-    for block, n_keep, idx in ((even_block, n_even, even_indices(dim)),
-                               (odd_block, n_odd, odd_indices(dim))):
-        _, v = np.linalg.eigh(block)
-        for r in range(n_keep):
-            phi = np.zeros(dim, dtype=complex)
-            phi[idx] = v[:, r]
-            if tail_population(phi, tail) > tail_tol:
-                raise ConvergenceError(
-                    f"tracked level rank {r} has tail population "
-                    f"{tail_population(phi, tail):.3g} > {tail_tol:.3g}; increase dim"
-                )
+    pops = np.sum(np.abs(v[idx >= dim - tail]) ** 2, axis=0)
+    bad = np.flatnonzero(pops > tail_tol)
+    if bad.size:
+        r = bad[0]
+        raise ConvergenceError(
+            f"tracked level rank {r} has tail population "
+            f"{pops[r]:.3g} > {tail_tol:.3g}; increase dim"
+        )
 
 
 def same_parity_gap(series: SpectrumSeries, parity: int, rank: int) -> np.ndarray:
@@ -168,10 +140,9 @@ def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float,
         raise ValueError("tol must be > 0")
     found = []
     for delta in np.asarray(delta_grid, dtype=float):
-        h = build_h_rwa(space, RwaSystem(delta=delta, f=f))
-        eb, ob = parity_split(h, space)
-        ev = np.linalg.eigvalsh(eb)[:n_levels]
-        od = np.linalg.eigvalsh(ob)[:n_levels]
+        system = RwaSystem(delta=delta, f=f)
+        ev = parity_eigh(space.dim, system, 1)[1][:n_levels]
+        od = parity_eigh(space.dim, system, -1)[1][:n_levels]
         for i, ei in enumerate(ev):
             for j, oj in enumerate(od):
                 if abs(ei - oj) < tol:

@@ -102,6 +102,19 @@ def test_lz_run_matches_shape(tmp_path):
     assert np.mean(p_up[-20:]) == pytest.approx(summary["alpha_up_sq"], abs=0.05)
 
 
+def test_lz_run_deep_adiabatic(tmp_path):
+    # Delta^2/s = 600: the limiting amplitudes used to overflow here
+    out = tmp_path / "lz600"
+    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 600.0,
+                                  "output_dir": str(out)})
+    assert main(["run", "--config", cfg]) == 0
+    summary = json.loads((out / "lz_summary.json").read_text())
+    assert summary["alpha_up_sq"] + summary["alpha_down_sq"] == pytest.approx(1.0, abs=1e-12)
+    rows = (out / "lz.csv").read_text().strip().split("\n")[1:]
+    p_up = np.array([float(r.split(",")[1]) for r in rows])
+    assert np.all(np.abs(p_up - 1.0) < 1e-3)
+
+
 def test_ramp_run_manifest(tmp_path):
     out = tmp_path / "r"
     cfg = write_config(tmp_path, {"experiment": "ramp", "delta": 0.0,

@@ -114,6 +114,22 @@ class TestAsymptoticAlphas:
         slope = np.polyfit(np.log(1.0 / d2s_vals), np.log(probs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("d2s", [600.0, 2000.0, 1e4])
+    def test_deep_adiabatic_regime(self, d2s):
+        # evaluated in log space: the separate gamma factors over- or underflow
+        # near Delta^2/s = 600, their product stays O(1).  The gamma phases grow
+        # as p log p, so their rounding leaves a norm error of a few 1e-12 at 1e4
+        prob = LzProblem(Delta=math.sqrt(d2s), s=1.0)
+        au, ad = lz_asymptotic_alphas(prob)
+        assert abs(au) ** 2 + abs(ad) ** 2 == pytest.approx(1.0, abs=1e-11)
+        r = prob.s / prob.Delta**2
+        assert abs(au - (1 - 1j * r / 12)) < 5e-3 * r
+        assert abs(ad) / r == pytest.approx(0.25, rel=1e-3)
+        # the opposite sign of Delta swaps the branch populations
+        au_neg, ad_neg = lz_asymptotic_alphas(LzProblem(Delta=-prob.Delta, s=1.0))
+        assert abs(au_neg) ** 2 + abs(ad_neg) ** 2 == pytest.approx(1.0, abs=1e-11)
+        assert abs(au_neg) ** 2 == pytest.approx(abs(ad) ** 2, rel=1e-6)
+
     def test_delta_zero_limit(self):
         au, ad = lz_asymptotic_alphas(LzProblem(Delta=0.0, s=1.0))
         assert abs(au) ** 2 == pytest.approx(0.5)

@@ -50,6 +50,27 @@ def test_norm_and_parity_conservation():
     assert np.max(odd_mass) < 1e-10
 
 
+def test_mixed_parity_state_evolves_both_sectors():
+    # the banded right-hand side acts on the whole Fock space: a superposition
+    # of |0> and |1> keeps half its weight in each parity and evolves as the
+    # sum of its separately evolved even and odd parts
+    sp = FockSpace(30)
+    times = np.linspace(0.0, 10.0, 21)
+
+    def run(state):
+        protocol = RampProtocol(delta=1.8, f_final=1.0, s_tilde=0.1,
+                                initial_state=state, output_times=times)
+        return evolve_ramp(sp, protocol, rel_tol=1e-10).trajectory
+
+    mixed = run((sp.basis_state(0) + sp.basis_state(1)) / np.sqrt(2.0))
+    even_weight = np.sum(np.abs(mixed[:, 0::2]) ** 2, axis=1)
+    odd_weight = np.sum(np.abs(mixed[:, 1::2]) ** 2, axis=1)
+    assert np.max(np.abs(even_weight - 0.5)) < 1e-9
+    assert np.max(np.abs(odd_weight - 0.5)) < 1e-9
+    parts = (run(sp.basis_state(0)) + run(sp.basis_state(1))) / np.sqrt(2.0)
+    assert np.max(np.abs(mixed - parts)) < 1e-7
+
+
 def test_integrator_convergence_in_rel_tol():
     sp = FockSpace(30)
     f1 = evolve_ramp(sp, make_protocol(sp, 0.0, 2.0, 0.5), rel_tol=1e-8).final_fidelity

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parosc.fock import FockSpace, ladder_operators, parity_operator
+from parosc.fock import FockSpace, ladder_operators, number_operator, parity_operator
 from parosc.rwa import (
     RwaSystem,
     build_h_rwa,
     classical_hamiltonian_function,
     coherent_eigen_residual,
     exact_level_shift,
+    h_rwa_bands,
+    parity_eigh,
     perturbative_shift,
     semiclassics,
     zero_drive_levels,
 )
+
+
+def ladder_h_rwa(sp: FockSpace, system: RwaSystem) -> np.ndarray:
+    """Oracle: -delta*n + (n^2 + n)/2 + (f/2)(a@a + a_dag@a_dag) from ladder operators."""
+    a, a_dag = ladder_operators(sp)
+    n_op = number_operator(sp)
+    h = -system.delta * n_op + 0.5 * (n_op @ n_op + n_op)
+    h += 0.5 * system.f * (a @ a + a_dag @ a_dag)
+    return h
 
 
 def second_order_shift_oracle(delta: float, f: float, n: int, dim: int = 40) -> float:
@@ -55,6 +68,56 @@ class TestHamiltonian:
     def test_hermitian(self):
         h = build_h_rwa(FockSpace(17), RwaSystem(delta=1.3, f=2.2))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 17, 40])
+    def test_matches_ladder_oracle(self, dim):
+        for delta, f in ((0.0, 0.0), (1.8, 1.0), (-1.3, 2.7)):
+            sp, system = FockSpace(dim), RwaSystem(delta=delta, f=f)
+            oracle = ladder_h_rwa(sp, system)
+            h = build_h_rwa(sp, system)
+            assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    def test_bands(self):
+        diag, off2 = h_rwa_bands(6, RwaSystem(delta=0.5, f=0.4))
+        n = np.arange(6)
+        assert np.array_equal(diag, -0.5 * n + 0.5 * (n**2 + n))
+        assert off2 == pytest.approx(0.2 * np.sqrt((n[:4] + 1) * (n[:4] + 2)), rel=1e-15)
+
+
+class TestParityEigh:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 3.0), dim=st.integers(2, 40))
+    def test_chains_reproduce_dense_spectrum(self, delta, f, dim):
+        system = RwaSystem(delta=delta, f=f)
+        h = build_h_rwa(FockSpace(dim), system)
+        full = np.linalg.eigvalsh(h)
+        scale = max(1.0, float(np.max(np.abs(full))))
+        union = []
+        for parity in (1, -1):
+            idx, w, v = parity_eigh(dim, system, parity)
+            phi = np.zeros((dim, len(idx)))
+            phi[idx] = v
+            assert np.all(np.diff(w) >= 0)
+            residual = np.linalg.norm(h @ phi - phi * w, axis=0)
+            assert np.all(residual <= 1e-12 * scale)
+            union.append(w)
+        assert np.max(np.abs(np.sort(np.concatenate(union)) - full)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [60, 80])
+    def test_large_dim_spectrum(self, dim):
+        for delta, f in ((0.0, 3.0), (1.8, 1.0), (2.0, 2.0)):
+            system = RwaSystem(delta=delta, f=f)
+            full = np.linalg.eigvalsh(build_h_rwa(FockSpace(dim), system))
+            union = np.sort(np.concatenate([parity_eigh(dim, system, par)[1]
+                                            for par in (1, -1)]))
+            assert np.max(np.abs(union - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_fock_indices_and_validation(self):
+        system = RwaSystem(delta=0.3, f=0.7)
+        assert np.array_equal(parity_eigh(7, system, 1)[0], [0, 2, 4, 6])
+        assert np.array_equal(parity_eigh(7, system, -1)[0], [1, 3, 5])
+        with pytest.raises(ValueError):
+            parity_eigh(7, system, 0)
 
 
 class TestZeroDrive:
@@ -170,13 +233,9 @@ class TestCoherentEigenstates:
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integer_detuning_degeneracy_persists(k):
     # at delta = k, the k lowest even/odd pairs stay degenerate at any drive
-    from parosc.spectrum import parity_split
-
-    sp = FockSpace(80)
     for f in (0.5, 1.5, 3.0):
-        h = build_h_rwa(sp, RwaSystem(delta=float(k), f=f))
-        eb, ob = parity_split(h, sp)
-        ev = np.linalg.eigvalsh(eb)
-        od = np.linalg.eigvalsh(ob)
+        system = RwaSystem(delta=float(k), f=f)
+        ev = parity_eigh(80, system, 1)[1]
+        od = parity_eigh(80, system, -1)[1]
         for r in range(k):
             assert abs(ev[r] - od[r]) < 1e-8

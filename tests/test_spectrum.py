@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from parosc.fock import FockSpace
-from parosc.rwa import RwaSystem, build_h_rwa, semiclassics
+from parosc.fock import ConvergenceError, FockSpace, tail_population
+from parosc.rwa import RwaSystem, build_h_rwa, h_rwa_bands, parity_eigh, semiclassics, zero_drive_levels
 from parosc.spectrum import (
     eigenstate_by_label,
     find_degeneracy_points,
     level_label_at_zero_drive,
-    parity_split,
     same_parity_gap,
     series_rows,
     spectrum_vs_drive,
@@ -15,36 +14,28 @@ from parosc.spectrum import (
 
 
 def test_blocks_dim4():
-    sp = FockSpace(4)
-    h = build_h_rwa(sp, RwaSystem(delta=0.3, f=0.7))
-    eb, ob = parity_split(h, sp)
-    assert eb.shape == (2, 2) and ob.shape == (2, 2)
-    assert eb[0, 1] == h[0, 2]
-    assert ob[0, 1] == h[1, 3]
+    system = RwaSystem(delta=0.3, f=0.7)
+    h = build_h_rwa(FockSpace(4), system)
+    diag, off2 = h_rwa_bands(4, system)
+    assert diag[0::2].shape == (2,) and diag[1::2].shape == (2,)
+    assert off2[0::2][0] == h[0, 2]
+    assert off2[1::2][0] == h[1, 3]
 
 
 def test_zero_drive_blocks_diagonal():
-    sp = FockSpace(8)
-    eb, ob = parity_split(build_h_rwa(sp, RwaSystem(delta=1.0, f=0.0)), sp)
-    assert np.count_nonzero(eb - np.diag(np.diag(eb))) == 0
-    assert np.count_nonzero(ob - np.diag(np.diag(ob))) == 0
+    system = RwaSystem(delta=1.0, f=0.0)
+    assert np.count_nonzero(h_rwa_bands(8, system)[1]) == 0
+    for parity in (1, -1):
+        _, _, v = parity_eigh(8, system, parity)
+        assert np.count_nonzero(v - np.diag(np.diag(v))) == 0
 
 
 def test_block_union_matches_full_spectrum():
-    sp = FockSpace(30)
-    h = build_h_rwa(sp, RwaSystem(delta=1.1, f=1.7))
-    eb, ob = parity_split(h, sp)
-    union = np.sort(np.concatenate([np.linalg.eigvalsh(eb), np.linalg.eigvalsh(ob)]))
-    full = np.linalg.eigvalsh(h)   # independent route: diagonalize without splitting
+    system = RwaSystem(delta=1.1, f=1.7)
+    union = np.sort(np.concatenate([parity_eigh(30, system, 1)[1],
+                                    parity_eigh(30, system, -1)[1]]))
+    full = np.linalg.eigvalsh(build_h_rwa(FockSpace(30), system))   # diagonalize without splitting
     assert np.max(np.abs(union - full)) < 1e-10 * max(1, np.max(np.abs(full)))
-
-
-def test_parity_violation_detected():
-    sp = FockSpace(6)
-    h = build_h_rwa(sp, RwaSystem(delta=0.0, f=1.0))
-    h[0, 1] = h[1, 0] = 0.5   # parity-breaking coupling
-    with pytest.raises(ValueError):
-        parity_split(h, sp)
 
 
 def test_level_labels_at_zero_drive():
@@ -53,6 +44,16 @@ def test_level_labels_at_zero_drive():
     assert level_label_at_zero_drive(1.8, 2) == (1, 0)
     assert level_label_at_zero_drive(1.8, 1) == (-1, 0)
     assert level_label_at_zero_drive(0.0, 4) == (1, 2)
+
+
+@pytest.mark.parametrize("delta", [7.0, 7.6, 10.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_level_labels_at_large_detuning(delta, n):
+    # brute force: rank of |n> among the first 200 same-parity levels
+    same = np.arange(n % 2, 200, 2)
+    order = np.argsort(zero_drive_levels(delta, 199)[same], kind="stable")
+    rank = int(np.where(same[order] == n)[0][0])
+    assert level_label_at_zero_drive(delta, n) == (1 if n % 2 == 0 else -1, rank)
 
 
 class TestSpectrumSeries:
@@ -93,6 +94,15 @@ class TestSpectrumSeries:
             even = np.stack([series.column(1, r) for r in range(4)], axis=1)
             gaps = np.diff(even, axis=1).min(axis=1)
             assert np.all(gaps >= 0.9 * gaps[0])
+
+    def test_truncation_tail_check(self):
+        # reference: tail weight of the embedded rank-0 eigenvector at the last drive
+        sp = FockSpace(16)
+        _, phi = eigenstate_by_label(sp, 0.0, 5.0, 1, 0)
+        expected = f"tail population {tail_population(phi, 4):.3g} "
+        with pytest.raises(ConvergenceError, match=f"rank 0 has {expected}"):
+            spectrum_vs_drive(sp, 0.0, np.array([0.0, 5.0]), 3)
+        spectrum_vs_drive(FockSpace(60), 0.0, np.array([0.0, 5.0]), 3)
 
     def test_f_grid_must_ascend(self):
         with pytest.raises(ValueError):
