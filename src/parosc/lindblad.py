@@ -11,7 +11,8 @@ H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
 dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); spectra, steady
-states and the propagators of the radiation module work block by block.
+states, the master-equation integrator and the propagators of the radiation
+module work block by block.
 """
 
 from __future__ import annotations
@@ -105,19 +106,29 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
                   rel_tol: float = 1e-9) -> np.ndarray:
     """Propagate rho0 over t_grid; returns array of shape (len(t_grid), dim, dim).
 
-    Same adaptive-integrator contract as the ramp module.
+    Same adaptive-integrator contract as the ramp module.  The state is held
+    sector by sector (even entries, then odd), so each right-hand side applies
+    the two parity blocks instead of the dense generator.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dim = liou.dim
-    lmat = liou.matrix
-    x0 = _vec(np.asarray(rho0, dtype=complex))
+    even, odd = liou.sectors
+    order = np.concatenate([even.idx, odd.idx])
+    n_even = even.idx.size
+
+    def rhs(t, y):
+        return np.concatenate([even.block @ y[:n_even], odd.block @ y[n_even:]])
+
+    y0 = _vec(np.asarray(rho0, dtype=complex))[order]
     span = (min(0.0, t_grid[0]), t_grid[-1])
     # rel_tol is a global target; step control is local, so integrate tighter
-    sol = solve_ivp(lambda t, x: lmat @ x, span, x0, t_eval=t_grid, method="DOP853",
+    sol = solve_ivp(rhs, span, y0, t_eval=t_grid, method="DOP853",
                     rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
     if not sol.success:
         raise RuntimeError(f"master-equation propagation failed: {sol.message}")
-    return sol.y.T.reshape(len(t_grid), dim, dim)
+    x = np.empty((len(t_grid), dim * dim), dtype=complex)
+    x[:, order] = sol.y.T
+    return x.reshape(len(t_grid), dim, dim)
 
 
 def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:

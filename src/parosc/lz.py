@@ -18,9 +18,10 @@ solutions are oscillatory (|exp(+-z^2/4)| = 1), so evaluating D_nu by
 integrating its defining ODE (complex state, DOP853) outward from z = 0 is well
 conditioned.  The limiting amplitudes are evaluated in log space
 (``scipy.special.loggamma``): the gamma factors separately over- or underflow
-near Delta^2/s = 600 while their products stay of order one.  D_nu(0) itself
-holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4), which limits ``weber_solution`` to
-Delta^2/s below about 1800.
+near Delta^2/s = 600 while their products stay of order one.  For the same
+reason the ODE integrates D_nu(z)/D_nu(0), started from the log-derivative
+D'_nu(0)/D_nu(0): D_nu(0) itself holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4) and
+overflows near Delta^2/s = 1800.
 """
 
 from __future__ import annotations
@@ -114,28 +115,29 @@ def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # exact solution via parabolic cylinder functions
 
-def _pcf_d0(nu: complex) -> tuple[complex, complex]:
-    """D_nu(0) and D'_nu(0)."""
-    d0 = 2.0 ** (nu / 2.0) * math.sqrt(math.pi) / complex_gamma((1.0 - nu) / 2.0)
-    d0p = -(2.0 ** ((nu + 1.0) / 2.0)) * math.sqrt(math.pi) / complex_gamma(-nu / 2.0)
-    return d0, d0p
+def _pcf_slope(nu: complex) -> complex:
+    """r(nu) = D'_nu(0) / D_nu(0) = -sqrt(2) Gamma((1 - nu)/2) / Gamma(-nu/2).
+
+    Formed from log-gamma: D_nu(0) alone holds 1/Gamma((1 - nu)/2), which
+    overflows for large |Im nu| while the ratio stays of order sqrt(|nu|).
+    """
+    return -math.sqrt(2.0) * cmath.exp(loggamma((1.0 - nu) / 2.0) - loggamma(-nu / 2.0))
 
 
 def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray,
                               rel_tol: float = 1e-12) -> np.ndarray:
-    """D_nu(k*t) for t on a nonnegative real grid, along the fixed ray arg(k).
+    """D_nu(k*t) / D_nu(0) for t on a nonnegative real grid, along the fixed ray arg(k).
 
-    Integrates w'' + (nu + 1/2 - z^2/4) w = 0 in the ray parameter t with the
-    known values of D_nu and its derivative at the origin.
+    Integrates w'' + (nu + 1/2 - z^2/4) w = 0 in the ray parameter t from
+    w(0) = 1 and dw/dt(0) = k r(nu), the normalised values at the origin.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    d0, d0p = _pcf_d0(nu)
     k2 = k * k
 
     def rhs(t, y):
         return np.array([y[1], k2 * (k2 * t * t / 4.0 - nu - 0.5) * y[0]])
 
-    y0 = np.array([d0, k * d0p], dtype=complex)
+    y0 = np.array([1.0, k * _pcf_slope(nu)], dtype=complex)
     sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
                     method="DOP853", rtol=rel_tol, atol=1e-13)
     if not sol.success:
@@ -174,9 +176,8 @@ def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
         nu2 = -sign * 1j * p               # order of D(z_+-)
         k1 = k_neg if sign > 0 else k_pos
         k2 = k_pos if sign > 0 else k_neg
-        d1_0, d1p_0 = _pcf_d0(nu1)
-        d2_0, d2p_0 = _pcf_d0(nu2)
-        m = np.array([[d1_0, d2_0], [k1 * d1p_0, k2 * d2p_0]])
+        # coefficients of the normalised solutions D(k t)/D(0)
+        m = np.array([[1.0, 1.0], [k1 * _pcf_slope(nu1), k2 * _pcf_slope(nu2)]])
         rhs = np.array([1.0 / math.sqrt(2.0), -1j * Delta / math.sqrt(2.0)])
         a_coef, b_coef = np.linalg.solve(m, rhs)
         g1 = parabolic_cylinder_on_ray(nu1, k1, t_grid)

@@ -5,12 +5,17 @@ propagate rho to t1, deform it by a_dag on the right, propagate the deformation
 for tau = t2 - t1, and trace against a.
 
 Propagation is exact stepping on a uniform time grid with the matrix
-exponential expm(L_s dt) of each (m + n)-parity sector block L_s of the
+exponential P = expm(L_s dt) of each (m + n)-parity sector block L_s of the
 Liouvillian.  No eigendecomposition of the non-normal generator is involved,
 so the flow stays accurate near exceptional points, where eigenvectors
-coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The steady state and
-every rho built from parity eigenstates live in the even sector; their seeds
-rho a_dag and the trace against a live in the odd one.
+coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The first 128 states
+are stepped one matrix-vector product at a time; every later block of 128
+states is one matrix product of the block before it with P^128.
+
+The steady state and every rho built from parity eigenstates live in the even
+sector.  The trace against a sees only the odd sector, which the seeds
+rho a_dag of the even part fill, so the spectra keep only the even deviation
+from the steady state, the odd seeds and the odd adjoint rows.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -23,7 +28,9 @@ relative to the steady state):
 
 evaluated on a uniform time grid with trapezoidal weights; the grid step obeys
 dt <= min(0.05/gamma_tilde, 0.2/max|x|) so the fastest retained oscillation is
-resolved.
+resolved.  Frequency grids must be uniform: the Fourier sums over the time grid
+are evaluated for all x at once by the chirp-z transform (Rabiner, Schafer &
+Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
 """
 
 from __future__ import annotations
@@ -32,10 +39,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import expm
 
 from .fock import ladder_operators
 from .lindblad import Liouvillian, steady_state
+
+_BLOCK = 128        # states per matrix product in the blocked stepping
 
 
 @dataclass
@@ -53,52 +63,79 @@ class SpectralDensity:
     kind: str                   # "transient_energy" or "steady_power"
 
 
+def _uniform_step(grid: np.ndarray, name: str) -> float:
+    """Step of a uniform grid (0 for fewer than two points); raises if not uniform."""
+    steps = np.diff(grid)
+    if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError(f"{name} must be uniform")
+    return float(grid[-1] - grid[0]) / len(steps) if len(steps) else 0.0
+
+
 # ---------------------------------------------------------------------------
 # propagation
 
 class _SteppingFlow:
-    """Exact flow on a uniform grid ts, stepped by expm(L_s dt) per parity sector.
+    """Exact flow on a uniform grid ts, stepped by P = expm(L_s dt) per parity sector.
 
-    Vectors are row-stacked d^2 vectors.  Only the sectors a vector occupies
-    are stepped; the others stay exactly zero along the flow.
+    Sector states are rows: row k is the sector vector at ts[k].  Full vectors
+    are row-stacked d^2 vectors; only the sectors they occupy are stepped, the
+    others stay exactly zero along the flow.
     """
 
     def __init__(self, liou: Liouvillian, ts: np.ndarray):
-        steps = np.diff(ts)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("propagation needs a uniform time grid")
-        self.dt = float(steps[0]) if len(steps) else 0.0
+        self.dt = _uniform_step(ts, "time grid")
         self.n_t = len(ts)
         self.sectors = liou.sectors
+        self._props = {}
 
-    def _steps(self, v: np.ndarray, adjoint: bool):
-        """(idx, states) per occupied sector; states[k] = sector part at step k."""
-        for sector in self.sectors:
-            x = v[sector.idx].astype(complex)
-            if not np.any(x):
-                continue
-            states = np.empty((self.n_t, x.size), dtype=complex)
-            states[0] = x
-            if self.n_t > 1:
-                prop = expm(sector.block * self.dt)
-                if adjoint:
-                    prop = prop.T
-                for k in range(1, self.n_t):
-                    states[k] = prop @ states[k - 1]
-            yield sector.idx, states
+    def _prop(self, s: int, power: int = 1) -> np.ndarray:
+        """P^power of sector s, built once per flow."""
+        if (s, power) not in self._props:
+            self._props[s, power] = (expm(self.sectors[s].block * self.dt) if power == 1
+                                     else np.linalg.matrix_power(self._prop(s), power))
+        return self._props[s, power]
+
+    def states(self, s: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Rows exp(L_s t) x, or x^T exp(L_s t) if adjoint, for every t: (n_t, x.size)."""
+        # rows advance as out[k] = out[k - 1] @ M with M = P (adjoint) or P^T
+        out = np.empty((self.n_t, x.size), dtype=complex)
+        out[0] = x
+        if self.n_t > 1:
+            step = self._prop(s) if adjoint else self._prop(s).T
+            for k in range(1, min(self.n_t, _BLOCK)):
+                np.matmul(out[k - 1], step, out=out[k])
+        if self.n_t > _BLOCK:
+            jump = self._prop(s, _BLOCK) if adjoint else self._prop(s, _BLOCK).T
+            for start in range(_BLOCK, self.n_t, _BLOCK):
+                stop = min(start + _BLOCK, self.n_t)
+                np.matmul(out[start - _BLOCK:stop - _BLOCK], jump, out=out[start:stop])
+        return out
+
+    def final(self, s: int, x: np.ndarray) -> np.ndarray:
+        """exp(L_s T) x at the last grid time, by the steps of ``states``."""
+        if not np.any(x):
+            return x
+        jumps, steps = divmod(self.n_t - 1, _BLOCK)
+        for _ in range(jumps):
+            x = self._prop(s, _BLOCK) @ x
+        for _ in range(steps):
+            x = self._prop(s) @ x
+        return x
 
     def evolve_columns(self, x0: np.ndarray) -> np.ndarray:
         """Columns exp(L t) x0 for every t, shape (d^2, len(ts))."""
         out = np.zeros((x0.size, self.n_t), dtype=complex)
-        for idx, states in self._steps(x0, adjoint=False):
-            out[idx] = states.T
+        for s, sector in enumerate(self.sectors):
+            if np.any(x0[sector.idx]):
+                out[sector.idx] = self.states(s, x0[sector.idx]).T
         return out
 
     def adjoint_rows(self, row: np.ndarray) -> np.ndarray:
         """Rows row^T exp(L t) for every t, shape (len(ts), d^2)."""
         out = np.zeros((self.n_t, row.size), dtype=complex)
-        for idx, states in self._steps(row, adjoint=True):
-            out[:, idx] = states
+        for s, sector in enumerate(self.sectors):
+            if np.any(row[sector.idx]):
+                out[:, sector.idx] = self.states(s, row[sector.idx], adjoint=True)
         return out
 
 
@@ -112,6 +149,24 @@ def _times_adag(vecs: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
     """vec(M a_dag) for vec(M) and for every column vec(M) of vecs."""
     d = a_dag.shape[0]
     return (a_dag.T @ vecs.reshape(d, d, -1)).reshape(vecs.shape)
+
+
+def _odd_operators(liou: Liouvillian):
+    """Odd-sector parts of tr_a and of the seed map M -> M a_dag.
+
+    Returns (tr_a_odd, src, coef): the odd part of vec(M a_dag) is
+    coef * m_even[src] for the even part m_even of vec(M), because
+    (M a_dag)[m, n] = sqrt(n + 1) M[m, n + 1]; coef is zero in the last column.
+    """
+    d = liou.dim
+    even, odd = liou.sectors
+    tr_a, _ = _operators(liou)
+    pos = np.zeros(d * d, dtype=np.intp)
+    pos[even.idx] = np.arange(even.idx.size)
+    last = odd.idx % d == d - 1
+    src = pos[np.where(last, 0, odd.idx + 1)]
+    coef = np.where(last, 0.0, np.sqrt(odd.idx % d + 1.0))
+    return tr_a[odd.idx], src, coef
 
 
 def _default_dt(gamma_tilde: float, omega_grid: np.ndarray) -> float:
@@ -128,15 +183,27 @@ def _trapz_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray,
-                        block: int = 512) -> np.ndarray:
-    """2 Re Int dt e^{i x t} signal(t) for every x, in x-blocks to bound memory."""
-    out = np.empty(len(xs))
-    for i in range(0, len(xs), block):
-        chunk = xs[i:i + block]
-        phases = np.exp(1j * np.outer(chunk, ts))
-        out[i:i + block] = 2.0 * np.real(phases @ signal)
-    return out
+def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """2 Re sum_j signal_j e^{i x_k t_j} for every x_k, on uniform grids xs and ts.
+
+    With x_k = x_0 + k h and t_j = t_0 + j dt the phase splits as
+    x_k t_0 + x_0 j dt + h dt (k^2 + j^2 - (k - j)^2) / 2, so the sum is a chirp
+    times the convolution of the chirped samples with the conjugate chirp,
+    evaluated by FFT (chirp-z transform).  The chirp phases reach h dt n^2 / 2
+    for n = max(len(xs), len(ts)), so their rounding error is about
+    eps h dt n^2 where the direct sum has eps max|x t|.
+    """
+    n_x, n_t = len(xs), len(ts)
+    if n_x == 0:
+        return np.zeros(0)
+    dt = _uniform_step(ts, "time grid")
+    theta = _uniform_step(xs, "omega_grid") * dt
+    j, k, m = np.arange(n_t), np.arange(n_x), np.arange(1 - n_t, n_x)
+    n_fft = next_fast_len(n_t + n_x - 1)
+    chirped = signal * np.exp(1j * (xs[0] * dt * j + 0.5 * theta * j * j))
+    kernel = np.exp(-0.5j * theta * m * m)
+    conv = ifft(fft(chirped, n_fft) * fft(kernel, n_fft))[n_t - 1:n_t - 1 + n_x]
+    return 2.0 * np.real(np.exp(1j * (xs * ts[0] + 0.5 * theta * k * k)) * conv)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +211,11 @@ def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray,
 
 def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
                         t_grid: np.ndarray) -> CorrelatorGrid:
-    """Fill C(t1, t2) for all grid pairs with t2 >= t1 by quantum regression."""
+    """Fill C(t1, t2) for all grid pairs with t2 >= t1 by quantum regression.
+
+    Works on full d^2 vectors (both sectors of rho0, every seed), so it is an
+    independent reference for the sector-only spectra.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must ascend from 0")
@@ -167,9 +238,9 @@ def stationary_correlator(liou: Liouvillian, taus: np.ndarray,
     if rho_st is None:
         rho_st = steady_state(liou)
     taus = np.asarray(taus, dtype=float)
-    tr_a, a_dag = _operators(liou)
-    seed = _times_adag(np.asarray(rho_st, complex).reshape(-1), a_dag)
-    return _SteppingFlow(liou, taus).adjoint_rows(tr_a) @ seed
+    tr_a, src, coef = _odd_operators(liou)
+    seed = coef * np.asarray(rho_st, complex).reshape(-1)[liou.sectors[0].idx][src]
+    return _SteppingFlow(liou, taus).states(1, seed) @ tr_a
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +251,10 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
                        relax_tol: float = 1e-4) -> SpectralDensity:
     """Excess emitted energy per unit frequency after preparing rho0.
 
-    Requires T_max >= 10/gamma_tilde so the transient has relaxed; warns if the
-    state at T_max still differs from the steady state by more than relax_tol.
-    Values may be negative: the prepared state can emit less at a frequency
-    than the steady state does.
+    Requires T_max >= 10/gamma_tilde so the transient has relaxed, and a
+    uniform omega_grid; warns if the state at T_max still differs from the
+    steady state by more than relax_tol.  Values may be negative: the prepared
+    state can emit less at a frequency than the steady state does.
     """
     gt = liou.gamma_tilde
     if gt <= 0:
@@ -191,6 +262,7 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     if T_max < 10.0 / gt:
         raise ValueError(f"T_max = {T_max} too short; need >= {10.0 / gt}")
     omega_grid = np.asarray(omega_grid, dtype=float)
+    _uniform_step(omega_grid, "omega_grid")      # before any propagation
     if dt is None:
         dt = _default_dt(gt, omega_grid)
     n_t = int(np.ceil(T_max / dt)) + 1
@@ -198,26 +270,33 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     dt = ts[1] - ts[0]
 
     rho_st = steady_state(liou)
-    tr_a, a_dag = _operators(liou)
+    even, odd = liou.sectors
+    tr_a, src, coef = _odd_operators(liou)
     flow = _SteppingFlow(liou, ts)
     # evolve the deviation from the steady state; its correlator seeds are
-    # exactly C(t', t' + tau) - C_st(tau)
+    # exactly C(t', t' + tau) - C_st(tau).  Only its even part seeds the odd
+    # sector that tr_a sees; the odd part enters the relaxation check alone.
     dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)
-    dev_vecs = flow.evolve_columns(dev0)
-    if float(np.max(np.abs(dev_vecs[:, -1]))) > relax_tol:
-        warnings.warn(
-            f"state not relaxed at T_max: deviation {np.max(np.abs(dev_vecs[:, -1])):.2e}",
-            RuntimeWarning, stacklevel=2,
-        )
-    seeds = _times_adag(dev_vecs, a_dag)          # (d^2, n_t), per t'
+    dev = flow.states(0, dev0[even.idx])
+    left = max(float(np.max(np.abs(dev[-1]))),
+               float(np.max(np.abs(flow.final(1, dev0[odd.idx])))))
+    if left > relax_tol:
+        warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
+                      RuntimeWarning, stacklevel=2)
+    seeds = dev[:, src]                           # (n_t, odd), per t'
+    del dev
 
-    # trapezoid prefix over t': B[:, r] = Int_0^{t_r} seeds dt'
-    prefix = np.cumsum(seeds, axis=1) * dt
-    b = prefix - 0.5 * dt * (seeds + seeds[:, :1])
+    # trapezoid prefix over t': B[r] = Int_0^{t_r} seeds dt' = c[r] + c[r-1] - h[0]
+    # with h = seeds dt/2 and c its running sum (c[-1] = 0), all in place
+    seeds *= 0.5 * dt * coef
+    h0 = seeds[0].copy()
+    c_rev = np.cumsum(seeds, axis=0, out=seeds)[::-1]
     # S(tau_j) = Int_0^{T - tau_j} dt' dC(t', t' + tau_j)
-    #          = [tr_a Lambda^{tau_j}] . B[:, n-1-j]
-    rows = flow.adjoint_rows(tr_a)
-    s_tau = np.einsum("jm,mj->j", rows, b[:, ::-1])
+    #          = [tr_a Lambda^{tau_j}] . B[n-1-j]
+    rows = flow.states(1, tr_a, adjoint=True)
+    s_tau = np.einsum("jm,jm->j", rows, c_rev)
+    s_tau[:-1] += np.einsum("jm,jm->j", rows[:-1], c_rev[1:])
+    s_tau -= rows @ h0
 
     w_tau = _trapz_weights(n_t, dt)
     values = _fourier_quadrature(omega_grid, ts, w_tau * s_tau)
@@ -233,6 +312,7 @@ def steady_spectrum(liou: Liouvillian, omega_grid: np.ndarray, T_corr: float,
     if T_corr < 10.0 / gt:
         raise ValueError(f"T_corr = {T_corr} too short; need >= {10.0 / gt}")
     omega_grid = np.asarray(omega_grid, dtype=float)
+    _uniform_step(omega_grid, "omega_grid")      # before any propagation
     if dt is None:
         dt = _default_dt(gt, omega_grid)
     n_t = int(np.ceil(T_corr / dt)) + 1
@@ -247,10 +327,10 @@ def excess_occupation(liou: Liouvillian, rho0: np.ndarray, t: np.ndarray) -> np.
     """<n>(t) - <n>_st along the dissipative flow; helper for tests and the CLI."""
     t = np.asarray(t, dtype=float)
     rho_st = steady_state(liou)
-    dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)
-    dev = _SteppingFlow(liou, t).evolve_columns(dev0)
-    n_row = np.diag(np.arange(liou.dim)).T.reshape(-1)
-    return np.real(n_row @ dev)
+    even = liou.sectors[0]                        # holds the diagonal
+    dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)[even.idx]
+    n_row = np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]
+    return np.real(_SteppingFlow(liou, t).states(0, dev0) @ n_row)
 
 
 def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
@@ -267,7 +347,7 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
         # cover every oscillation frequency that carries weight for this seed;
         # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The
         # trace against a only sees the odd sector, so its modes suffice.
-        odd = liou.sectors[1]
+        even, odd = liou.sectors
         mu, r = np.linalg.eig(odd.block)
         cond = np.linalg.cond(r)
         # cond*eps bounds the relative error of the mode weights
@@ -276,10 +356,9 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
                 f"x_max must be given explicitly: odd-sector eigenbasis condition "
                 f"number {cond:.2e} too large"
             )
-        tr_a, a_dag = _operators(liou)
-        rho_st = steady_state(liou)
-        seed = _times_adag((np.asarray(rho0, complex) - rho_st).reshape(-1), a_dag)
-        w = np.abs((tr_a[odd.idx] @ r) * np.linalg.solve(r, seed[odd.idx]))
+        tr_a, src, coef = _odd_operators(liou)
+        dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)[even.idx]
+        w = np.abs((tr_a @ r) * np.linalg.solve(r, coef * dev0[src]))
         active = w > 1e-12 * max(float(w.max()), 1e-300)
         x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
             + 100.0 * gt

@@ -115,6 +115,16 @@ def test_lz_run_deep_adiabatic(tmp_path):
     assert np.all(np.abs(p_up - 1.0) < 1e-3)
 
 
+def test_lz_run_beyond_pcf_overflow(tmp_path):
+    # Delta^2/s = 2000: D_nu(0) of the exact solution used to overflow here
+    out = tmp_path / "lz2000"
+    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 2000.0,
+                                  "t_max": 4.0, "n_out": 201, "output_dir": str(out)})
+    assert main(["run", "--config", cfg]) == 0
+    rows = (out / "lz.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 201
+
+
 def test_ramp_run_manifest(tmp_path):
     out = tmp_path / "r"
     cfg = write_config(tmp_path, {"experiment": "ramp", "delta": 0.0,

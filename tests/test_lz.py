@@ -203,6 +203,21 @@ class TestWeberSolution:
         up_resid = np.abs(np.abs(sol.c_up) ** 2 - abs(sol.alpha_up) ** 2)
         assert up_resid[(sol.t_grid > 38) & (sol.t_grid < 42)].max() < 0.01 * a2
 
+    @pytest.mark.parametrize("d2s", [1800.0, 1e4])
+    def test_deep_adiabatic_regime(self, d2s):
+        # D_nu(0) ~ exp(pi p/4) overflows from Delta^2/s ~ 1800; the solution
+        # is built from D_nu(z)/D_nu(0), which stays finite
+        prob = LzProblem(Delta=math.sqrt(d2s), s=1.0)
+        ts = np.linspace(0.0, 4.0, 201)
+        sol = weber_solution(prob, ts)
+        norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2
+        assert np.max(np.abs(norm - 1.0)) <= 1e-10
+        assert (sol.alpha_up, sol.alpha_down) == lz_asymptotic_alphas(prob)
+        # measured agreement with direct integration: 1e-11
+        numeric = lz_evolve_numeric(prob, t_max=4.0, rel_tol=1e-11, n_out=201)
+        assert np.max(np.abs(sol.c_plus - numeric.c_plus)) < 1e-9
+        assert np.max(np.abs(sol.c_minus - numeric.c_minus)) < 1e-9
+
     def test_norm_consistency(self):
         sol = weber_solution(LzProblem(Delta=0.5, s=1.0), np.linspace(0, 10, 201))
         norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2

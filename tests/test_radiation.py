@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parosc.fock import FockSpace, ladder_operators
 from parosc.lindblad import build_liouvillian, evolve_master, expectation_number, steady_state
 from parosc.radiation import (
+    _BLOCK,
+    _fourier_quadrature,
     _SteppingFlow,
     excess_occupation,
     stationary_correlator,
@@ -148,6 +152,92 @@ class TestTransientSpectrum:
         s2 = transient_spectrum(liou, rho0, 120.0, xs)
         assert np.max(np.abs(s1.values - s2.values)) < 1e-2 * np.max(np.abs(s2.values))
 
+    def test_matches_explicit_double_trapezoid(self):
+        # the discrete definition: outer trapezoid over tau, inner trapezoid
+        # over t' in [0, T - tau] of C(t', t' + tau) - C_st(tau), built from the
+        # full-space correlators; the coherent rho0 occupies both sectors
+        sp = FockSpace(8)
+        liou = make_liouvillian(8, 1.1, 0.9, 0.25)
+        psi = sp.coherent_state(0.6 + 0.3j)
+        rho0 = np.outer(psi, psi.conj())
+        T, dt = 40.0, 0.2
+        xs = np.linspace(-2.7, 4.1, 35)
+        with pytest.warns(RuntimeWarning, match="not relaxed"):
+            spec = transient_spectrum(liou, rho0, T, xs, dt=dt)
+        ts = np.linspace(0.0, T, int(np.ceil(T / dt)) + 1)
+        n = len(ts)
+        corr = two_time_correlator(liou, rho0, ts).values
+        c_st = stationary_correlator(liou, ts)
+        inner = np.zeros(n, dtype=complex)
+        for j in range(n - 1):
+            diff = np.array([corr[i, i + j] for i in range(n - j)]) - c_st[j]
+            inner[j] = dt * (diff.sum() - 0.5 * (diff[0] + diff[-1]))
+        w = np.full(n, dt)
+        w[0] = w[-1] = 0.5 * dt
+        explicit = np.array([2.0 * np.real(np.sum(w * np.exp(1j * x * ts) * inner))
+                             for x in xs])
+        assert np.max(np.abs(spec.values - explicit)) < 1e-10 * np.max(np.abs(explicit))
+
+    def test_relaxation_warning_sees_odd_sector(self):
+        # the even part is exactly the steady state, so the spectrum vanishes,
+        # but the odd coherence has not decayed by T_max
+        liou = make_liouvillian(8, 1.1, 0.9, 0.25)
+        rho0 = steady_state(liou).copy()
+        rho0[0, 1] += 0.3
+        rho0[1, 0] += 0.3
+        with pytest.warns(RuntimeWarning, match="not relaxed"):
+            spec = transient_spectrum(liou, rho0, 40.0, np.linspace(-2, 2, 21),
+                                      relax_tol=1e-9)
+        assert np.max(np.abs(spec.values)) < 1e-10
+
+
+class TestFrequencyGrid:
+    def test_nonuniform_grid_raises(self):
+        liou = make_liouvillian(6, 0.4, 0.3, 0.3)
+        rho0 = np.zeros((6, 6)); rho0[1, 1] = 1
+        xs = np.array([-1.0, 0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="omega_grid must be uniform"):
+            transient_spectrum(liou, rho0, 40.0, xs)
+        with pytest.raises(ValueError, match="omega_grid must be uniform"):
+            steady_spectrum(liou, xs, 40.0)
+
+    def test_one_point_grid(self):
+        liou = make_liouvillian(6, 0.4, 0.3, 0.3)
+        rho0 = np.zeros((6, 6)); rho0[1, 1] = 1
+        xs = np.linspace(-1.0, 1.0, 11)
+        one = xs[8:9]
+        full = transient_spectrum(liou, rho0, 40.0, xs, dt=0.1).values
+        single = transient_spectrum(liou, rho0, 40.0, one, dt=0.1).values
+        assert single.shape == (1,)
+        assert single[0] == pytest.approx(full[8], rel=1e-12, abs=1e-14)
+        full = steady_spectrum(liou, xs, 40.0, dt=0.1).values
+        single = steady_spectrum(liou, one, 40.0, dt=0.1).values
+        assert single[0] == pytest.approx(full[8], rel=1e-12, abs=1e-14)
+
+
+class TestFourierQuadrature:
+    """The chirp-z Fourier sums against the direct phase-matrix product."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_x=st.integers(1, 64), n_t=st.integers(1, 5000),
+           x_lo=st.floats(-50.0, 50.0), width=st.floats(0.0, 60.0),
+           t0=st.floats(0.0, 5.0), phase=st.floats(1e-2, 1e4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_x=1, n_t=5000, x_lo=-7.3, width=0.0, t0=0.0, phase=1e4, seed=0)
+    @example(n_x=2, n_t=5000, x_lo=-1e-3, width=2e-3, t0=0.0, phase=1e4, seed=1)
+    @example(n_x=101, n_t=4999, x_lo=0.25, width=30.0, t0=0.0, phase=1e4, seed=2)
+    @example(n_x=2, n_t=1, x_lo=3.0, width=1.0, t0=1.0, phase=10.0, seed=3)
+    def test_matches_direct_sum(self, n_x, n_t, x_lo, width, t0, phase, seed):
+        xs = np.linspace(x_lo, x_lo + width, n_x)
+        # the largest phase |x| t over the grids is `phase`
+        t_end = phase / max(float(np.max(np.abs(xs))), 1e-3)
+        ts = np.linspace(min(t0, t_end / 2), t_end, n_t)
+        rng = np.random.default_rng(seed)
+        signal = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+        direct = 2.0 * np.real(np.exp(1j * np.outer(xs, ts)) @ signal)
+        got = _fourier_quadrature(xs, ts, signal)
+        assert np.max(np.abs(got - direct)) <= 1e-9 * np.sum(np.abs(signal))
+
 
 class TestSteadySpectrum:
     def test_no_drive_no_emission(self):
@@ -223,6 +313,24 @@ class TestPropagation:
             for j in range(i, len(ts)):
                 m = (props[j - i] @ seed).reshape(d, d)
                 assert abs(grid.values[i, j] - np.trace(a @ m)) < 1e-9
+
+    def test_blocked_stepping_matches_single_steps(self):
+        # longer than one block and not a multiple of it, so the P^B products
+        # and a partial last block both run
+        sp, liou, rho0 = self.coherent_case()
+        n_t = 3 * _BLOCK + 5
+        ts = np.linspace(0.0, 0.05 * (n_t - 1), n_t)
+        rng = np.random.default_rng(3)
+        x0 = rho0.reshape(-1)
+        row = rng.normal(size=x0.size) + 1j * rng.normal(size=x0.size)
+        prop = expm(liou.matrix * (ts[1] - ts[0]))
+        cols, rows = [x0], [row]
+        for _ in range(n_t - 1):
+            cols.append(prop @ cols[-1])
+            rows.append(rows[-1] @ prop)
+        flow = _SteppingFlow(liou, ts)
+        assert np.max(np.abs(flow.evolve_columns(x0) - np.stack(cols, axis=1))) < 1e-10
+        assert np.max(np.abs(flow.adjoint_rows(row) - np.stack(rows))) < 1e-10
 
     def test_nonuniform_grid_raises(self):
         sp, liou, rho0 = self.coherent_case()
