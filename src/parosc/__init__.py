@@ -16,7 +16,6 @@ from .fock import (
     ConvergenceError,
     FockSpace,
     convergence_report,
-    ensure_converged,
     ladder_operators,
     number_operator,
     parity_operator,

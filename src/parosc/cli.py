@@ -5,8 +5,9 @@
     parosc validate --config cfg.json
 
 Each run writes one CSV per data series plus a manifest JSON holding the
-parameters, the dim/dim+10 truncation report, and the wall time.  CSV output is
-byte-reproducible for identical configs.
+parameters, the truncation report (a summary of the run's own result at dim
+against the same quantity recomputed at dim+10), and the wall time.  CSV output
+is byte-reproducible for identical configs.
 """
 
 from __future__ import annotations
@@ -172,7 +173,9 @@ def _run_zero_drive(cfg, outdir):
         diag, _ = h_rwa_bands(dim, RwaSystem(delta=cfg["delta"], f=0.0))
         return np.sort(diag)[:cfg["n_max"] + 1]
 
-    return [path], {}, convergence_report(probe, max(cfg["n_max"] + 2, 16))
+    # the closed-form levels are not the probe quantity: truncate at dim too
+    dim = max(cfg["n_max"] + 2, 16)
+    return [path], {}, convergence_report(probe(dim), probe, dim)
 
 
 def _run_spectrum(cfg, outdir):
@@ -186,16 +189,22 @@ def _run_spectrum(cfg, outdir):
         s = spectrum_vs_drive(FockSpace(dim), cfg["delta"], f_grid[-1:], cfg["n_levels"])
         return s.levels[0]
 
-    return [path], {}, convergence_report(probe, cfg["dim"])
+    # a one-point series orders its columns by energy
+    return [path], {}, convergence_report(np.sort(series.levels[-1]), probe, cfg["dim"])
+
+
+def _vacuum_ramp(dim, cfg, f_final, rel_tol, output_times=None):
+    """Ramp the vacuum of a dim-level truncation from zero drive to f_final."""
+    space = FockSpace(dim)
+    protocol = RampProtocol(delta=cfg["delta"], f_final=f_final, s_tilde=cfg["s_tilde"],
+                            initial_state=space.vacuum(), output_times=output_times)
+    return space, protocol, evolve_ramp(space, protocol, rel_tol=rel_tol)
 
 
 def _run_ramp(cfg, outdir):
-    space = FockSpace(cfg["dim"])
-    protocol = RampProtocol(delta=cfg["delta"], f_final=cfg["f_final"],
-                            s_tilde=cfg["s_tilde"], initial_state=space.vacuum(),
-                            output_times=np.linspace(0, cfg["f_final"] / cfg["s_tilde"],
-                                                     cfg["n_out"]))
-    result = evolve_ramp(space, protocol, rel_tol=cfg["rel_tol"])
+    times = np.linspace(0, cfg["f_final"] / cfg["s_tilde"], cfg["n_out"])
+    space, protocol, result = _vacuum_ramp(cfg["dim"], cfg, cfg["f_final"],
+                                           cfg["rel_tol"], times)
     path = write_csv(outdir / "ramp.csv",
                      ["t", "f", "fidelity", "n_expect", "parity_expect"],
                      ramp_rows(space, protocol, result))
@@ -203,19 +212,13 @@ def _run_ramp(cfg, outdir):
               "target_label": list(result.target_label)}
 
     def probe(dim):
-        sp = FockSpace(dim)
-        pr = RampProtocol(delta=cfg["delta"], f_final=cfg["f_final"],
-                          s_tilde=cfg["s_tilde"], initial_state=sp.vacuum())
-        return evolve_ramp(sp, pr, rel_tol=cfg["rel_tol"]).final_fidelity
+        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[2].final_fidelity
 
-    return [path], extras, convergence_report(probe, cfg["dim"])
+    return [path], extras, convergence_report(result.final_fidelity, probe, cfg["dim"])
 
 
 def _wigner_run(dim, cfg, qs, ps):
-    space = FockSpace(dim)
-    protocol = RampProtocol(delta=cfg["delta"], f_final=cfg["f_final"],
-                            s_tilde=cfg["s_tilde"], initial_state=space.vacuum())
-    result = evolve_ramp(space, protocol, rel_tol=cfg["rel_tol"])
+    result = _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[2]
     rho = np.outer(result.final_state, result.final_state.conj())
     return result, wigner_transform(rho, 1.0 / (2.0 * cfg["f_final"]), qs, ps)
 
@@ -234,11 +237,11 @@ def _run_wigner(cfg, outdir):
     })
     extras = {**summary, "final_fidelity": result.final_fidelity}
 
-    def probe(dim):
-        g = _wigner_run(dim, cfg, qs, ps)[1]
+    def peaks(g):
         return np.array([g.norm(), float(g.values.max())])
 
-    return [path, meta], extras, convergence_report(probe, cfg["dim"])
+    return [path, meta], extras, convergence_report(
+        peaks(grid), lambda dim: peaks(_wigner_run(dim, cfg, qs, ps)[1]), cfg["dim"])
 
 
 def _run_lz(cfg, outdir):
@@ -283,62 +286,62 @@ def _run_decay_rates(cfg, outdir):
     path = write_csv(outdir / "decay_rates.csv",
                      ["gamma_tilde", "f", "gamma_E", "delta_E"], rows)
 
-    def probe(dim):
+    def probe(dim):     # the (first gamma_tilde, last f) row
         data = _decay_gap_data(dim, cfg["delta"], cfg["gamma_tildes"][:1], f_grid[-1:])
-        return np.array([data[0][2], data[0][3]])
+        return np.array(data[0][2:])
 
-    return [path], {}, convergence_report(probe, cfg["dim"])
+    base = np.array(rows[len(f_grid) - 1][2:])
+    return [path], {}, convergence_report(base, probe, cfg["dim"])
 
 
-def _radiation_run(dim, cfg, xs, with_sum_rule=False):
-    space = FockSpace(dim)
-    protocol = RampProtocol(delta=cfg["delta"], f_final=cfg["f"],
-                            s_tilde=cfg["s_tilde"], initial_state=space.vacuum())
-    prepared = evolve_ramp(space, protocol, rel_tol=1e-8).final_state
-    rho0 = np.outer(prepared, prepared.conj())
+def _radiation_run(dim, cfg, xs):
+    """Both spectra at truncation dim, and the Liouvillian, rho0 and T_max behind them."""
+    space, _, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
+    rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
                              cfg["gamma_tilde"])
     t_max = cfg["T_max"] if cfg["T_max"] else 12.0 / cfg["gamma_tilde"]
     trans = transient_spectrum(liou, rho0, t_max, xs)
     steady = steady_spectrum(liou, xs, t_max)
-    sums = sum_rule_check(liou, rho0, t_max) if with_sum_rule else None
-    return trans, steady, sums
+    return trans, steady, liou, rho0, t_max
 
 
 def _run_radiation(cfg, outdir):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
-    trans, steady, (lhs, rhs) = _radiation_run(cfg["dim"], cfg, xs, with_sum_rule=True)
+    trans, steady, liou, rho0, t_max = _radiation_run(cfg["dim"], cfg, xs)
+    lhs, rhs = sum_rule_check(liou, rho0, t_max)
     p1 = write_csv(outdir / "transient_spectrum.csv", ["x", "E_rad"],
                    spectrum_rows(trans))
     p2 = write_csv(outdir / "steady_spectrum.csv", ["x", "Q_st"],
                    spectrum_rows(steady))
     extras = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs}
 
+    # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
+    k = max(1, len(xs) // 16)
+
     def probe(dim):
-        t, s, _ = _radiation_run(dim, cfg, xs[:: max(1, len(xs) // 16)])
+        t, s, *_ = _radiation_run(dim, cfg, xs[::k])
         return np.concatenate([t.values, s.values])
 
-    return [p1, p2], extras, convergence_report(probe, cfg["dim"], rel_tol=1e-4)
+    base = np.concatenate([trans.values[::k], steady.values[::k]])
+    return [p1, p2], extras, convergence_report(base, probe, cfg["dim"], rel_tol=1e-4)
 
 
 def _run_floquet_check(cfg, outdir):
-    p = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
-                                    k_cut=cfg["k_cut"], n_cut=cfg["n_cut"])
-    rows = floquet_vs_rwa(p, n_track=cfg["n_track"])
+    def eps_over_v(n_cut):
+        p = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
+                                        k_cut=cfg["k_cut"], n_cut=n_cut)
+        rows = floquet_vs_rwa(p, n_track=cfg["n_track"])
+        return rows, np.array([r["eps_fourier"] for r in rows]) / cfg["V"]
+
+    rows, base = eps_over_v(cfg["n_cut"])
     path = write_csv(outdir / "floquet_check.csv",
                      ["parity", "rank", "eps_fourier", "eps_rwa", "discrepancy"],
                      ((r["parity"], r["rank"], r["eps_fourier"], r["eps_rwa"],
                        r["discrepancy"]) for r in rows))
-
-    def probe(n_cut):
-        q = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"],
-                                        cfg["f"], k_cut=cfg["k_cut"], n_cut=n_cut)
-        data = floquet_vs_rwa(q, n_track=cfg["n_track"])
-        return np.array([r["eps_fourier"] for r in data]) / cfg["V"]
-
-    return [path], {"worst_discrepancy_over_V":
-                    max(r["discrepancy"] for r in rows) / cfg["V"]}, \
-        convergence_report(probe, cfg["n_cut"], dim_step=8, rel_tol=1e-5)
+    extras = {"worst_discrepancy_over_V": max(r["discrepancy"] for r in rows) / cfg["V"]}
+    return [path], extras, convergence_report(base, lambda n_cut: eps_over_v(n_cut)[1],
+                                              cfg["n_cut"], dim_step=8, rel_tol=1e-5)
 
 
 RUNNERS = {

@@ -122,14 +122,17 @@ def poisson_tail(mean: float, start: int) -> float:
     return 1.0 - total
 
 
-def convergence_report(probe, dim: int, dim_step: int = 10, rel_tol: float = 1e-6) -> dict:
-    """Evaluate ``probe(dim)`` at dim and dim + dim_step and compare.
+def convergence_report(base, probe, dim: int, dim_step: int = 10,
+                       rel_tol: float = 1e-6) -> dict:
+    """Compare ``base``, a result at truncation dim, with ``probe(dim + dim_step)``.
 
-    ``probe`` returns a float or array; the report carries the relative
-    difference and whether it is below ``rel_tol``.  This is the truncation
-    protocol used by every experiment.
+    ``base`` is the caller's own result at dim (a float or array) and ``probe``
+    returns the same quantity at another truncation, so only the larger
+    truncation is computed; ``probe`` is never called at dim.  The report
+    carries the relative difference and whether it is below ``rel_tol``.  This
+    is the truncation protocol used by every experiment.
     """
-    v0 = np.asarray(probe(dim), dtype=float)
+    v0 = np.asarray(base, dtype=float)
     v1 = np.asarray(probe(dim + dim_step), dtype=float)
     scale = max(float(np.max(np.abs(v1))), 1e-300)
     rel = float(np.max(np.abs(v1 - v0))) / scale
@@ -140,13 +143,3 @@ def convergence_report(probe, dim: int, dim_step: int = 10, rel_tol: float = 1e-
         "rel_tol": rel_tol,
         "converged": bool(rel < rel_tol),
     }
-
-
-def ensure_converged(probe, dim: int, dim_step: int = 10, rel_tol: float = 1e-6) -> dict:
-    report = convergence_report(probe, dim, dim_step, rel_tol)
-    if not report["converged"]:
-        raise ConvergenceError(
-            f"dim={dim} vs dim={dim + dim_step}: relative difference "
-            f"{report['rel_diff']:.3g} exceeds {rel_tol:.3g}"
-        )
-    return report

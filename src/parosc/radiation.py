@@ -256,6 +256,12 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     steady state by more than relax_tol.  Values may be negative: the prepared
     state can emit less at a frequency than the steady state does.
     """
+    return _transient(liou, rho0, T_max, omega_grid, dt, relax_tol)[0]
+
+
+def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
+               omega_grid: np.ndarray, dt: float | None, relax_tol: float):
+    """transient_spectrum and Int dt (<n>(t) - <n>_st) over its time grid."""
     gt = liou.gamma_tilde
     if gt <= 0:
         raise ValueError("transient spectrum needs gamma_tilde > 0")
@@ -269,20 +275,22 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     ts = np.linspace(0.0, T_max, n_t)
     dt = ts[1] - ts[0]
 
-    rho_st = steady_state(liou)
     even, odd = liou.sectors
     tr_a, src, coef = _odd_operators(liou)
     flow = _SteppingFlow(liou, ts)
     # evolve the deviation from the steady state; its correlator seeds are
     # exactly C(t', t' + tau) - C_st(tau).  Only its even part seeds the odd
     # sector that tr_a sees; the odd part enters the relaxation check alone.
-    dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)
+    dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)
     dev = flow.states(0, dev0[even.idx])
     left = max(float(np.max(np.abs(dev[-1]))),
                float(np.max(np.abs(flow.final(1, dev0[odd.idx])))))
     if left > relax_tol:
         warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
+    # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the diagonal
+    w_tau = _trapz_weights(n_t, dt)
+    excess = np.real(dev @ np.diag(np.arange(liou.dim)).reshape(-1)[even.idx])
     seeds = dev[:, src]                           # (n_t, odd), per t'
     del dev
 
@@ -298,9 +306,9 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     s_tau[:-1] += np.einsum("jm,jm->j", rows[:-1], c_rev[1:])
     s_tau -= rows @ h0
 
-    w_tau = _trapz_weights(n_t, dt)
     values = _fourier_quadrature(omega_grid, ts, w_tau * s_tau)
-    return SpectralDensity(omega_grid=omega_grid, values=values, kind="transient_energy")
+    spec = SpectralDensity(omega_grid=omega_grid, values=values, kind="transient_energy")
+    return spec, float(np.sum(w_tau * excess))
 
 
 def steady_spectrum(liou: Liouvillian, omega_grid: np.ndarray, T_corr: float,
@@ -324,7 +332,7 @@ def steady_spectrum(liou: Liouvillian, omega_grid: np.ndarray, T_corr: float,
 
 
 def excess_occupation(liou: Liouvillian, rho0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """<n>(t) - <n>_st along the dissipative flow; helper for tests and the CLI."""
+    """<n>(t) - <n>_st along the dissipative flow on a uniform grid t."""
     t = np.asarray(t, dtype=float)
     rho_st = steady_state(liou)
     even = liou.sectors[0]                        # holds the diagonal
@@ -340,7 +348,9 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
 
     lhs = (1/2 pi) Int dx E_rad(x) over a wide grid; rhs = Int dt (<n>(t) - <n>_st).
     The two must agree because integrating the phase factor over all x
-    collapses the double time integral onto its diagonal.
+    collapses the double time integral onto its diagonal.  Both come from one
+    propagation: the excess occupation is read off the deviation that the
+    transient spectrum steps.
     """
     gt = liou.gamma_tilde
     if x_max is None:
@@ -363,16 +373,8 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
         x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
             + 100.0 * gt
     xs = np.linspace(-x_max, x_max, n_x)
-    spec = transient_spectrum(liou, rho0, T_max, xs, dt=dt)
-    lhs = float(np.trapezoid(spec.values, xs) / (2.0 * np.pi))
-
-    if dt is None:
-        dt = _default_dt(gt, xs)
-    n_t = int(np.ceil(T_max / dt)) + 1
-    ts = np.linspace(0.0, T_max, n_t)
-    excess = excess_occupation(liou, rho0, ts)
-    rhs = float(np.sum(_trapz_weights(n_t, ts[1] - ts[0]) * excess))
-    return lhs, rhs
+    spec, rhs = _transient(liou, rho0, T_max, xs, dt, relax_tol=1e-4)
+    return float(np.trapezoid(spec.values, xs) / (2.0 * np.pi)), rhs
 
 
 def spectrum_rows(spec: SpectralDensity):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from parosc.cli import ConfigError, load_config, main, validate_config
+from parosc import cli
+from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -171,3 +172,39 @@ def test_wigner_run_records_boundary_mass(tmp_path, capsys):
     # a one-point axis has no cell size: the CLI reports it, not an IndexError
     assert main(["run", "--config", cfg, "--set", "q_points=1"]) == 1
     assert "q_axis" in capsys.readouterr().err
+
+
+TINY = {
+    "zero_drive": {"delta": 2.5, "n_max": 2},
+    "spectrum": {"delta": 2.0, "dim": 16, "f_max": 0.5, "f_points": 3, "n_levels": 2},
+    "ramp": {"delta": 0.0, "f_final": 0.1, "s_tilde": 0.5, "dim": 12, "n_out": 3},
+    "wigner": {"delta": 0.0, "f_final": 1.0, "s_tilde": 2.0, "dim": 16,
+               "q_max": 3.0, "p_max": 3.0, "q_points": 9, "p_points": 9},
+    "decay_rates": {"dim": 16, "f_max": 0.5, "f_points": 3, "gamma_tildes": [1.0]},
+    "radiation": {"delta": 0.0, "f": 0.1, "gamma_tilde": 1.0, "s_tilde": 0.5, "dim": 12,
+                  "T_max": 10.0, "x_max": 2.0, "x_points": 11},
+    "floquet_check": {"delta": 1.8, "f": 1.0, "k_cut": 4, "n_cut": 12, "n_track": 2},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_truncation_probe_runs_only_at_dim_check(tmp_path, monkeypatch, experiment):
+    # the report's base value is the run's own result: only dim_check is recomputed
+    dims = []
+    report = cli.convergence_report
+
+    def recording_probe(probe):
+        def wrapped(dim):
+            dims.append(dim)
+            return probe(dim)
+        return wrapped
+
+    def recording_report(*args, **kwargs):
+        return report(*(recording_probe(a) if callable(a) else a for a in args), **kwargs)
+
+    monkeypatch.setattr(cli, "convergence_report", recording_report)
+    cfg = validate_config({"experiment": experiment, **TINY[experiment],
+                           "output_dir": str(tmp_path)})
+    manifest = run_experiment(cfg)
+    assert dims == [manifest["convergence"]["dim_check"]]
+    assert manifest["convergence"]["converged"]

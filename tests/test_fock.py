@@ -116,9 +116,16 @@ def test_state_and_density_validators():
 
 
 def test_convergence_report():
-    report = convergence_report(lambda dim: 1.0 + 2.0 ** (-dim), 20)
+    calls = []
+
+    def probe(dim):
+        calls.append(dim)
+        return 1.0 + 2.0 ** (-dim)
+
+    report = convergence_report(1.0 + 2.0 ** (-20), probe, 20)
     assert report["converged"]
-    report = convergence_report(lambda dim: float(dim), 20)
+    assert calls == [30]        # the base value at dim is the caller's
+    report = convergence_report(20.0, lambda dim: float(dim), 20)
     assert not report["converged"]
 
 

@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from parosc.fock import FockSpace, check_density_matrix
 from parosc.lindblad import (
+    Liouvillian,
     build_liouvillian,
     evolve_master,
     expectation_number,
@@ -141,6 +142,14 @@ class TestSteadyState:
         check_density_matrix(rho_st, herm_tol=1e-10, trace_tol=1e-10, eig_tol=1e-8)
         assert expectation_number(rho_st) > 0.1   # both wells populated
         assert np.max(np.abs(liou.apply(rho_st))) < 1e-10
+
+    def test_degenerate_null_space_raises(self):
+        # a zero generator leaves every even vector stationary
+        d = 6
+        liou = Liouvillian(FockSpace(d), RwaSystem(delta=0.0, f=0.0), 1.0,
+                           np.zeros((d * d, d * d), complex))
+        with pytest.raises(RuntimeError, match="degenerate null space"):
+            steady_state(liou)
 
 
 class TestDecayRate:
