@@ -70,6 +70,7 @@ from .lindblad import (
 from .radiation import (
     CorrelatorGrid,
     SpectralDensity,
+    emission_spectra,
     steady_spectrum,
     sum_rule_check,
     transient_spectrum,

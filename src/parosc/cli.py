@@ -25,8 +25,8 @@ from .floquet import LabFrameParams, floquet_vs_rwa
 from .fock import FockSpace, convergence_report
 from .io import write_csv, write_json
 from .lindblad import build_liouvillian, state_decay_rate
-from .lz import LzProblem, lz_asymptotic_alphas, lz_rows, weber_solution
-from .radiation import spectrum_rows, steady_spectrum, sum_rule_check, transient_spectrum
+from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric, lz_rows
+from .radiation import emission_spectra, spectrum_rows, sum_rule_check
 from .ramp import RampProtocol, evolve_ramp, ramp_rows
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import (
@@ -248,24 +248,21 @@ def _run_lz(cfg, outdir):
     s = 1.0
     delta = cfg["sign"] * float(np.sqrt(cfg["delta2_over_s"] * s))
     prob = LzProblem(Delta=delta, s=s)
-    ts = np.linspace(0.0, cfg["t_max"], cfg["n_out"])
-    sol = weber_solution(prob, ts)
+    sol = lz_evolve_numeric(prob, cfg["t_max"], n_out=cfg["n_out"])
     path = write_csv(outdir / "lz.csv",
                      ["t", "p_up", "p_down", "re_c_plus", "im_c_plus",
                       "re_c_minus", "im_c_minus"],
                      lz_rows(sol))
     au, ad = lz_asymptotic_alphas(prob)
+    norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2
+    results = {"alpha_up_sq": abs(au) ** 2, "alpha_down_sq": abs(ad) ** 2,
+               "norm_drift": float(np.max(np.abs(norm - 1.0)))}
     summary = write_json(outdir / "lz_summary.json", {
-        "delta2_over_s": cfg["delta2_over_s"],
-        "sign": cfg["sign"],
-        "alpha_up_sq": abs(au) ** 2,
-        "alpha_down_sq": abs(ad) ** 2,
-    })
+        "delta2_over_s": cfg["delta2_over_s"], "sign": cfg["sign"], **results})
     # two-level problem has no Fock truncation; record a trivial report
     conv = {"dim": None, "dim_check": None, "rel_diff": 0.0, "rel_tol": 0.0,
             "converged": True}
-    return [path, summary], {"alpha_up_sq": abs(au) ** 2,
-                             "alpha_down_sq": abs(ad) ** 2}, conv
+    return [path, summary], results, conv
 
 
 def _decay_gap_data(dim, delta, gamma_tildes, f_grid):
@@ -295,21 +292,18 @@ def _run_decay_rates(cfg, outdir):
 
 
 def _radiation_run(dim, cfg, xs):
-    """Both spectra at truncation dim, and the Liouvillian, rho0 and T_max behind them."""
+    """Both spectra at truncation dim, and the Liouvillian and rho0 behind them."""
     space, _, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
     rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
                              cfg["gamma_tilde"])
-    t_max = cfg["T_max"] if cfg["T_max"] else 12.0 / cfg["gamma_tilde"]
-    trans = transient_spectrum(liou, rho0, t_max, xs)
-    steady = steady_spectrum(liou, xs, t_max)
-    return trans, steady, liou, rho0, t_max
+    return *emission_spectra(liou, rho0, cfg["T_max"], xs), liou, rho0
 
 
 def _run_radiation(cfg, outdir):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
-    trans, steady, liou, rho0, t_max = _radiation_run(cfg["dim"], cfg, xs)
-    lhs, rhs = sum_rule_check(liou, rho0, t_max)
+    trans, steady, liou, rho0 = _radiation_run(cfg["dim"], cfg, xs)
+    lhs, rhs = sum_rule_check(liou, rho0, cfg["T_max"])
     p1 = write_csv(outdir / "transient_spectrum.csv", ["x", "E_rad"],
                    spectrum_rows(trans))
     p2 = write_csv(outdir / "steady_spectrum.csv", ["x", "Q_st"],

@@ -102,9 +102,9 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
                   rel_tol: float = 1e-9) -> np.ndarray:
     """Propagate rho0 over t_grid; returns array of shape (len(t_grid), dim, dim).
 
-    Same adaptive-integrator contract as the ramp module.  The state is held
-    sector by sector (even entries, then odd), so each right-hand side applies
-    the two parity blocks instead of the dense generator.
+    ``rel_tol`` is a global error target, as in ``parosc.ramp.propagate_linear``.
+    The state is held sector by sector (even entries, then odd), so each
+    right-hand side applies the two parity blocks instead of the dense generator.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dim = liou.dim
@@ -117,7 +117,6 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
 
     y0 = _vec(np.asarray(rho0, dtype=complex))[order]
     span = (min(0.0, t_grid[0]), t_grid[-1])
-    # rel_tol is a global target; step control is local, so integrate tighter
     sol = solve_ivp(rhs, span, y0, t_eval=t_grid, method="DOP853",
                     rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
     if not sol.success:

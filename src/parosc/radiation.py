@@ -15,7 +15,8 @@ states is one matrix product of the block before it with P^128.
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
 rho a_dag of the even part fill, so the spectra keep only the even deviation
-from the steady state, the odd seeds and the odd adjoint rows.
+from the steady state, the odd seeds and the odd adjoint rows tr_a Lambda^tau;
+``emission_spectra`` reads both spectra off one stepping of those rows.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -169,14 +170,6 @@ def _odd_operators(liou: Liouvillian):
     return tr_a[odd.idx], src, coef
 
 
-def _default_dt(gamma_tilde: float, omega_grid: np.ndarray) -> float:
-    x_max = float(np.max(np.abs(omega_grid))) if len(omega_grid) else 0.0
-    dt = 0.05 / gamma_tilde
-    if x_max > 0:
-        dt = min(dt, 0.2 / x_max)
-    return dt
-
-
 def _trapz_weights(n: int, dt: float) -> np.ndarray:
     w = np.full(n, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -234,17 +227,41 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
 
 def stationary_correlator(liou: Liouvillian, taus: np.ndarray,
                           rho_st: np.ndarray | None = None) -> np.ndarray:
-    """C_st(tau) = Tr[a Lambda_tau(rho_st a_dag)]."""
+    """C_st(tau) = Tr[a Lambda_tau(rho_st a_dag)], the odd adjoint rows against one seed."""
     if rho_st is None:
         rho_st = steady_state(liou)
     taus = np.asarray(taus, dtype=float)
     tr_a, src, coef = _odd_operators(liou)
-    seed = coef * np.asarray(rho_st, complex).reshape(-1)[liou.sectors[0].idx][src]
-    return _SteppingFlow(liou, taus).states(1, seed) @ tr_a
+    rows = _SteppingFlow(liou, taus).states(1, tr_a, adjoint=True)
+    return rows @ (coef * np.asarray(rho_st, complex).reshape(-1)[liou.sectors[0].idx][src])
 
 
 # ---------------------------------------------------------------------------
 # spectra
+
+def _time_grid(liou: Liouvillian, T: float, name: str, omega_grid: np.ndarray,
+               dt: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_grid, uniform time grid on [0, T]), validated before any propagation."""
+    gt = liou.gamma_tilde
+    if gt <= 0:
+        raise ValueError("emission spectra need gamma_tilde > 0")
+    if T < 10.0 / gt:
+        raise ValueError(f"{name} = {T} too short; need >= {10.0 / gt}")
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    _uniform_step(omega_grid, "omega_grid")
+    if dt is None:
+        x_max = float(np.max(np.abs(omega_grid), initial=0.0))
+        dt = min(0.05 / gt, 0.2 / x_max) if x_max > 0 else 0.05 / gt
+    return omega_grid, np.linspace(0.0, T, int(np.ceil(T / dt)) + 1)
+
+
+def _density(omega_grid: np.ndarray, ts: np.ndarray, samples: np.ndarray,
+             kind: str) -> SpectralDensity:
+    """2 Re Int dt samples(t) e^{i x t} by the trapezoid rule on ts, for every x."""
+    w = _trapz_weights(len(ts), ts[1] - ts[0])
+    return SpectralDensity(omega_grid=omega_grid, kind=kind,
+                           values=_fourier_quadrature(omega_grid, ts, w * samples))
+
 
 def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
                        omega_grid: np.ndarray, dt: float | None = None,
@@ -259,20 +276,19 @@ def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     return _transient(liou, rho0, T_max, omega_grid, dt, relax_tol)[0]
 
 
+def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
+                     omega_grid: np.ndarray) -> tuple[SpectralDensity, SpectralDensity]:
+    """(transient_spectrum, steady_spectrum with T_corr = T_max) from one odd-sector stepping."""
+    return _transient(liou, rho0, T_max, omega_grid, None, 1e-4)[:2]
+
+
 def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
                omega_grid: np.ndarray, dt: float | None, relax_tol: float):
-    """transient_spectrum and Int dt (<n>(t) - <n>_st) over its time grid."""
-    gt = liou.gamma_tilde
-    if gt <= 0:
-        raise ValueError("transient spectrum needs gamma_tilde > 0")
-    if T_max < 10.0 / gt:
-        raise ValueError(f"T_max = {T_max} too short; need >= {10.0 / gt}")
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    _uniform_step(omega_grid, "omega_grid")      # before any propagation
-    if dt is None:
-        dt = _default_dt(gt, omega_grid)
-    n_t = int(np.ceil(T_max / dt)) + 1
-    ts = np.linspace(0.0, T_max, n_t)
+    """(transient spectrum, steady spectrum, Int dt (<n>(t) - <n>_st)) on one time grid.
+
+    Both correlators are the odd adjoint rows tr_a Lambda^tau against different seeds.
+    """
+    omega_grid, ts = _time_grid(liou, T_max, "T_max", omega_grid, dt)
     dt = ts[1] - ts[0]
 
     even, odd = liou.sectors
@@ -281,7 +297,8 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     # evolve the deviation from the steady state; its correlator seeds are
     # exactly C(t', t' + tau) - C_st(tau).  Only its even part seeds the odd
     # sector that tr_a sees; the odd part enters the relaxation check alone.
-    dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)
+    rho_st = steady_state(liou).reshape(-1)
+    dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
     dev = flow.states(0, dev0[even.idx])
     left = max(float(np.max(np.abs(dev[-1]))),
                float(np.max(np.abs(flow.final(1, dev0[odd.idx])))))
@@ -289,7 +306,6 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
         warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
                       RuntimeWarning, stacklevel=3)
     # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the diagonal
-    w_tau = _trapz_weights(n_t, dt)
     excess = np.real(dev @ np.diag(np.arange(liou.dim)).reshape(-1)[even.idx])
     seeds = dev[:, src]                           # (n_t, odd), per t'
     del dev
@@ -305,40 +321,17 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     s_tau = np.einsum("jm,jm->j", rows, c_rev)
     s_tau[:-1] += np.einsum("jm,jm->j", rows[:-1], c_rev[1:])
     s_tau -= rows @ h0
-
-    values = _fourier_quadrature(omega_grid, ts, w_tau * s_tau)
-    spec = SpectralDensity(omega_grid=omega_grid, values=values, kind="transient_energy")
-    return spec, float(np.sum(w_tau * excess))
+    c_st = rows @ (coef * rho_st[even.idx][src])
+    return (_density(omega_grid, ts, s_tau, "transient_energy"),
+            _density(omega_grid, ts, c_st, "steady_power"),
+            float(np.sum(_trapz_weights(len(ts), dt) * excess)))
 
 
 def steady_spectrum(liou: Liouvillian, omega_grid: np.ndarray, T_corr: float,
                     dt: float | None = None) -> SpectralDensity:
     """Stationary emitted power per unit frequency around half the drive frequency."""
-    gt = liou.gamma_tilde
-    if gt <= 0:
-        raise ValueError("steady spectrum needs gamma_tilde > 0")
-    if T_corr < 10.0 / gt:
-        raise ValueError(f"T_corr = {T_corr} too short; need >= {10.0 / gt}")
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    _uniform_step(omega_grid, "omega_grid")      # before any propagation
-    if dt is None:
-        dt = _default_dt(gt, omega_grid)
-    n_t = int(np.ceil(T_corr / dt)) + 1
-    taus = np.linspace(0.0, T_corr, n_t)
-    c_st = stationary_correlator(liou, taus)
-    w = _trapz_weights(n_t, taus[1] - taus[0])
-    values = _fourier_quadrature(omega_grid, taus, w * c_st)
-    return SpectralDensity(omega_grid=omega_grid, values=values, kind="steady_power")
-
-
-def excess_occupation(liou: Liouvillian, rho0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """<n>(t) - <n>_st along the dissipative flow on a uniform grid t."""
-    t = np.asarray(t, dtype=float)
-    rho_st = steady_state(liou)
-    even = liou.sectors[0]                        # holds the diagonal
-    dev0 = (np.asarray(rho0, complex) - rho_st).reshape(-1)[even.idx]
-    n_row = np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]
-    return np.real(_SteppingFlow(liou, t).states(0, dev0) @ n_row)
+    omega_grid, taus = _time_grid(liou, T_corr, "T_corr", omega_grid, dt)
+    return _density(omega_grid, taus, stationary_correlator(liou, taus), "steady_power")
 
 
 def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
@@ -373,7 +366,7 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
         x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
             + 100.0 * gt
     xs = np.linspace(-x_max, x_max, n_x)
-    spec, rhs = _transient(liou, rho0, T_max, xs, dt, relax_tol=1e-4)
+    spec, _, rhs = _transient(liou, rho0, T_max, xs, dt, relax_tol=1e-4)
     return float(np.trapezoid(spec.values, xs) / (2.0 * np.pi)), rhs
 
 

@@ -3,9 +3,9 @@
 The drive amplitude grows as f(t) = s_tilde * t until it reaches f_final, so a
 Fock state at zero drive is carried into the eigenstate with the same
 (parity, rank) label; the fidelity of that mapping is the figure of merit.
-The state is integrated as a complex vector over the whole Fock space, with
-H(t) applied through its two bands (diagonal and second off-diagonal) in O(dim)
-per step, so mixed-parity initial states evolve on the same path.
+``propagate_linear`` integrates every linear ramp H(t) = A + t B (this one and the
+Landau-Zener sweep of ``parosc.lz``) as a complex vector, applying H(t) through its
+bands in O(dim) per step, so mixed-parity initial states evolve on the same path.
 """
 
 from __future__ import annotations
@@ -58,12 +58,37 @@ def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[in
     return parity, int(np.argmax(overlaps))
 
 
+def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
+                     psi0: np.ndarray, times: np.ndarray, rel_tol: float) -> np.ndarray:
+    """States psi(t), shape (len(times), dim), for i d/dt psi = (A + t B) psi from psi0.
+
+    A and B are real symmetric, each given as (diag, off) with one off-diagonal
+    at the offset k = len(diag) - len(off) that both share.  ``rel_tol`` is a
+    global relative error target: DOP853 controls the local error, so it runs
+    at rtol = rel_tol/20 and atol = rel_tol*1e-3.
+    """
+    n, k = len(a[0]), len(a[0]) - len(a[1])
+    j = np.arange(n)
+    idx = np.stack([j, np.maximum(j - k, 0), np.minimum(j + k, n - 1)])
+    m_a, m_b = (-1j * np.stack([d, np.pad(o, (k, 0)), np.pad(o, (0, k))]) for d, o in (a, b))
+
+    def rhs(t, psi):
+        # -i H(t) psi from the (diag, lower, upper) rows of -i (A + t B); padding is 0
+        return ((m_a + t * m_b) * psi[idx]).sum(axis=0)
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.asarray(psi0, dtype=complex),
+                    t_eval=times, method="DOP853", rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
+    if not sol.success:
+        raise RuntimeError(f"linear-ramp integration failed: {sol.message}")
+    return sol.y.T
+
+
 def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8) -> RampResult:
     """Integrate i d/dt phi = H(f = s_tilde*t) phi and score against the target.
 
-    Uses an adaptive high-order explicit scheme with embedded error control;
-    ``rel_tol`` is the local relative error target.  The target eigenstate is
-    the one sharing the initial state's (parity, rank) label at f_final.
+    ``rel_tol`` is the global relative error target of ``propagate_linear``.
+    The target eigenstate is the one sharing the initial state's (parity, rank)
+    label at f_final.
     """
     dim = space.dim
     label = initial_label(space, protocol.delta, protocol.initial_state)
@@ -73,14 +98,7 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
 
     # bands at unit drive: H(t) = diag + (s_tilde*t) * off2 on the |n>, |n+2> pairs
     diag, off2 = h_rwa_bands(dim, RwaSystem(delta=protocol.delta, f=1.0))
-    s = protocol.s_tilde
-
-    def rhs(t, psi):
-        h_psi = diag * psi
-        drive = (s * t) * off2
-        h_psi[2:] += drive * psi[:-2]
-        h_psi[:-2] += drive * psi[2:]
-        return -1j * h_psi
+    a, b = (diag, np.zeros_like(off2)), (np.zeros_like(diag), protocol.s_tilde * off2)
 
     t_end = protocol.t_end
     if protocol.output_times is None:
@@ -92,15 +110,9 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
         if abs(times[-1] - t_end) > 1e-12:
             times = np.concatenate([times, [t_end]])
 
-    psi0 = np.asarray(protocol.initial_state, dtype=complex)
-    sol = solve_ivp(rhs, (0.0, t_end), psi0, t_eval=times, method="DOP853",
-                    rtol=rel_tol, atol=rel_tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"ramp integration failed: {sol.message}")
-    traj = sol.y.T
-    final = traj[-1]
-    fidelity = float(np.abs(np.vdot(target, final)) ** 2)
-    return RampResult(times=times, trajectory=traj, final_state=final,
+    traj = propagate_linear(a, b, protocol.initial_state, times, rel_tol)
+    fidelity = float(np.abs(np.vdot(target, traj[-1])) ** 2)
+    return RampResult(times=times, trajectory=traj, final_state=traj[-1],
                       target_label=label, final_fidelity=fidelity)
 
 

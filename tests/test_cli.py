@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from parosc import cli
+from parosc import cli, radiation
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
+from parosc.lz import LzProblem, weber_solution
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -116,14 +118,58 @@ def test_lz_run_deep_adiabatic(tmp_path):
     assert np.all(np.abs(p_up - 1.0) < 1e-3)
 
 
+def check_lz_run_against_weber(tmp_path, d2s, **keys):
+    """Run `parosc run lz`; its trajectory must hold the norm and match the Weber oracle."""
+    out = tmp_path / f"lz{d2s:g}"
+    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": d2s, **keys,
+                                  "output_dir": str(out)})
+    assert main(["run", "--config", cfg]) == 0
+    summary = json.loads((out / "lz_summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["results"]["norm_drift"] == summary["norm_drift"] <= 1e-9
+    data = np.loadtxt(out / "lz.csv", delimiter=",", skiprows=1, ndmin=2)
+    exact = weber_solution(LzProblem(Delta=np.sqrt(d2s), s=1.0), data[:, 0])
+    assert np.max(np.abs(data[:, 3] + 1j * data[:, 4] - exact.c_plus)) <= 1e-9
+    assert np.max(np.abs(data[:, 5] + 1j * data[:, 6] - exact.c_minus)) <= 1e-9
+    return data
+
+
 def test_lz_run_beyond_pcf_overflow(tmp_path):
     # Delta^2/s = 2000: D_nu(0) of the exact solution used to overflow here
-    out = tmp_path / "lz2000"
-    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 2000.0,
-                                  "t_max": 4.0, "n_out": 201, "output_dir": str(out)})
-    assert main(["run", "--config", cfg]) == 0
-    rows = (out / "lz.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == 201
+    data = check_lz_run_against_weber(tmp_path, 2000.0, t_max=4.0, n_out=201)
+    assert len(data) == 201
+
+
+@pytest.mark.parametrize("d2s", [0.25, 200.0])
+def test_lz_run_matches_weber_oracle(tmp_path, d2s):
+    # the CLI writes the direct integration; the exact solution is its oracle
+    check_lz_run_against_weber(tmp_path, d2s)
+
+
+def test_radiation_zero_horizon_rejected(tmp_path, capsys):
+    # T_max = 0 is too short like any other horizon below 10/gamma_tilde
+    cfg = write_config(tmp_path, {"experiment": "radiation", **TINY["radiation"],
+                                  "output_dir": str(tmp_path / "rad")})
+    assert main(["run", "--config", cfg, "--set", "T_max=0"]) == 1
+    err = capsys.readouterr().err
+    assert "T_max" in err and "too short" in err
+
+
+def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
+    # both spectra read the same odd adjoint rows: on each time grid (main run,
+    # sum rule, dim+10 probe) every parity sector is stepped exactly once
+    steps = Counter()
+    states = radiation._SteppingFlow.states
+
+    def counting(self, s, x, adjoint=False):
+        steps[self.sectors[s].idx.size, self.n_t, self.dt, s] += 1
+        return states(self, s, x, adjoint)
+
+    monkeypatch.setattr(radiation._SteppingFlow, "states", counting)
+    run_experiment(validate_config({"experiment": "radiation", **TINY["radiation"],
+                                    "output_dir": str(tmp_path)}))
+    assert sum(1 for key in steps if key[-1] == 1) == 3
+    assert set(steps.values()) == {1}
 
 
 def test_ramp_run_manifest(tmp_path):

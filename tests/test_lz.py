@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +15,7 @@ from parosc.lz import (
     lz_asymptotic_alphas,
     lz_evolve_numeric,
     lz_rows,
+    parabolic_cylinder_on_ray,
     weber_solution,
 )
 
@@ -165,6 +168,22 @@ class TestDynamicalPhase:
     def test_log_argument_guard(self):
         with pytest.raises(ValueError):
             dynamical_phase(LzProblem(Delta=10.0, s=1.0), 0.1)
+
+
+class TestParabolicCylinderOnRay:
+    @pytest.mark.parametrize("p", [0.125, 2.0, 100.0])
+    def test_matches_mpmath(self, p):
+        # the (order, ray) pairs weber_solution uses at s = 1: nu = +-ip - 1 on
+        # k_-+ and nu = -+ip on k_+-.  Measured agreement: <= 5.9e-12 relative
+        c = math.sqrt(2.0)
+        k_pos, k_neg = c * cmath.exp(0.25j * math.pi), c * cmath.exp(-0.25j * math.pi)
+        ts = np.array([0.5, 2.0, 6.0])
+        for nu, k in ((1j * p - 1, k_neg), (-1j * p, k_pos),
+                      (-1j * p - 1, k_pos), (1j * p, k_neg)):
+            got = parabolic_cylinder_on_ray(nu, k, ts)
+            d0 = mpmath.pcfd(nu, 0)
+            want = np.array([complex(mpmath.pcfd(nu, k * t) / d0) for t in ts])
+            assert np.max(np.abs(got - want) / np.abs(want)) < 2e-11
 
 
 class TestWeberSolution:

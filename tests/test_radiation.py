@@ -10,7 +10,7 @@ from parosc.radiation import (
     _BLOCK,
     _fourier_quadrature,
     _SteppingFlow,
-    excess_occupation,
+    emission_spectra,
     stationary_correlator,
     steady_spectrum,
     sum_rule_check,
@@ -275,6 +275,25 @@ class TestSteadySpectrum:
         assert xs[np.argmax(spec.values)] == pytest.approx(gap, abs=0.1)
 
 
+class TestEmissionSpectra:
+    def test_pair_matches_standalone_spectra(self):
+        # one odd-sector stepping serves both spectra; the steady correlator
+        # read off the shared adjoint rows equals the standalone computation
+        dim, delta, f, gt = 12, 1.8, 0.5, 0.2
+        _, phi = eigenstate_by_label(FockSpace(dim), delta, f, 1, 1)
+        rho0 = np.outer(phi, phi.conj())
+        liou = make_liouvillian(dim, delta, f, gt)
+        xs = np.linspace(-4, 4, 201)
+        trans, steady = emission_spectra(liou, rho0, 60.0, xs)
+        ref_trans = transient_spectrum(liou, rho0, 60.0, xs)
+        ref_steady = steady_spectrum(liou, xs, 60.0)
+        assert (trans.kind, steady.kind) == (ref_trans.kind, ref_steady.kind)
+        scale = np.max(np.abs(ref_trans.values))
+        assert np.max(np.abs(trans.values - ref_trans.values)) <= 1e-12 * scale
+        scale = np.max(np.abs(ref_steady.values))
+        assert np.max(np.abs(steady.values - ref_steady.values)) <= 1e-12 * scale
+
+
 class TestPropagation:
     """The sector-wise stepping flow against expm of the full, unsplit generator."""
 
@@ -362,8 +381,9 @@ class TestSumRule:
         liou = make_liouvillian(dim, delta, f, gt)
         lhs, rhs = sum_rule_check(liou, rho0, 120.0)
         assert lhs == pytest.approx(rhs, rel=0.02)
-        # independent occupation route
+        # independent occupation route: <n>(t) is the equal-time regression
+        # correlator of the full-space reference
         ts = np.linspace(0, 120.0, 1201)
-        excess = excess_occupation(liou, rho0, ts)
-        alt = np.trapezoid(excess, ts)
+        n_t = np.real(np.diag(two_time_correlator(liou, rho0, ts).values))
+        alt = np.trapezoid(n_t - expectation_number(steady_state(liou)), ts)
         assert alt == pytest.approx(rhs, rel=1e-3)
