@@ -193,6 +193,11 @@ def _run_spectrum(cfg, outdir):
     return [path], {}, convergence_report(np.sort(series.levels[-1]), probe, cfg["dim"])
 
 
+def _cf4_record(result):
+    """Step count and error estimate of the CF4 sweep behind a ramp or LZ result."""
+    return {"cf4_steps": result.steps, "cf4_error_estimate": result.error_estimate}
+
+
 def _vacuum_ramp(dim, cfg, f_final, rel_tol, output_times=None):
     """Ramp the vacuum of a dim-level truncation from zero drive to f_final."""
     space = FockSpace(dim)
@@ -209,7 +214,7 @@ def _run_ramp(cfg, outdir):
                      ["t", "f", "fidelity", "n_expect", "parity_expect"],
                      ramp_rows(space, protocol, result))
     extras = {"final_fidelity": result.final_fidelity,
-              "target_label": list(result.target_label)}
+              "target_label": list(result.target_label), **_cf4_record(result)}
 
     def probe(dim):
         return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[2].final_fidelity
@@ -235,7 +240,7 @@ def _run_wigner(cfg, outdir):
         "q_axis": [float(qs[0]), float(qs[-1]), len(qs)],
         "p_axis": [float(ps[0]), float(ps[-1]), len(ps)],
     })
-    extras = {**summary, "final_fidelity": result.final_fidelity}
+    extras = {**summary, "final_fidelity": result.final_fidelity, **_cf4_record(result)}
 
     def peaks(g):
         return np.array([g.norm(), float(g.values.max())])
@@ -256,7 +261,7 @@ def _run_lz(cfg, outdir):
     au, ad = lz_asymptotic_alphas(prob)
     norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2
     results = {"alpha_up_sq": abs(au) ** 2, "alpha_down_sq": abs(ad) ** 2,
-               "norm_drift": float(np.max(np.abs(norm - 1.0)))}
+               "norm_drift": float(np.max(np.abs(norm - 1.0))), **_cf4_record(sol)}
     summary = write_json(outdir / "lz_summary.json", {
         "delta2_over_s": cfg["delta2_over_s"], "sign": cfg["sign"], **results})
     # two-level problem has no Fock truncation; record a trivial report
@@ -292,23 +297,23 @@ def _run_decay_rates(cfg, outdir):
 
 
 def _radiation_run(dim, cfg, xs):
-    """Both spectra at truncation dim, and the Liouvillian and rho0 behind them."""
+    """Both spectra at truncation dim, and the Liouvillian, rho0 and ramp behind them."""
     space, _, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
     rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
                              cfg["gamma_tilde"])
-    return *emission_spectra(liou, rho0, cfg["T_max"], xs), liou, rho0
+    return *emission_spectra(liou, rho0, cfg["T_max"], xs), liou, rho0, ramp
 
 
 def _run_radiation(cfg, outdir):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
-    trans, steady, liou, rho0 = _radiation_run(cfg["dim"], cfg, xs)
+    trans, steady, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
     lhs, rhs = sum_rule_check(liou, rho0, cfg["T_max"])
     p1 = write_csv(outdir / "transient_spectrum.csv", ["x", "E_rad"],
                    spectrum_rows(trans))
     p2 = write_csv(outdir / "steady_spectrum.csv", ["x", "Q_st"],
                    spectrum_rows(steady))
-    extras = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs}
+    extras = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)

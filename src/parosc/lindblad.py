@@ -102,7 +102,8 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
                   rel_tol: float = 1e-9) -> np.ndarray:
     """Propagate rho0 over t_grid; returns array of shape (len(t_grid), dim, dim).
 
-    ``rel_tol`` is a global error target, as in ``parosc.ramp.propagate_linear``.
+    ``rel_tol`` is a global error target: DOP853 controls the local error, so
+    it runs at rtol = rel_tol/20 and atol = rel_tol*1e-3.
     The state is held sector by sector (even entries, then odd), so each
     right-hand side applies the two parity blocks instead of the dense generator.
     """

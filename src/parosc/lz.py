@@ -11,20 +11,23 @@ Because the sweep starts at finite time, the nonadiabatic transition
 probability falls off as a power law (Delta^2/s)^{-2} rather than the
 exponential of the standard problem.
 
-Trajectories, ``parosc run lz`` included, come from ``parosc.ramp.propagate_linear``;
-the exact solution below is the oracle the tests check them against.
+Trajectories, ``parosc run lz`` included, come from ``parosc.ramp.propagate_linear``
+(commutator-free Magnus steps, each an exact 2x2 exponential); the exact solution
+below is the oracle the tests check them against.
 
 Exact solution: each C satisfies a Weber equation in z = sqrt(2s) e^{+-i pi/4} t,
 solved by parabolic cylinder functions D_nu with pure imaginary order
 nu = +-i p, p = Delta^2 / (2 s).  Along those 45-degree rays both fundamental
 solutions are oscillatory (|exp(+-z^2/4)| = 1), so evaluating D_nu by
 integrating its defining ODE (complex state, DOP853) outward from z = 0 is well
-conditioned.  The limiting amplitudes are evaluated in log space
-(``scipy.special.loggamma``): the gamma factors separately over- or underflow
-near Delta^2/s = 600 while their products stay of order one.  For the same
-reason the ODE integrates D_nu(z)/D_nu(0), started from the log-derivative
-D'_nu(0)/D_nu(0): D_nu(0) itself holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4) and
-overflows near Delta^2/s = 1800.
+conditioned.  The gamma factors of the solution separately over- or underflow
+near Delta^2/s = 600 while their products stay of order one.  So the ODE
+integrates D_nu(z)/D_nu(0), started from the log-derivative D'_nu(0)/D_nu(0)
+(D_nu(0) itself holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4) and overflows near
+Delta^2/s = 1800), and the limiting amplitudes take their modulus in closed
+form and their phases from ``scipy.special.loggamma``.  For p >= 50 the phase
+of the Gamma(z)/Gamma(z + 1/2) ratio comes from its series in 1/p, so the
+small |alpha_down| is not the difference of two rounded p log p phases.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class LzSolution:
     c_down: np.ndarray
     alpha_up: complex | None = None
     alpha_down: complex | None = None
+    steps: int | None = None                # CF4 steps of a numeric sweep
+    error_estimate: float | None = None     # and its step-doubling error estimate
 
 
 def complex_gamma(z: complex) -> complex:
@@ -95,7 +100,13 @@ def _up_down_projection(c_plus, c_minus, Delta, s, t):
 
 def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
                       n_out: int = 2001) -> LzSolution:
-    """Integrate the two-level Schrodinger equation from C_+(0) = C_-(0) = 1/sqrt(2)."""
+    """Integrate the two-level Schrodinger equation from C_+(0) = C_-(0) = 1/sqrt(2).
+
+    H(t) = Delta sigma_x + s t sigma_z through ``parosc.ramp.propagate_linear``:
+    ``rel_tol`` bounds the step-doubling error estimate of the CF4 sweep over
+    the whole unit-norm trajectory, and ``steps`` and ``error_estimate`` of the
+    result record the accepted sweep.
+    """
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
     Delta, s = prob.Delta, prob.s
@@ -104,10 +115,11 @@ def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
     a = (np.zeros(2), np.array([Delta]))
     b = (np.array([s, -s]), np.zeros(1))
     y0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    c_plus, c_minus = propagate_linear(a, b, y0, ts, rel_tol).T
+    states, steps, estimate = propagate_linear(a, b, y0, ts, rel_tol)
+    c_plus, c_minus = states.T
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, ts)
-    return LzSolution(t_grid=ts, c_plus=c_plus, c_minus=c_minus,
-                      c_up=c_up, c_down=c_down)
+    return LzSolution(t_grid=ts, c_plus=c_plus, c_minus=c_minus, c_up=c_up, c_down=c_down,
+                      steps=steps, error_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +207,13 @@ def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
                       c_up=c_up, c_down=c_down, alpha_up=au, alpha_down=ad)
 
 
+# above this p the ratio Gamma(-ip/2) / Gamma((1 - ip)/2) comes from its large-|z| expansion
+_P_SERIES = 50.0
+# theta(u) = sum_k c_k u^k over odd k, u = 2/p, with c_k = (2 - 2^-k) |B_{k+1}| / (k (k+1))
+# (DLMF 5.11.8 for log Gamma(z) - log Gamma(z + 1/2); B_{k+1}(1/2) = (2^-k - 1) B_{k+1})
+_THETA = (1.0 / 8.0, 1.0 / 192.0, 1.0 / 640.0, 17.0 / 14336.0, 31.0 / 18432.0)
+
+
 def lz_asymptotic_alphas(prob: LzProblem) -> tuple[complex, complex]:
     """Limiting amplitudes alpha_up/down of the adiabatic-branch projections.
 
@@ -203,24 +222,35 @@ def lz_asymptotic_alphas(prob: LzProblem) -> tuple[complex, complex]:
     alpha_up ~ 1 - (i/12)(s/Delta^2) and alpha_down ~ -(i/4)(s/Delta^2), so the
     transition probability decays as (Delta^2/s)^{-2}.  At Delta = 0 both
     magnitudes are 1/sqrt(2) (equal superposition persists forever).
+
+    With S = z^{1/2} Gamma(z) / Gamma(z + 1/2) at z = -ip/2, alpha_up = P (S + sgn)
+    and alpha_down = conj(P (S - sgn)), sgn the sign of Delta.  The prefactor
+    has the closed-form modulus |P| = sqrt(1 - e^{-pi p})/2, so the norm does
+    not rest on log-gamma values of size p log p.  For p >= 50, |S| = 1 to
+    e^{-pi p} and arg S comes from its series in 1/p, so S - 1 ~ i/(4p) carries
+    no cancellation of rounded p log p phases.
     """
     p = prob.p
     if p == 0:
         r = 1.0 / math.sqrt(2.0)
         return complex(r), complex(r)
-    sgn = 1.0 if prob.Delta > 0 else -1.0
-    # log of lam_plus = (2p/e)^(-ip/2) (e^{3 pi p/4} - e^{-5 pi p/4}) sqrt(p) Gamma(ip)
-    # / (4 sqrt(2) pi): each factor alone over- or underflows near p = 300
-    log_lam = (-0.5j * p * (math.log(2.0 * p) - 1.0) + 0.75 * math.pi * p
-               + math.log1p(-math.exp(-2.0 * math.pi * p)) + 0.5 * math.log(p)
-               + loggamma(1j * p) - math.log(4.0 * math.sqrt(2.0) * math.pi))
-    # Gamma((1 -+ ip)/2) factored out of each bracket, Gamma(-+ip/2) enters as a ratio
-    lg_up, lg_down = loggamma((1.0 - 1j * p) / 2.0), loggamma((1.0 + 1j * p) / 2.0)
-    alpha_up = cmath.exp(log_lam + lg_up) * (
-        math.sqrt(p) * cmath.exp(loggamma(-0.5j * p) - lg_up) + sgn * (1.0 + 1j))
-    alpha_down = cmath.exp(log_lam.conjugate() + lg_down) * (
-        math.sqrt(p) * cmath.exp(loggamma(0.5j * p) - lg_down) + sgn * (-1.0 + 1j))
-    return complex(alpha_up), complex(alpha_down)
+    # P = (1 + i) lam_plus Gamma((1 - ip)/2) with lam_plus = (2p/e)^(-ip/2)
+    # (e^{3 pi p/4} - e^{-5 pi p/4}) sqrt(p) Gamma(ip) / (4 sqrt(2) pi); only its phase
+    # is taken from log-gamma
+    phase = (-0.5 * p * (math.log(2.0 * p) - 1.0) + loggamma(1j * p).imag
+             + loggamma((1.0 - 1j * p) / 2.0).imag)
+    pre = (1.0 + 1j) * math.sqrt(-math.expm1(-math.pi * p) / 8.0) * cmath.exp(1j * phase)
+    if p < _P_SERIES:
+        ratio = cmath.exp(loggamma(-0.5j * p) - loggamma((1.0 - 1j * p) / 2.0))
+        s = math.sqrt(p) * ratio / (1.0 + 1j)
+        s_plus, s_minus = s + 1.0, s - 1.0
+    else:
+        u = 2.0 / p
+        theta = sum(c * u ** (2 * i + 1) for i, c in enumerate(_THETA))
+        half = cmath.exp(0.5j * theta)
+        s_plus, s_minus = 2.0 * math.cos(0.5 * theta) * half, 2j * math.sin(0.5 * theta) * half
+    up, down = (s_plus, s_minus) if prob.Delta > 0 else (s_minus, s_plus)
+    return pre * up, (pre * down).conjugate()
 
 
 def dynamical_phase(prob: LzProblem, t: float) -> float:

@@ -254,3 +254,20 @@ def test_truncation_probe_runs_only_at_dim_check(tmp_path, monkeypatch, experime
     manifest = run_experiment(cfg)
     assert dims == [manifest["convergence"]["dim_check"]]
     assert manifest["convergence"]["converged"]
+
+
+@pytest.mark.parametrize("experiment, rel_tol", [
+    ("ramp", 1e-8), ("wigner", 1e-8), ("radiation", 1e-8), ("lz", 1e-10)])
+def test_manifest_records_cf4_sweep(tmp_path, experiment, rel_tol):
+    # every ramp or LZ run reports the accepted CF4 step count and its error
+    # estimate, which meets the run's rel_tol (the radiation ramp runs at 1e-8,
+    # `parosc run lz` at the lz_evolve_numeric default of 1e-10)
+    keys = TINY.get(experiment, {"delta2_over_s": 1.0, "t_max": 1.0, "n_out": 3})
+    manifest = run_experiment(validate_config({"experiment": experiment, **keys,
+                                               "output_dir": str(tmp_path)}))
+    records = [manifest["results"]]
+    if experiment == "lz":
+        records.append(json.loads((tmp_path / "lz_summary.json").read_text()))
+    for res in records:
+        assert isinstance(res["cf4_steps"], int) and res["cf4_steps"] >= 2
+        assert 0.0 <= res["cf4_error_estimate"] <= rel_tol

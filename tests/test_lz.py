@@ -119,19 +119,51 @@ class TestAsymptoticAlphas:
 
     @pytest.mark.parametrize("d2s", [600.0, 2000.0, 1e4])
     def test_deep_adiabatic_regime(self, d2s):
-        # evaluated in log space: the separate gamma factors over- or underflow
-        # near Delta^2/s = 600, their product stays O(1).  The gamma phases grow
-        # as p log p, so their rounding leaves a norm error of a few 1e-12 at 1e4
+        # the separate gamma factors over- or underflow near Delta^2/s = 600,
+        # their product stays O(1); the prefactor modulus is closed-form, so the
+        # norm holds to rounding (measured 2.2e-16 up to 1e4)
         prob = LzProblem(Delta=math.sqrt(d2s), s=1.0)
         au, ad = lz_asymptotic_alphas(prob)
-        assert abs(au) ** 2 + abs(ad) ** 2 == pytest.approx(1.0, abs=1e-11)
+        assert abs(au) ** 2 + abs(ad) ** 2 == pytest.approx(1.0, abs=1e-14)
         r = prob.s / prob.Delta**2
         assert abs(au - (1 - 1j * r / 12)) < 5e-3 * r
         assert abs(ad) / r == pytest.approx(0.25, rel=1e-3)
         # the opposite sign of Delta swaps the branch populations
         au_neg, ad_neg = lz_asymptotic_alphas(LzProblem(Delta=-prob.Delta, s=1.0))
-        assert abs(au_neg) ** 2 + abs(ad_neg) ** 2 == pytest.approx(1.0, abs=1e-11)
+        assert abs(au_neg) ** 2 + abs(ad_neg) ** 2 == pytest.approx(1.0, abs=1e-14)
         assert abs(au_neg) ** 2 == pytest.approx(abs(ad) ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("d2s, tol", [(40.0, 5e-12), (99.0, 5e-12), (600.0, 1e-14),
+                                          (2000.0, 1e-14), (1e4, 1e-14)])
+    @staticmethod
+    def mpmath_alphas(d2s):
+        """The closed form of lz_asymptotic_alphas at working precision, for both signs."""
+        p = mpmath.mpf(d2s) / 2
+        lam = ((2 * p / mpmath.e) ** (-0.5j * p) * mpmath.sqrt(p) * mpmath.gamma(1j * p)
+               * (mpmath.exp(0.75 * mpmath.pi * p) - mpmath.exp(-1.25 * mpmath.pi * p))
+               / (4 * mpmath.sqrt(2) * mpmath.pi))
+        return {sign: (complex(lam * (mpmath.sqrt(p) * mpmath.gamma(-0.5j * p)
+                                      + sign * (1 + 1j) * mpmath.gamma((1 - 1j * p) / 2))),
+                       complex(mpmath.conj(lam) * (mpmath.sqrt(p) * mpmath.gamma(0.5j * p)
+                                                   + sign * (-1 + 1j) * mpmath.gamma((1 + 1j * p) / 2))))
+                for sign in (1, -1)}
+
+    @pytest.mark.parametrize("d2s, tol", [(40.0, 5e-12), (99.0, 5e-12), (600.0, 1e-14),
+                                          (2000.0, 1e-14), (1e4, 1e-14)])
+    def test_matches_mpmath(self, d2s, tol):
+        # 60-digit evaluation of the closed form.  Measured |alpha| relative
+        # errors: <= 8.2e-13 below p = 50 (log-gamma ratio), <= 1.7e-16 above
+        # (series phase); rounding the p log p gamma phases first left 5.8e-8
+        # on |alpha_down| at 1e4.  The common phase of both alphas is still
+        # formed from log-gamma values, to ~1e-11 at 1e4.
+        with mpmath.workdps(60):
+            want = self.mpmath_alphas(d2s)
+        for sign in (1, -1):
+            got = lz_asymptotic_alphas(LzProblem(Delta=sign * math.sqrt(d2s), s=1.0))
+            for g, w in zip(got, want[sign]):
+                assert abs(abs(g) - abs(w)) <= tol * abs(w)
+                assert abs(g - w) <= 2e-11
+            assert abs(abs(got[0]) ** 2 + abs(got[1]) ** 2 - 1.0) <= 1e-14
 
     def test_delta_zero_limit(self):
         au, ad = lz_asymptotic_alphas(LzProblem(Delta=0.0, s=1.0))
