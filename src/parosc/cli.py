@@ -4,16 +4,19 @@
     parosc list
     parosc validate --config cfg.json
 
-Each run writes one CSV per data series plus a manifest JSON holding the
-parameters, the truncation report (a summary of the run's own result at dim
-against the same quantity recomputed at dim+10), and the wall time.  CSV output
-is byte-reproducible for identical configs.
+Each runner computes its tables (CSV file name -> column name -> 1-D array),
+its results and its truncation report (a summary of the run's own result at dim
+against the same quantity recomputed at dim+10).  ``run_experiment`` is the only
+code that writes: one CSV per table through ``io.write_csv``, and manifest.json
+with the parameters, the table names, the report, the results and the wall time.
+Nothing else is written, and CSV output is byte-reproducible for identical configs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,17 +28,12 @@ from .floquet import LabFrameParams, floquet_vs_rwa
 from .fock import FockSpace, convergence_report
 from .io import write_csv, write_json
 from .lindblad import build_liouvillian, state_decay_rate
-from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric, lz_rows
-from .radiation import emission_spectra, spectrum_rows, sum_rule_check
-from .ramp import RampProtocol, evolve_ramp, ramp_rows
+from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric
+from .radiation import emission_spectra, sum_rule_check
+from .ramp import RampProtocol, evolve_ramp, instantaneous_fidelity
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
-from .spectrum import (
-    eigenstate_by_label,
-    same_parity_gap,
-    series_rows,
-    spectrum_vs_drive,
-)
-from .wigner import wigner_rows, wigner_transform
+from .spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
+from .wigner import wigner_transform
 
 # experiment name -> {key: (type, default)}; None default means required
 EXPERIMENTS: dict[str, dict[str, tuple[type, object]]] = {
@@ -146,28 +144,44 @@ def validate_config(raw: dict) -> dict:
     cfg = {"experiment": name, "output_dir": raw["output_dir"]}
     for key, (typ, default) in schema.items():
         if key in raw:
-            value = raw[key]
-            if typ in (int, float) and isinstance(value, bool):
-                raise ConfigError(f"key {key} must be {typ.__name__}")
-            try:
-                value = typ(value) if typ is not list else list(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key {key} must be {typ.__name__}") from exc
+            value = _convert(key, typ, raw[key])
         elif default is None:
             raise ConfigError(f"missing required key for {name}: {key}")
         else:
             value = default
         cfg[key] = value
+    if any(g < 0 for g in cfg.get("gamma_tildes", ())):
+        raise ConfigError(f"key gamma_tildes must hold rates >= 0, got {cfg['gamma_tildes']}")
     return cfg
 
 
-# ---------------------------------------------------------------------------
-# experiment implementations; each returns (csv files, extras, convergence dict)
+def _convert(key: str, typ: type, value):
+    """``value`` of config key ``key`` as ``typ``; a list is a non-empty list of floats.
 
-def _run_zero_drive(cfg, outdir):
+    Floats must be finite: ``--set key=NaN`` parses to nan.
+    """
+    if typ is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"key {key} must be a non-empty list of numbers, got {value!r}")
+        return [_convert(key, float, v) for v in value]
+    if isinstance(value, bool):
+        raise ConfigError(f"key {key} must be {typ.__name__}")
+    try:
+        value = typ(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"key {key} must be {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"key {key} must be finite, got {value}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# experiment implementations; each returns (tables, results, convergence dict),
+# where tables maps a CSV file name to its columns (header name -> 1-D array)
+
+def _run_zero_drive(cfg):
     levels = zero_drive_levels(cfg["delta"], cfg["n_max"])
-    path = write_csv(outdir / "zero_drive.csv", ["n", "energy"],
-                     ((int(n), float(e)) for n, e in enumerate(levels)))
+    table = {"n": np.arange(len(levels)), "energy": levels}
 
     def probe(dim):
         diag, _ = h_rwa_bands(dim, RwaSystem(delta=cfg["delta"], f=0.0))
@@ -175,22 +189,25 @@ def _run_zero_drive(cfg, outdir):
 
     # the closed-form levels are not the probe quantity: truncate at dim too
     dim = max(cfg["n_max"] + 2, 16)
-    return [path], {}, convergence_report(probe(dim), probe, dim)
+    return {"zero_drive.csv": table}, {}, convergence_report(probe(dim), probe, dim)
 
 
-def _run_spectrum(cfg, outdir):
+def _run_spectrum(cfg):
     space = FockSpace(cfg["dim"])
     f_grid = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_points"])
     series = spectrum_vs_drive(space, cfg["delta"], f_grid, cfg["n_levels"])
-    path = write_csv(outdir / "spectrum.csv", ["f", "parity", "rank", "energy"],
-                     series_rows(series))
+    n_f, n_levels = series.levels.shape
+    table = {"f": np.repeat(series.f_grid, n_levels),
+             "parity": np.tile(series.parities, n_f), "rank": np.tile(series.ranks, n_f),
+             "energy": series.levels.ravel()}
 
     def probe(dim):
         s = spectrum_vs_drive(FockSpace(dim), cfg["delta"], f_grid[-1:], cfg["n_levels"])
         return s.levels[0]
 
     # a one-point series orders its columns by energy
-    return [path], {}, convergence_report(np.sort(series.levels[-1]), probe, cfg["dim"])
+    return ({"spectrum.csv": table}, {},
+            convergence_report(np.sort(series.levels[-1]), probe, cfg["dim"]))
 
 
 def _cf4_record(result):
@@ -199,121 +216,120 @@ def _cf4_record(result):
 
 
 def _vacuum_ramp(dim, cfg, f_final, rel_tol, output_times=None):
-    """Ramp the vacuum of a dim-level truncation from zero drive to f_final."""
+    """(space, result) of the vacuum of a dim-level truncation ramped from zero drive to f_final."""
     space = FockSpace(dim)
     protocol = RampProtocol(delta=cfg["delta"], f_final=f_final, s_tilde=cfg["s_tilde"],
                             initial_state=space.vacuum(), output_times=output_times)
-    return space, protocol, evolve_ramp(space, protocol, rel_tol=rel_tol)
+    return space, evolve_ramp(space, protocol, rel_tol=rel_tol)
 
 
-def _run_ramp(cfg, outdir):
+def _run_ramp(cfg):
     times = np.linspace(0, cfg["f_final"] / cfg["s_tilde"], cfg["n_out"])
-    space, protocol, result = _vacuum_ramp(cfg["dim"], cfg, cfg["f_final"],
-                                           cfg["rel_tol"], times)
-    path = write_csv(outdir / "ramp.csv",
-                     ["t", "f", "fidelity", "n_expect", "parity_expect"],
-                     ramp_rows(space, protocol, result))
-    extras = {"final_fidelity": result.final_fidelity,
-              "target_label": list(result.target_label), **_cf4_record(result)}
+    space, result = _vacuum_ramp(cfg["dim"], cfg, cfg["f_final"], cfg["rel_tol"], times)
+    f_t = cfg["s_tilde"] * result.times
+    prob = np.abs(result.trajectory) ** 2
+    n = np.arange(space.dim)
+    table = {"t": result.times, "f": f_t,
+             "fidelity": [instantaneous_fidelity(psi, space, cfg["delta"], f,
+                                                 *result.target_label)
+                          for psi, f in zip(result.trajectory, f_t)],
+             "n_expect": prob @ n, "parity_expect": prob @ (-1.0) ** n}
+    results = {"final_fidelity": result.final_fidelity,
+               "target_label": list(result.target_label), **_cf4_record(result)}
 
     def probe(dim):
-        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[2].final_fidelity
+        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1].final_fidelity
 
-    return [path], extras, convergence_report(result.final_fidelity, probe, cfg["dim"])
+    return ({"ramp.csv": table}, results,
+            convergence_report(result.final_fidelity, probe, cfg["dim"]))
 
 
 def _wigner_run(dim, cfg, qs, ps):
-    result = _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[2]
+    result = _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1]
     rho = np.outer(result.final_state, result.final_state.conj())
     return result, wigner_transform(rho, 1.0 / (2.0 * cfg["f_final"]), qs, ps)
 
 
-def _run_wigner(cfg, outdir):
+def _run_wigner(cfg):
     qs = np.linspace(-cfg["q_max"], cfg["q_max"], cfg["q_points"])
     ps = np.linspace(-cfg["p_max"], cfg["p_max"], cfg["p_points"])
     result, grid = _wigner_run(cfg["dim"], cfg, qs, ps)
-    path = write_csv(outdir / "wigner.csv", ["Q", "P", "W"], wigner_rows(grid))
-    summary = {"lambda": grid.lam, "norm": grid.norm(),
-               "boundary_mass": grid.boundary_mass}
-    meta = write_json(outdir / "wigner_meta.json", {
-        **summary,
-        "q_axis": [float(qs[0]), float(qs[-1]), len(qs)],
-        "p_axis": [float(ps[0]), float(ps[-1]), len(ps)],
-    })
-    extras = {**summary, "final_fidelity": result.final_fidelity, **_cf4_record(result)}
+    # long format, Q-major
+    table = {"Q": np.repeat(grid.q_axis, len(grid.p_axis)),
+             "P": np.tile(grid.p_axis, len(grid.q_axis)), "W": grid.values.ravel()}
+    results = {"lambda": grid.lam, "norm": grid.norm(), "boundary_mass": grid.boundary_mass,
+               "final_fidelity": result.final_fidelity, **_cf4_record(result)}
 
     def peaks(g):
         return np.array([g.norm(), float(g.values.max())])
 
-    return [path, meta], extras, convergence_report(
+    return {"wigner.csv": table}, results, convergence_report(
         peaks(grid), lambda dim: peaks(_wigner_run(dim, cfg, qs, ps)[1]), cfg["dim"])
 
 
-def _run_lz(cfg, outdir):
+def _run_lz(cfg):
+    if cfg["sign"] not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {cfg['sign']}")
+    if cfg["delta2_over_s"] < 0:
+        raise ValueError(f"delta2_over_s must be >= 0, got {cfg['delta2_over_s']}")
     s = 1.0
     delta = cfg["sign"] * float(np.sqrt(cfg["delta2_over_s"] * s))
     prob = LzProblem(Delta=delta, s=s)
     sol = lz_evolve_numeric(prob, cfg["t_max"], n_out=cfg["n_out"])
-    path = write_csv(outdir / "lz.csv",
-                     ["t", "p_up", "p_down", "re_c_plus", "im_c_plus",
-                      "re_c_minus", "im_c_minus"],
-                     lz_rows(sol))
+    table = {"t": sol.t_grid, "p_up": np.abs(sol.c_up) ** 2, "p_down": np.abs(sol.c_down) ** 2,
+             "re_c_plus": sol.c_plus.real, "im_c_plus": sol.c_plus.imag,
+             "re_c_minus": sol.c_minus.real, "im_c_minus": sol.c_minus.imag}
     au, ad = lz_asymptotic_alphas(prob)
     norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2
     results = {"alpha_up_sq": abs(au) ** 2, "alpha_down_sq": abs(ad) ** 2,
                "norm_drift": float(np.max(np.abs(norm - 1.0))), **_cf4_record(sol)}
-    summary = write_json(outdir / "lz_summary.json", {
-        "delta2_over_s": cfg["delta2_over_s"], "sign": cfg["sign"], **results})
     # two-level problem has no Fock truncation; record a trivial report
     conv = {"dim": None, "dim_check": None, "rel_diff": 0.0, "rel_tol": 0.0,
             "converged": True}
-    return [path, summary], results, conv
+    return {"lz.csv": table}, results, conv
 
 
 def _decay_gap_data(dim, delta, gamma_tildes, f_grid):
+    """Rates Gamma_E of the (+1, 0) state, shape (len(gamma_tildes), len(f_grid)), and its gaps."""
     space = FockSpace(dim)
-    series = spectrum_vs_drive(space, delta, f_grid, n_levels=3)
-    gaps = same_parity_gap(series, 1, 0)
-    rows = []
-    for gt in gamma_tildes:
-        for f, gap in zip(f_grid, gaps):
-            _, phi = eigenstate_by_label(space, delta, f, 1, 0)
-            rows.append((float(gt), float(f), state_decay_rate(phi, gt), float(gap)))
-    return rows
+    gaps = same_parity_gap(spectrum_vs_drive(space, delta, f_grid, n_levels=3), 1, 0)
+    phis = [eigenstate_by_label(space, delta, f, 1, 0)[1] for f in f_grid]
+    rates = np.array([[state_decay_rate(phi, gt) for phi in phis] for gt in gamma_tildes])
+    return rates, gaps
 
 
-def _run_decay_rates(cfg, outdir):
+def _run_decay_rates(cfg):
     f_grid = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_points"])
-    rows = _decay_gap_data(cfg["dim"], cfg["delta"], cfg["gamma_tildes"], f_grid)
-    path = write_csv(outdir / "decay_rates.csv",
-                     ["gamma_tilde", "f", "gamma_E", "delta_E"], rows)
+    gamma_tildes = np.array(cfg["gamma_tildes"], dtype=float)
+    rates, gaps = _decay_gap_data(cfg["dim"], cfg["delta"], gamma_tildes, f_grid)
+    table = {"gamma_tilde": np.repeat(gamma_tildes, len(f_grid)),
+             "f": np.tile(f_grid, len(gamma_tildes)), "gamma_E": rates.ravel(),
+             "delta_E": np.tile(gaps, len(gamma_tildes))}
 
-    def probe(dim):     # the (first gamma_tilde, last f) row
-        data = _decay_gap_data(dim, cfg["delta"], cfg["gamma_tildes"][:1], f_grid[-1:])
-        return np.array(data[0][2:])
+    def probe(dim):     # the (first gamma_tilde, last f) point
+        r, g = _decay_gap_data(dim, cfg["delta"], gamma_tildes[:1], f_grid[-1:])
+        return np.array([r[0, 0], g[0]])
 
-    base = np.array(rows[len(f_grid) - 1][2:])
-    return [path], {}, convergence_report(base, probe, cfg["dim"])
+    base = np.array([rates[0, -1], gaps[-1]])
+    return {"decay_rates.csv": table}, {}, convergence_report(base, probe, cfg["dim"])
 
 
 def _radiation_run(dim, cfg, xs):
     """Both spectra at truncation dim, and the Liouvillian, rho0 and ramp behind them."""
-    space, _, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
+    space, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
     rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
                              cfg["gamma_tilde"])
     return *emission_spectra(liou, rho0, cfg["T_max"], xs), liou, rho0, ramp
 
 
-def _run_radiation(cfg, outdir):
+def _run_radiation(cfg):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
     trans, steady, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
     lhs, rhs = sum_rule_check(liou, rho0, cfg["T_max"])
-    p1 = write_csv(outdir / "transient_spectrum.csv", ["x", "E_rad"],
-                   spectrum_rows(trans))
-    p2 = write_csv(outdir / "steady_spectrum.csv", ["x", "Q_st"],
-                   spectrum_rows(steady))
-    extras = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, **_cf4_record(ramp)}
+    tables = {"transient_spectrum.csv": {"x": trans.omega_grid, "E_rad": trans.values},
+              "steady_spectrum.csv": {"x": steady.omega_grid, "Q_st": steady.values}}
+    results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)
@@ -323,10 +339,10 @@ def _run_radiation(cfg, outdir):
         return np.concatenate([t.values, s.values])
 
     base = np.concatenate([trans.values[::k], steady.values[::k]])
-    return [p1, p2], extras, convergence_report(base, probe, cfg["dim"], rel_tol=1e-4)
+    return tables, results, convergence_report(base, probe, cfg["dim"], rel_tol=1e-4)
 
 
-def _run_floquet_check(cfg, outdir):
+def _run_floquet_check(cfg):
     def eps_over_v(n_cut):
         p = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
                                         k_cut=cfg["k_cut"], n_cut=n_cut)
@@ -334,13 +350,11 @@ def _run_floquet_check(cfg, outdir):
         return rows, np.array([r["eps_fourier"] for r in rows]) / cfg["V"]
 
     rows, base = eps_over_v(cfg["n_cut"])
-    path = write_csv(outdir / "floquet_check.csv",
-                     ["parity", "rank", "eps_fourier", "eps_rwa", "discrepancy"],
-                     ((r["parity"], r["rank"], r["eps_fourier"], r["eps_rwa"],
-                       r["discrepancy"]) for r in rows))
-    extras = {"worst_discrepancy_over_V": max(r["discrepancy"] for r in rows) / cfg["V"]}
-    return [path], extras, convergence_report(base, lambda n_cut: eps_over_v(n_cut)[1],
-                                              cfg["n_cut"], dim_step=8, rel_tol=1e-5)
+    table = {key: np.array([r[key] for r in rows])
+             for key in ("parity", "rank", "eps_fourier", "eps_rwa", "discrepancy")}
+    results = {"worst_discrepancy_over_V": max(r["discrepancy"] for r in rows) / cfg["V"]}
+    return {"floquet_check.csv": table}, results, convergence_report(
+        base, lambda n_cut: eps_over_v(n_cut)[1], cfg["n_cut"], dim_step=8, rel_tol=1e-5)
 
 
 RUNNERS = {
@@ -356,19 +370,21 @@ RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> dict:
-    """Execute a validated config; returns the manifest (also written to disk)."""
+    """Execute a validated config, write its tables and manifest.json; return the manifest."""
+    start = time.perf_counter()
+    tables, results, conv = RUNNERS[cfg["experiment"]](cfg)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    files, extras, conv = RUNNERS[cfg["experiment"]](cfg, outdir)
+    for name, columns in tables.items():
+        write_csv(outdir / name, columns)
     manifest = {
         "version": __version__,
         "experiment": cfg["experiment"],
         "parameters": {k: v for k, v in cfg.items()
                        if k not in ("experiment", "output_dir")},
-        "outputs": sorted(p.name for p in files),
+        "outputs": sorted(tables),
         "convergence": conv,
-        "results": extras,
+        "results": results,
         "wall_time_s": time.perf_counter() - start,
     }
     write_json(outdir / "manifest.json", manifest)

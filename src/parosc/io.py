@@ -1,32 +1,29 @@
-"""Deterministic CSV/JSON emission shared by the CLI experiments.
+"""Deterministic CSV/JSON emission: the one place that knows the output formats.
 
-CSV contract: header line, comma separators, UTF-8, LF endings, floats in
-full-precision scientific notation so identical configs give byte-identical
-files.
+CSV contract: a header line, comma separators, UTF-8 and LF endings.  A table
+is a mapping from column name to an equal-length 1-D array; integer columns are
+written with ``%d`` and every other column in full-precision scientific
+notation (``%.17e``), so identical configs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
 
-
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.17e}"
-    return str(v)
+import numpy as np
 
 
-def write_csv(path: Path | str, header: list[str], rows) -> Path:
+def write_csv(path: Path | str, columns: Mapping[str, np.ndarray]) -> Path:
+    """Write the table ``columns`` (header name -> 1-D array) as one CSV file."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    arrays = [np.asarray(c) for c in columns.values()]
+    if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+        raise ValueError(f"{path.name}: columns must be 1-D arrays of equal length")
+    fmt = ",".join("%d" if a.dtype.kind in "iu" else "%.17e" for a in arrays) + "\n"
+    body = "".join(fmt % row for row in zip(*(a.tolist() for a in arrays)))
+    path.write_text(",".join(columns) + "\n" + body, encoding="utf-8", newline="\n")
     return path
 
 

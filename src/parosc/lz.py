@@ -284,11 +284,3 @@ def asymptote_estimate(prob: LzProblem, rel_tol: float = 1e-10) -> float:
     period = 2.0 * math.pi / (prob.s * t_max)
     mask = sol.t_grid > t_max - 5.0 * period
     return float(np.mean(np.abs(sol.c_up[mask]) ** 2))
-
-
-def lz_rows(sol: LzSolution):
-    """Rows (t, |C_up|^2, |C_down|^2, Re C+, Im C+, Re C-, Im C-) for CSV emission."""
-    for i, t in enumerate(sol.t_grid):
-        yield (t, abs(sol.c_up[i]) ** 2, abs(sol.c_down[i]) ** 2,
-               sol.c_plus[i].real, sol.c_plus[i].imag,
-               sol.c_minus[i].real, sol.c_minus[i].imag)

@@ -368,9 +368,3 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     xs = np.linspace(-x_max, x_max, n_x)
     spec, _, rhs = _transient(liou, rho0, T_max, xs, dt, relax_tol=1e-4)
     return float(np.trapezoid(spec.values, xs) / (2.0 * np.pi)), rhs
-
-
-def spectrum_rows(spec: SpectralDensity):
-    """Rows (x, value) for CSV emission."""
-    for x, v in zip(spec.omega_grid, spec.values):
-        yield (x, v)

@@ -127,6 +127,7 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     Each output interval gets ceil(dt/h) equal steps, so the state is recorded
     exactly at every output time, and the norm is kept to rounding.
 
+    Non-finite psi0, A or B, or a non-finite error estimate, raise ValueError.
     ``rel_tol`` is a global error target on the unit-norm state.  Step
     doubling over the whole trajectory, starting from one step per output
     interval, halves h until max|psi_{h/2} - psi_h|/15 <= rel_tol and returns
@@ -140,9 +141,11 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
         raise ValueError("rel_tol must be > 0")
     times = np.asarray(times, dtype=float)
     dts = np.diff(times)
-    if dts.size == 0 or np.any(dts <= 0):
+    if dts.size == 0 or not np.all(dts > 0):
         raise ValueError("times must be strictly ascending with at least 2 points")
     psi0 = np.asarray(psi0, dtype=complex)
+    if not all(np.all(np.isfinite(x)) for x in (psi0, *a, *b)):
+        raise ValueError("psi0, A and B must be finite")
     h = dts.max()
     coarse, previous = _cf4_pass(a, b, psi0, times, np.ones(dts.size, dtype=int)), np.inf
     while True:
@@ -150,6 +153,8 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
         counts = np.ceil(dts / h).astype(int)
         fine = _cf4_pass(a, b, psi0, times, counts)
         steps, estimate = int(counts.sum()), float(np.max(np.abs(fine - coarse))) / 15.0
+        if not np.isfinite(estimate):
+            raise ValueError(f"CF4 error estimate is {estimate} at {steps} steps")
         if estimate <= rel_tol:
             return fine, steps, estimate
         if estimate > previous / 4.0 and estimate <= len(psi0) * np.finfo(float).eps * steps:
@@ -205,15 +210,3 @@ def instantaneous_fidelity(state: np.ndarray, space: FockSpace, delta: float,
         raise ValueError("f must be >= 0")
     _, phi = eigenstate_by_label(space, delta, f, parity, rank)
     return float(np.abs(np.vdot(phi, np.asarray(state, dtype=complex))) ** 2)
-
-
-def ramp_rows(space: FockSpace, protocol: RampProtocol, result: RampResult):
-    """Rows (t, f(t), fidelity, <n>, <parity>) for CSV emission."""
-    n_diag = np.arange(space.dim)
-    par_diag = (-1.0) ** n_diag
-    label = result.target_label
-    for t, psi in zip(result.times, result.trajectory):
-        f_t = protocol.s_tilde * t
-        fid = instantaneous_fidelity(psi, space, protocol.delta, f_t, *label)
-        prob = np.abs(psi) ** 2
-        yield (t, f_t, fid, float(prob @ n_diag), float(prob @ par_diag))

@@ -155,11 +155,3 @@ def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float,
                                   "labels": ((par, i), (par, i + 1)),
                                   "gap": float(block[i + 1] - block[i])})
     return found
-
-
-def series_rows(series: SpectrumSeries):
-    """Rows (f, parity, rank, energy) for CSV emission."""
-    for i, f in enumerate(series.f_grid):
-        for j in range(series.levels.shape[1]):
-            yield (f, int(series.parities[j]), int(series.ranks[j]),
-                   series.levels[i, j])

@@ -100,10 +100,3 @@ def _check_boundary(grid: WignerGrid, tol: float) -> float:
             "widen q_axis/p_axis"
         )
     return mass
-
-
-def wigner_rows(grid: WignerGrid):
-    """Long-format rows (Q, P, W) for CSV emission."""
-    for i, q in enumerate(grid.q_axis):
-        for j, p in enumerate(grid.p_axis):
-            yield (q, p, grid.values[i, j])

@@ -6,7 +6,12 @@ import pytest
 
 from parosc import cli, radiation
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
-from parosc.lz import LzProblem, weber_solution
+from parosc.fock import FockSpace
+from parosc.io import write_csv
+from parosc.lz import LzProblem, lz_evolve_numeric, weber_solution
+from parosc.ramp import RampProtocol, evolve_ramp
+
+EPS = np.finfo(float).eps
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -43,6 +48,70 @@ def test_missing_required_key(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "f_final" in err or "s_tilde" in err
+
+
+def test_write_csv_format(tmp_path):
+    # the one CSV writer: %d for integer columns, %.17e for all others
+    path = write_csv(tmp_path / "t.csv", {"n": np.array([0, -3, 7]),
+                                          "x": np.array([-0.0, 1e-300, np.nan]),
+                                          "y": np.array([0.1, -2.5e300, -np.inf])})
+    assert path == tmp_path / "t.csv"
+    assert path.read_bytes() == (
+        b"n,x,y\n"
+        b"0,-0.00000000000000000e+00,1.00000000000000006e-01\n"
+        b"-3,1.00000000000000003e-300,-2.50000000000000013e+300\n"
+        b"7,nan,-inf\n")
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv(tmp_path / "bad.csv", {"a": np.zeros(2), "b": np.zeros(3)})
+
+
+@pytest.mark.parametrize("experiment, override, key", [
+    ("zero_drive", "delta=NaN", "delta"),
+    ("zero_drive", "n_max=Infinity", "n_max"),
+    ("lz", "t_max=Infinity", "t_max"),
+    ("decay_rates", "gamma_tildes=[]", "gamma_tildes"),
+    ("decay_rates", "gamma_tildes=abc", "gamma_tildes"),
+    ("decay_rates", 'gamma_tildes=["abc"]', "gamma_tildes"),
+    ("decay_rates", "gamma_tildes=[1.0, NaN]", "gamma_tildes"),
+    ("decay_rates", "gamma_tildes=[-1.0]", "gamma_tildes"),
+])
+def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, key):
+    keys = {"zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0}, "decay_rates": {}}
+    cfg = write_config(tmp_path, {"experiment": experiment, **keys[experiment],
+                                  "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg, "--set", override]) == 2
+    assert f"key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("delta2_over_s=-1", "delta2_over_s"), ("sign=5", "sign"), ("sign=0", "sign")])
+def test_lz_run_rejects_sweep_outside_domain(tmp_path, capsys, override, key):
+    # Delta = sqrt(-1) used to hang the step doubling; sign = 5 ran Delta^2/s = 25
+    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 1.0,
+                                  "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg, "--set", override]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_decay_rates_builds_each_eigenstate_once(tmp_path, monkeypatch):
+    calls = []
+    eigenstate = cli.eigenstate_by_label
+
+    def counting(*args):
+        calls.append(args)
+        return eigenstate(*args)
+
+    monkeypatch.setattr(cli, "eigenstate_by_label", counting)
+    cfg = validate_config({"experiment": "decay_rates", **TINY["decay_rates"],
+                           "gamma_tildes": [0.5, 1.0, 2.0], "output_dir": str(tmp_path)})
+    run_experiment(cfg)
+    assert len(calls) == cfg["f_points"] + 1     # one per drive, one for the probe
+    data = np.loadtxt(tmp_path / "decay_rates.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (3 * cfg["f_points"], 4)
+    assert np.array_equal(data[:, 0], np.repeat([0.5, 1.0, 2.0], cfg["f_points"]))
+    # Gamma_E = 2 gamma_tilde <n> is linear in gamma_tilde at each drive
+    assert np.allclose(data[6:, 2], 4.0 * data[:3, 2], rtol=1e-14, atol=0.0)
 
 
 def test_unknown_experiment():
@@ -99,7 +168,7 @@ def test_lz_run_matches_shape(tmp_path):
     p_up = np.array([float(r.split(",")[1]) for r in rows])
     assert p_up[0] == pytest.approx(1.0, abs=1e-10)   # starts on the upper branch
     assert p_up.min() < 0.9                            # relaxes away from 1
-    summary = json.loads((out / "lz_summary.json").read_text())
+    summary = json.loads((out / "manifest.json").read_text())["results"]
     assert summary["alpha_up_sq"] + summary["alpha_down_sq"] == pytest.approx(1.0, abs=1e-6)
     # at this ramp parameter the branch population levels off near 0.78
     assert np.mean(p_up[-20:]) == pytest.approx(summary["alpha_up_sq"], abs=0.05)
@@ -111,7 +180,7 @@ def test_lz_run_deep_adiabatic(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 600.0,
                                   "output_dir": str(out)})
     assert main(["run", "--config", cfg]) == 0
-    summary = json.loads((out / "lz_summary.json").read_text())
+    summary = json.loads((out / "manifest.json").read_text())["results"]
     assert summary["alpha_up_sq"] + summary["alpha_down_sq"] == pytest.approx(1.0, abs=1e-12)
     rows = (out / "lz.csv").read_text().strip().split("\n")[1:]
     p_up = np.array([float(r.split(",")[1]) for r in rows])
@@ -124,9 +193,9 @@ def check_lz_run_against_weber(tmp_path, d2s, **keys):
     cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": d2s, **keys,
                                   "output_dir": str(out)})
     assert main(["run", "--config", cfg]) == 0
-    summary = json.loads((out / "lz_summary.json").read_text())
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["results"]["norm_drift"] == summary["norm_drift"] <= 1e-9
+    assert manifest["results"]["norm_drift"] <= 1e-9
+    assert manifest["parameters"]["delta2_over_s"] == d2s and manifest["parameters"]["sign"] == 1
     data = np.loadtxt(out / "lz.csv", delimiter=",", skiprows=1, ndmin=2)
     exact = weber_solution(LzProblem(Delta=np.sqrt(d2s), s=1.0), data[:, 0])
     assert np.max(np.abs(data[:, 3] + 1j * data[:, 4] - exact.c_plus)) <= 1e-9
@@ -211,10 +280,9 @@ def test_wigner_run_records_boundary_mass(tmp_path, capsys):
                                   "output_dir": str(out)})
     assert main(["run", "--config", cfg]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    meta = json.loads((out / "wigner_meta.json").read_text())
-    assert 0.0 <= meta["boundary_mass"] < 1e-4
-    assert manifest["results"]["boundary_mass"] == meta["boundary_mass"]
+    assert 0.0 <= manifest["results"]["boundary_mass"] < 1e-4
     assert manifest["results"]["norm"] == pytest.approx(1.0, abs=1e-3)
+    assert manifest["results"]["lambda"] == 1.0
     # a one-point axis has no cell size: the CLI reports it, not an IndexError
     assert main(["run", "--config", cfg, "--set", "q_points=1"]) == 1
     assert "q_axis" in capsys.readouterr().err
@@ -265,9 +333,83 @@ def test_manifest_records_cf4_sweep(tmp_path, experiment, rel_tol):
     keys = TINY.get(experiment, {"delta2_over_s": 1.0, "t_max": 1.0, "n_out": 3})
     manifest = run_experiment(validate_config({"experiment": experiment, **keys,
                                                "output_dir": str(tmp_path)}))
-    records = [manifest["results"]]
-    if experiment == "lz":
-        records.append(json.loads((tmp_path / "lz_summary.json").read_text()))
-    for res in records:
-        assert isinstance(res["cf4_steps"], int) and res["cf4_steps"] >= 2
-        assert 0.0 <= res["cf4_error_estimate"] <= rel_tol
+    res = manifest["results"]
+    assert isinstance(res["cf4_steps"], int) and res["cf4_steps"] >= 2
+    assert 0.0 <= res["cf4_error_estimate"] <= rel_tol
+
+
+def run_cli(tmp_path, experiment, **keys):
+    """Output directory of one `parosc run` of ``experiment`` with ``keys``."""
+    out = tmp_path / experiment
+    cfg = write_config(tmp_path, {"experiment": experiment, **keys, "output_dir": str(out)})
+    assert main(["run", "--config", cfg]) == 0
+    return out
+
+
+def read_table(path):
+    """Header and data rows of a written CSV, each field a string."""
+    header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY) + ["lz"])
+def test_run_writes_only_its_tables_and_manifest(tmp_path, experiment):
+    keys = TINY.get(experiment, {"delta2_over_s": 1.0, "t_max": 1.0, "n_out": 3})
+    out = run_cli(tmp_path, experiment, **keys)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] and all(name.endswith(".csv") for name in manifest["outputs"])
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+
+
+def test_lz_csv_layout(tmp_path):
+    header, rows = read_table(run_cli(tmp_path, "lz", delta2_over_s=0.25, t_max=2.0,
+                                      n_out=5) / "lz.csv")
+    assert header == ["t", "p_up", "p_down", "re_c_plus", "im_c_plus", "re_c_minus",
+                      "im_c_minus"]
+    assert len(rows) == 5 and {len(r) for r in rows} == {7}
+    # the probabilities match the scalar loop of the library solution to rounding
+    sol = lz_evolve_numeric(LzProblem(Delta=0.5, s=1.0), 2.0, n_out=5)
+    data = np.array(rows, dtype=float)
+    for j, amps in ((1, sol.c_up), (2, sol.c_down)):
+        loop = np.array([abs(c) ** 2 for c in amps])
+        np.testing.assert_allclose(data[:, j], loop, rtol=4 * EPS, atol=0.0)
+
+
+def test_ramp_csv_layout(tmp_path):
+    out = run_cli(tmp_path, "ramp", delta=0.0, f_final=0.5, s_tilde=0.25, dim=20, n_out=5)
+    data = np.loadtxt(out / "ramp.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (5, 5)
+    t, f, fid, n_exp, par = data[-1]
+    assert f == pytest.approx(0.5)
+    assert 0.0 <= fid <= 1.0
+    assert par == pytest.approx(1.0, abs=1e-9)
+    # the expectations match a row-by-row loop over the library trajectory to rounding
+    space = FockSpace(20)
+    result = evolve_ramp(space, RampProtocol(delta=0.0, f_final=0.5, s_tilde=0.25,
+                                             initial_state=space.vacuum(),
+                                             output_times=np.linspace(0.0, 2.0, 5)))
+    n = np.arange(20)
+    loop = np.array([[np.abs(psi) ** 2 @ n, np.abs(psi) ** 2 @ (-1.0) ** n]
+                     for psi in result.trajectory])
+    np.testing.assert_allclose(data[:, 3:], loop, rtol=4 * EPS, atol=4 * EPS)
+
+
+def test_wigner_csv_layout(tmp_path):
+    out = run_cli(tmp_path, "wigner", delta=0.0, f_final=0.5, s_tilde=0.25, dim=16,
+                  q_max=5.0, q_points=3, p_max=5.0, p_points=3)
+    data = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (9, 3)
+    # long format, Q-major: Q steps once per p_points rows
+    assert np.array_equal(data[:, 0], np.repeat([-5.0, 0.0, 5.0], 3))
+    assert tuple(data[4, :2]) == (0.0, 0.0)
+
+
+def test_spectrum_csv_layout(tmp_path):
+    out = run_cli(tmp_path, "spectrum", delta=0.0, f_max=1.0, f_points=2, n_levels=2, dim=20)
+    header, rows = read_table(out / "spectrum.csv")
+    assert header == ["f", "parity", "rank", "energy"]
+    assert len(rows) == 2 * 4 and {len(r) for r in rows} == {4}
+    assert float(rows[0][0]) == 0.0
+    # parity and rank are integer columns
+    assert {r[1] for r in rows} == {"1", "-1"}
+    assert {r[2] for r in rows} == {"0", "1"}

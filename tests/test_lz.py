@@ -14,7 +14,6 @@ from parosc.lz import (
     dynamical_phase,
     lz_asymptotic_alphas,
     lz_evolve_numeric,
-    lz_rows,
     parabolic_cylinder_on_ray,
     weber_solution,
 )
@@ -273,8 +272,3 @@ class TestWeberSolution:
         sol = weber_solution(LzProblem(Delta=0.5, s=1.0), np.linspace(0, 10, 201))
         norm = np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2
         assert np.max(np.abs(norm - 1.0)) < 1e-8
-
-    def test_rows(self):
-        sol = weber_solution(LzProblem(Delta=0.5, s=1.0), np.linspace(0, 2, 5))
-        rows = list(lz_rows(sol))
-        assert len(rows) == 5 and len(rows[0]) == 7

@@ -14,7 +14,6 @@ from parosc.ramp import (
     initial_label,
     instantaneous_fidelity,
     propagate_linear,
-    ramp_rows,
 )
 
 
@@ -119,19 +118,6 @@ def test_fig4a_preparation_probability():
     assert result.final_fidelity == pytest.approx(0.997, abs=0.005)
 
 
-def test_rows_shape():
-    sp = FockSpace(20)
-    protocol = make_protocol(sp, 0.0, 0.5, 0.25,
-                             output_times=np.linspace(0, 2.0, 5))
-    result = evolve_ramp(sp, protocol, rel_tol=1e-8)
-    rows = list(ramp_rows(sp, protocol, result))
-    assert len(rows) == len(result.times)
-    t, f, fid, n_exp, par = rows[-1]
-    assert f == pytest.approx(0.5)
-    assert 0.0 <= fid <= 1.0
-    assert par == pytest.approx(1.0, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # the CF4 stepper behind every linear ramp, against an independent oracle
 
@@ -225,3 +211,17 @@ def test_rounding_floor_stops_with_warning():
         propagate_linear(a, b, psi0, times[::-1], 1e-8)
     with pytest.raises(ValueError):
         propagate_linear(a, b, psi0, times, 0.0)
+
+
+
+@pytest.mark.parametrize("where", ["a", "b", "psi0"])
+def test_propagate_linear_rejects_non_finite(where):
+    # a NaN A (`parosc run lz` with Delta = sqrt(-1)) made every error estimate
+    # NaN, so the step doubling never ended; non-finite input now fails at once
+    good = {"a": (np.zeros(2), np.array([1.0])), "b": (np.array([1.0, -1.0]), np.zeros(1)),
+            "psi0": np.array([1.0, 1.0]) / np.sqrt(2.0)}
+    bad = {"a": (np.zeros(2), np.array([np.nan])), "b": (np.array([np.inf, -1.0]), np.zeros(1)),
+           "psi0": np.array([np.nan, 1.0])}
+    args = good | {where: bad[where]}
+    with pytest.raises(ValueError, match="finite"):
+        propagate_linear(args["a"], args["b"], args["psi0"], np.linspace(0.0, 1.0, 3), 1e-8)

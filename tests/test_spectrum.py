@@ -8,7 +8,6 @@ from parosc.spectrum import (
     find_degeneracy_points,
     level_label_at_zero_drive,
     same_parity_gap,
-    series_rows,
     spectrum_vs_drive,
 )
 
@@ -107,12 +106,6 @@ class TestSpectrumSeries:
     def test_f_grid_must_ascend(self):
         with pytest.raises(ValueError):
             spectrum_vs_drive(FockSpace(20), 0.0, np.array([1.0, 0.5]), 2)
-
-    def test_rows_format(self):
-        series = spectrum_vs_drive(FockSpace(20), 0.0, np.array([0.0, 1.0]), 2)
-        rows = list(series_rows(series))
-        assert len(rows) == 2 * 4
-        assert rows[0][0] == 0.0 and rows[0][1] in (-1, 1)
 
 
 class TestSameParityGap:

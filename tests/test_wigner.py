@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parosc.fock import FockSpace
-from parosc.wigner import wigner_transform, wigner_rows
+from parosc.wigner import wigner_transform
 
 
 def fock_wavefunctions(dim, lam, x):
@@ -163,13 +163,3 @@ def test_bad_axis_raises(axis):
         wigner_transform(rho, 0.1, axis, good)
     with pytest.raises(ValueError, match="p_axis"):
         wigner_transform(rho, 0.1, good, axis)
-
-
-def test_rows_long_format():
-    sp = FockSpace(4)
-    rho = np.outer(sp.vacuum(), sp.vacuum())
-    grid = wigner_transform(rho, 0.1, np.linspace(-2.0, 2.0, 3),
-                            np.linspace(-2.0, 2.0, 3))
-    rows = list(wigner_rows(grid))
-    assert len(rows) == 9
-    assert rows[4][:2] == (0.0, 0.0)
