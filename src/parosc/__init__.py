@@ -4,7 +4,9 @@ Dense-matrix numerics for the Kerr oscillator driven near twice its
 eigenfrequency, in the frame rotating at half the drive frequency: spectral
 flows and degeneracies, adiabatic preparation of quasienergy states, the
 half-line Landau-Zener problem, Wigner tomography, zero-temperature Lindblad
-dissipation, and transient/steady emission spectra.
+dissipation (the generator and its steady state in ``lindblad``), and, on one
+exact flow of that generator in ``radiation``, the density matrix rho(t) and
+the transient/steady emission spectra.
 
 Units: hbar = 1; energies and rates in units of the Kerr nonlinearity V, time
 in units of 1/V.
@@ -54,23 +56,17 @@ from .wigner import WignerGrid, wigner_transform
 from .lz import (
     LzProblem,
     LzSolution,
-    complex_gamma,
     dynamical_phase,
     lz_asymptotic_alphas,
     lz_evolve_numeric,
     weber_solution,
 )
-from .lindblad import (
-    Liouvillian,
-    build_liouvillian,
-    evolve_master,
-    state_decay_rate,
-    steady_state,
-)
+from .lindblad import Liouvillian, build_liouvillian, state_decay_rate, steady_state
 from .radiation import (
     CorrelatorGrid,
     SpectralDensity,
     emission_spectra,
+    evolve_master,
     steady_spectrum,
     sum_rule_check,
     transient_spectrum,

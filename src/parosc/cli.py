@@ -152,13 +152,27 @@ def validate_config(raw: dict) -> dict:
         cfg[key] = value
     if any(g < 0 for g in cfg.get("gamma_tildes", ())):
         raise ConfigError(f"key gamma_tildes must hold rates >= 0, got {cfg['gamma_tildes']}")
+    if name == "lz":
+        if cfg["sign"] not in (1, -1):
+            raise ConfigError(f"key sign must be +1 or -1, got {cfg['sign']}")
+        if cfg["delta2_over_s"] < 0:
+            raise ConfigError(f"key delta2_over_s must be >= 0, got {cfg['delta2_over_s']}")
+    if name == "radiation":
+        gt = cfg["gamma_tilde"]
+        if gt <= 0:
+            raise ConfigError(f"key gamma_tilde must be > 0, got {gt}")
+        # the comparison of radiation._time_grid, which keeps it for library callers
+        if cfg["T_max"] < 10.0 / gt:
+            raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
+                              f"need >= 10/gamma_tilde = {10.0 / gt}")
     return cfg
 
 
 def _convert(key: str, typ: type, value):
     """``value`` of config key ``key`` as ``typ``; a list is a non-empty list of floats.
 
-    Floats must be finite: ``--set key=NaN`` parses to nan.
+    Floats must be finite: ``--set key=NaN`` parses to nan.  Ints must be
+    integral: ``int(2.7)`` would silently run 2.
     """
     if typ is list:
         if not isinstance(value, list) or not value:
@@ -166,6 +180,8 @@ def _convert(key: str, typ: type, value):
         return [_convert(key, float, v) for v in value]
     if isinstance(value, bool):
         raise ConfigError(f"key {key} must be {typ.__name__}")
+    if typ is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"key {key} must be an integer, got {value}")
     try:
         value = typ(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -268,10 +284,6 @@ def _run_wigner(cfg):
 
 
 def _run_lz(cfg):
-    if cfg["sign"] not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {cfg['sign']}")
-    if cfg["delta2_over_s"] < 0:
-        raise ValueError(f"delta2_over_s must be >= 0, got {cfg['delta2_over_s']}")
     s = 1.0
     delta = cfg["sign"] * float(np.sqrt(cfg["delta2_over_s"] * s))
     prob = LzProblem(Delta=delta, s=s)

@@ -6,7 +6,6 @@ All operators are dense complex matrices; the truncation sizes needed here
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +73,11 @@ def parity_operator(space: FockSpace) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
 
 
-def is_hermitian(op: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    scale = max(np.max(np.abs(op)), 1e-300)
-    return bool(np.max(np.abs(op - op.conj().T)) < rel_tol * scale)
-
-
 def check_state(psi: np.ndarray, tol: float = 1e-10) -> None:
     """Raise if psi is not a normalized state vector."""
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"state norm {nrm} deviates from 1 by more than {tol}")
-
-
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
-                         trace_tol: float = 1e-10, eig_tol: float = 1e-8) -> None:
-    """Raise if rho is not Hermitian, unit-trace, and positive within tolerances."""
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -eig_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min()}")
 
 
 def tail_population(state_or_rho: np.ndarray, tail_levels: int) -> float:
@@ -112,14 +93,6 @@ def tail_population(state_or_rho: np.ndarray, tail_levels: int) -> float:
     if state_or_rho.ndim == 2:
         return float(np.real(np.trace(state_or_rho[dim - tail_levels:, dim - tail_levels:])))
     raise ValueError("expected a state vector or a density matrix")
-
-
-def poisson_tail(mean: float, start: int) -> float:
-    """Poisson tail mass P(N >= start) for occupation mean; coherent-state oracle."""
-    total = 0.0
-    for k in range(start):
-        total += math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) if mean > 0 else (1.0 if k == 0 else 0.0)
-    return 1.0 - total
 
 
 def convergence_report(base, probe, dim: int, dim_step: int = 10,

@@ -1,4 +1,4 @@
-"""Zero-temperature Lindblad dynamics of the driven oscillator in the rotating frame.
+"""Zero-temperature Lindblad generator of the driven oscillator in the rotating frame.
 
 d rho/dt = -i [H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n)
 
@@ -10,9 +10,9 @@ beats scalability.
 H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
-dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); spectra, steady
-states, the master-equation integrator and the propagators of the radiation
-module work block by block.
+dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
+is solved on the even block, and ``radiation`` steps rho(t), the correlators
+and the spectra block by block.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fock import FockSpace, check_state, ladder_operators, number_operator
 from .rwa import RwaSystem, build_h_rwa
@@ -61,10 +60,6 @@ class Liouvillian:
         d = self.dim
         return (self.matrix @ rho.reshape(d * d)).reshape(d, d)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Generator eigenvalues: the even-sector ones followed by the odd-sector ones."""
-        return np.concatenate([np.linalg.eigvals(s.block) for s in self.sectors])
-
 
 def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1)
@@ -90,41 +85,6 @@ def build_liouvillian(space: FockSpace, sys: RwaSystem, gamma_tilde: float) -> L
     lmat += -gamma_tilde * (np.kron(n_op, eye) + np.kron(eye, n_op.T)
                             - 2.0 * np.kron(a, a.conj()))
     return Liouvillian(space=space, sys=sys, gamma_tilde=gamma_tilde, matrix=lmat)
-
-
-def trace_preservation_residual(liou: Liouvillian) -> float:
-    """Max entry of Tr(L[.]): the trace functional must annihilate the generator."""
-    tr_vec = _vec(np.eye(liou.dim)).astype(complex)
-    return float(np.max(np.abs(tr_vec @ liou.matrix)))
-
-
-def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray,
-                  rel_tol: float = 1e-9) -> np.ndarray:
-    """Propagate rho0 over t_grid; returns array of shape (len(t_grid), dim, dim).
-
-    ``rel_tol`` is a global error target: DOP853 controls the local error, so
-    it runs at rtol = rel_tol/20 and atol = rel_tol*1e-3.
-    The state is held sector by sector (even entries, then odd), so each
-    right-hand side applies the two parity blocks instead of the dense generator.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dim = liou.dim
-    even, odd = liou.sectors
-    order = np.concatenate([even.idx, odd.idx])
-    n_even = even.idx.size
-
-    def rhs(t, y):
-        return np.concatenate([even.block @ y[:n_even], odd.block @ y[n_even:]])
-
-    y0 = _vec(np.asarray(rho0, dtype=complex))[order]
-    span = (min(0.0, t_grid[0]), t_grid[-1])
-    sol = solve_ivp(rhs, span, y0, t_eval=t_grid, method="DOP853",
-                    rtol=rel_tol / 20.0, atol=rel_tol * 1e-3)
-    if not sol.success:
-        raise RuntimeError(f"master-equation propagation failed: {sol.message}")
-    x = np.empty((len(t_grid), dim * dim), dtype=complex)
-    x[:, order] = sol.y.T
-    return x.reshape(len(t_grid), dim, dim)
 
 
 def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
@@ -177,6 +137,3 @@ def state_decay_rate(phi: np.ndarray, gamma_tilde: float) -> float:
     n_diag = np.arange(phi.shape[0])
     return float(2.0 * gamma_tilde * np.sum(n_diag * np.abs(phi) ** 2))
 
-
-def expectation_number(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ np.diag(np.arange(rho.shape[0])))))

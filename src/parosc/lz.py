@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import gamma, loggamma
+from scipy.special import loggamma
 
 from .ramp import propagate_linear
 
@@ -72,14 +72,6 @@ class LzSolution:
     alpha_down: complex | None = None
     steps: int | None = None                # CF4 steps of a numeric sweep
     error_estimate: float | None = None     # and its step-doubling error estimate
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma(z) for complex z (scipy.special.gamma); non-positive integers are poles and raise."""
-    z = complex(z)
-    if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
-        raise ValueError(f"gamma pole at z = {z}")
-    return complex(gamma(z))
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +262,3 @@ def dynamical_phase(prob: LzProblem, t: float) -> float:
         raise ValueError(f"t too small for the asymptotic phase: 2 s t/|Delta| = {arg:.3g} <= 1")
     return 0.5 * s * t ** 2 + prob.p * math.log(arg) + 0.5 * prob.p
 
-
-def asymptote_estimate(prob: LzProblem, rel_tol: float = 1e-10) -> float:
-    """|C_up(infinity)|^2 from direct integration, averaged over the last phase period.
-
-    "Infinity" means 2 s t_max^2 >= 1e4; the average over one dynamical-phase
-    oscillation removes the 1/t tail.
-    """
-    t_max = math.sqrt(1e4 / (2.0 * prob.s))
-    if prob.Delta != 0:
-        t_max = max(t_max, 20.0 / abs(prob.Delta))
-    sol = lz_evolve_numeric(prob, t_max, rel_tol=rel_tol, n_out=6001)
-    period = 2.0 * math.pi / (prob.s * t_max)
-    mask = sol.t_grid > t_max - 5.0 * period
-    return float(np.mean(np.abs(sol.c_up[mask]) ** 2))

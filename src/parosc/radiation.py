@@ -1,16 +1,17 @@
-"""Transient and stationary emission spectra of the dissipative driven oscillator.
+"""Dissipative flow of the driven oscillator: rho(t), correlators and emission spectra.
 
-Two-time correlators <a_dag(t1) a(t2)> follow from the quantum regression rule:
+Everything here is one propagation: exact stepping on a uniform time grid with
+the matrix exponential P = expm(L_s dt) of each (m + n)-parity sector block L_s
+of the Liouvillian.  No eigendecomposition of the non-normal generator is
+involved, so the flow stays accurate near exceptional points, where
+eigenvectors coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The first
+128 states are stepped one matrix-vector product at a time; every later block
+of 128 states is one matrix product of the block before it with P^128.
+
+``evolve_master`` returns rho(t) = exp(L t) rho0 on such a grid.  Two-time
+correlators <a_dag(t1) a(t2)> follow from the quantum regression rule:
 propagate rho to t1, deform it by a_dag on the right, propagate the deformation
 for tau = t2 - t1, and trace against a.
-
-Propagation is exact stepping on a uniform time grid with the matrix
-exponential P = expm(L_s dt) of each (m + n)-parity sector block L_s of the
-Liouvillian.  No eigendecomposition of the non-normal generator is involved,
-so the flow stays accurate near exceptional points, where eigenvectors
-coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The first 128 states
-are stepped one matrix-vector product at a time; every later block of 128
-states is one matrix product of the block before it with P^128.
 
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
@@ -123,14 +124,6 @@ class _SteppingFlow:
             x = self._prop(s) @ x
         return x
 
-    def evolve_columns(self, x0: np.ndarray) -> np.ndarray:
-        """Columns exp(L t) x0 for every t, shape (d^2, len(ts))."""
-        out = np.zeros((x0.size, self.n_t), dtype=complex)
-        for s, sector in enumerate(self.sectors):
-            if np.any(x0[sector.idx]):
-                out[sector.idx] = self.states(s, x0[sector.idx]).T
-        return out
-
     def adjoint_rows(self, row: np.ndarray) -> np.ndarray:
         """Rows row^T exp(L t) for every t, shape (len(ts), d^2)."""
         out = np.zeros((self.n_t, row.size), dtype=complex)
@@ -140,16 +133,29 @@ class _SteppingFlow:
         return out
 
 
+def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """rho(t) = exp(L t) rho0 at every t of t_grid; shape (len(t_grid), dim, dim).
+
+    Exact: each parity sector that rho0 occupies is stepped by the matrix
+    exponential of its block, so rounding is the only error.  t_grid must be
+    uniform and start at 0; any other grid raises ValueError.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must ascend from 0")
+    flow = _SteppingFlow(liou, t_grid)
+    x0 = np.asarray(rho0, complex).reshape(-1)
+    out = np.zeros((len(t_grid), x0.size), dtype=complex)
+    for s, sector in enumerate(liou.sectors):
+        if np.any(x0[sector.idx]):
+            out[:, sector.idx] = flow.states(s, x0[sector.idx])
+    return out.reshape(len(t_grid), liou.dim, liou.dim)
+
+
 def _operators(liou: Liouvillian):
     """Row tr_a with Tr[a M] = tr_a . vec(M), and a_dag for the seeds M a_dag."""
     a, a_dag = ladder_operators(liou.space)
     return a.T.reshape(-1), a_dag
-
-
-def _times_adag(vecs: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
-    """vec(M a_dag) for vec(M) and for every column vec(M) of vecs."""
-    d = a_dag.shape[0]
-    return (a_dag.T @ vecs.reshape(d, d, -1)).reshape(vecs.shape)
 
 
 def _odd_operators(liou: Liouvillian):
@@ -210,15 +216,11 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
     independent reference for the sector-only spectra.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must ascend from 0")
-    tr_a, a_dag = _operators(liou)
-    flow = _SteppingFlow(liou, t_grid)
-    rho_vecs = flow.evolve_columns(np.asarray(rho0, complex).reshape(-1))
-    seeds = _times_adag(rho_vecs, a_dag)
-    rows = flow.adjoint_rows(tr_a)                # row j = tr_a Lambda^{j dt}
-    full = rows @ seeds                           # (tau index, t1 index)
     n_t = len(t_grid)
+    tr_a, a_dag = _operators(liou)
+    seeds = (evolve_master(liou, rho0, t_grid) @ a_dag).reshape(n_t, -1)
+    rows = _SteppingFlow(liou, t_grid).adjoint_rows(tr_a)    # row j = tr_a Lambda^{j dt}
+    full = rows @ seeds.T                                    # (tau index, t1 index)
     values = np.zeros((n_t, n_t), dtype=complex)
     for i in range(n_t):
         values[i, i:] = full[: n_t - i, i]

@@ -1,0 +1,56 @@
+"""Checks and oracles shared by the tests; nothing in the package calls them."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from parosc.lindblad import Liouvillian
+from parosc.lz import LzProblem, lz_evolve_numeric
+
+
+def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
+                         trace_tol: float = 1e-10, eig_tol: float = 1e-8) -> None:
+    """Raise if rho is not Hermitian, unit-trace, and positive within tolerances."""
+    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > trace_tol:
+        raise ValueError(f"density matrix trace {tr} deviates from 1")
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if w.min() < -eig_tol:
+        raise ValueError(f"density matrix has negative eigenvalue {w.min()}")
+
+
+def expectation_number(rho: np.ndarray) -> float:
+    return float(np.real(np.trace(rho @ np.diag(np.arange(rho.shape[0])))))
+
+
+def trace_preservation_residual(liou: Liouvillian) -> float:
+    """Max entry of Tr(L[.]): the trace functional must annihilate the generator."""
+    tr_vec = np.eye(liou.dim).reshape(-1).astype(complex)
+    return float(np.max(np.abs(tr_vec @ liou.matrix)))
+
+
+def poisson_tail(mean: float, start: int) -> float:
+    """Poisson tail mass P(N >= start) for occupation mean; coherent-state oracle."""
+    total = 0.0
+    for k in range(start):
+        total += math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) if mean > 0 else (1.0 if k == 0 else 0.0)
+    return 1.0 - total
+
+
+def asymptote_estimate(prob: LzProblem, rel_tol: float = 1e-10) -> float:
+    """|C_up(infinity)|^2 from direct integration, averaged over the last phase period.
+
+    "Infinity" means 2 s t_max^2 >= 1e4; the average over one dynamical-phase
+    oscillation removes the 1/t tail.
+    """
+    t_max = math.sqrt(1e4 / (2.0 * prob.s))
+    if prob.Delta != 0:
+        t_max = max(t_max, 20.0 / abs(prob.Delta))
+    sol = lz_evolve_numeric(prob, t_max, rel_tol=rel_tol, n_out=6001)
+    period = 2.0 * math.pi / (prob.s * t_max)
+    mask = sol.t_grid > t_max - 5.0 * period
+    return float(np.mean(np.abs(sol.c_up[mask]) ** 2))

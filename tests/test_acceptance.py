@@ -26,9 +26,9 @@ import pytest
 
 from parosc.floquet import LabFrameParams, worst_discrepancy
 from parosc.fock import FockSpace
-from parosc.lindblad import build_liouvillian, evolve_master, state_decay_rate, steady_state
+from parosc.lindblad import build_liouvillian, state_decay_rate, steady_state
 from parosc.lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric, weber_solution
-from parosc.radiation import steady_spectrum, sum_rule_check, transient_spectrum
+from parosc.radiation import evolve_master, steady_spectrum, sum_rule_check, transient_spectrum
 from parosc.ramp import RampProtocol, evolve_ramp
 from parosc.rwa import (
     RwaSystem,

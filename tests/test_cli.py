@@ -65,6 +65,24 @@ def test_write_csv_format(tmp_path):
         write_csv(tmp_path / "bad.csv", {"a": np.zeros(2), "b": np.zeros(3)})
 
 
+def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
+    """``run --set override`` and ``validate`` of the overridden config exit 2, naming it."""
+    payload = {**payload, "output_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert all(needle in err for needle in needles)
+    assert not (tmp_path / "out").exists()
+    key, value = override.split("=", 1)
+    try:
+        payload[key] = json.loads(value)
+    except json.JSONDecodeError:
+        payload[key] = value
+    assert main(["validate", "--config", write_config(tmp_path, payload, "bad.json")]) == 2
+    err = capsys.readouterr().err
+    assert all(needle in err for needle in needles)
+
+
 @pytest.mark.parametrize("experiment, override, key", [
     ("zero_drive", "delta=NaN", "delta"),
     ("zero_drive", "n_max=Infinity", "n_max"),
@@ -74,24 +92,23 @@ def test_write_csv_format(tmp_path):
     ("decay_rates", 'gamma_tildes=["abc"]', "gamma_tildes"),
     ("decay_rates", "gamma_tildes=[1.0, NaN]", "gamma_tildes"),
     ("decay_rates", "gamma_tildes=[-1.0]", "gamma_tildes"),
+    ("lz", "n_out=2.7", "n_out"),           # int(2.7) used to run 2 quietly
+    ("lz", "sign=1.5", "sign"),
+    ("radiation", "gamma_tilde=0", "gamma_tilde"),
 ])
 def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, key):
-    keys = {"zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0}, "decay_rates": {}}
-    cfg = write_config(tmp_path, {"experiment": experiment, **keys[experiment],
-                                  "output_dir": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg, "--set", override]) == 2
-    assert f"key {key}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    keys = {"zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0}, "decay_rates": {},
+            "radiation": TINY["radiation"]}
+    assert_rejected_before_run(tmp_path, capsys, {"experiment": experiment, **keys[experiment]},
+                               override, f"key {key}")
 
 
 @pytest.mark.parametrize("override, key", [
     ("delta2_over_s=-1", "delta2_over_s"), ("sign=5", "sign"), ("sign=0", "sign")])
 def test_lz_run_rejects_sweep_outside_domain(tmp_path, capsys, override, key):
     # Delta = sqrt(-1) used to hang the step doubling; sign = 5 ran Delta^2/s = 25
-    cfg = write_config(tmp_path, {"experiment": "lz", "delta2_over_s": 1.0,
-                                  "output_dir": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg, "--set", override]) == 1
-    assert key in capsys.readouterr().err
+    assert_rejected_before_run(tmp_path, capsys, {"experiment": "lz", "delta2_over_s": 1.0},
+                               override, key)
 
 
 def test_decay_rates_builds_each_eigenstate_once(tmp_path, monkeypatch):
@@ -217,11 +234,8 @@ def test_lz_run_matches_weber_oracle(tmp_path, d2s):
 
 def test_radiation_zero_horizon_rejected(tmp_path, capsys):
     # T_max = 0 is too short like any other horizon below 10/gamma_tilde
-    cfg = write_config(tmp_path, {"experiment": "radiation", **TINY["radiation"],
-                                  "output_dir": str(tmp_path / "rad")})
-    assert main(["run", "--config", cfg, "--set", "T_max=0"]) == 1
-    err = capsys.readouterr().err
-    assert "T_max" in err and "too short" in err
+    assert_rejected_before_run(tmp_path, capsys, {"experiment": "radiation", **TINY["radiation"]},
+                               "T_max=0", "T_max", "too short")
 
 
 def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import check_density_matrix, poisson_tail
 from parosc.fock import (
     ConvergenceError,
     FockSpace,
     convergence_report,
-    is_hermitian,
-    check_density_matrix,
     check_state,
     ladder_operators,
     parity_operator,
-    poisson_tail,
     tail_population,
 )
 
@@ -91,15 +89,6 @@ def test_coherent_tail_matches_poisson_and_shrinks():
 def test_coherent_tail_tol_raises():
     with pytest.raises(ConvergenceError):
         FockSpace(6).coherent_state(3.0, tail_tol=1e-12)
-
-
-def test_hermitian_check():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = m + m.conj().T
-    assert is_hermitian(h)
-    h[0, 1] += 1e-6
-    assert not is_hermitian(h)
 
 
 def test_state_and_density_validators():

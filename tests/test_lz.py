@@ -5,12 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as scipy_gamma
 
+from helpers import asymptote_estimate
 from parosc.lz import (
     LzProblem,
-    asymptote_estimate,
-    complex_gamma,
     dynamical_phase,
     lz_asymptotic_alphas,
     lz_evolve_numeric,
@@ -19,37 +17,6 @@ from parosc.lz import (
 )
 
 FIG5_SET = (1.5, 0.25, 0.05, 0.01)
-
-
-class TestComplexGamma:
-    def test_integers_and_half(self):
-        assert complex_gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-        assert complex_gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-        assert complex_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_gamma_of_i_reflection_identity(self):
-        # |Gamma(ix)|^2 = pi / (x sinh(pi x))
-        val = abs(complex_gamma(1j))
-        assert val == pytest.approx(math.sqrt(math.pi / math.sinh(math.pi)), rel=1e-12)
-
-    def test_against_scipy_on_disk(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            if abs(z) > 20 or (z.imag == 0 and z.real <= 0):
-                continue
-            ours = complex_gamma(z)
-            ref = scipy_gamma(z)
-            assert abs(ours - ref) <= 1e-12 * abs(ref)
-
-    def test_recurrence_identity(self):
-        z = 0.3 + 2.7j
-        assert complex_gamma(z + 1) == pytest.approx(z * complex_gamma(z), rel=1e-12)
-
-    def test_poles(self):
-        for z in (0.0, -1.0, -5.0):
-            with pytest.raises(ValueError):
-                complex_gamma(z)
 
 
 class TestNumericEvolution:

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parosc.fock import FockSpace, ladder_operators
-from parosc.lindblad import build_liouvillian, evolve_master, expectation_number, steady_state
+from helpers import expectation_number
+from parosc.lindblad import build_liouvillian, steady_state
 from parosc.radiation import (
     _BLOCK,
     _fourier_quadrature,
     _SteppingFlow,
     emission_spectra,
+    evolve_master,
     stationary_correlator,
     steady_spectrum,
     sum_rule_check,
@@ -59,7 +61,7 @@ class TestCorrelator:
         grid = two_time_correlator(liou, rho0, ts)
         diag = np.array([grid.values[i, i] for i in range(len(ts))])
         assert np.max(np.abs(diag.imag)) < 1e-10
-        rhos = evolve_master(liou, rho0, ts, rel_tol=1e-10)
+        rhos = evolve_master(liou, rho0, ts)
         nbar = np.array([expectation_number(r) for r in rhos])
         assert np.max(np.abs(diag.real - nbar)) < 1e-8
 
@@ -316,7 +318,8 @@ class TestPropagation:
         flow = _SteppingFlow(liou, ts)
         cols = np.stack([p @ x0 for p in props], axis=1)
         rows = np.stack([row @ p for p in props])
-        assert np.max(np.abs(flow.evolve_columns(x0) - cols)) < 1e-9
+        rhos = evolve_master(liou, rho0, ts).reshape(len(ts), -1)
+        assert np.max(np.abs(rhos.T - cols)) < 1e-9
         assert np.max(np.abs(flow.adjoint_rows(row) - rows)) < 1e-9
 
     def test_correlator_matches_full_expm(self):
@@ -348,7 +351,8 @@ class TestPropagation:
             cols.append(prop @ cols[-1])
             rows.append(rows[-1] @ prop)
         flow = _SteppingFlow(liou, ts)
-        assert np.max(np.abs(flow.evolve_columns(x0) - np.stack(cols, axis=1))) < 1e-10
+        rhos = evolve_master(liou, rho0, ts).reshape(n_t, -1)
+        assert np.max(np.abs(rhos.T - np.stack(cols, axis=1))) < 1e-10
         assert np.max(np.abs(flow.adjoint_rows(row) - np.stack(rows))) < 1e-10
 
     def test_nonuniform_grid_raises(self):
@@ -356,6 +360,43 @@ class TestPropagation:
         ts = np.array([0.0, 0.5, 1.5, 2.0])
         with pytest.raises(ValueError, match="uniform"):
             two_time_correlator(liou, rho0, ts)
+
+
+class TestEvolveMaster:
+    """rho(t) against expm of the unsplit generator, and the density-matrix invariants."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(dim=st.integers(3, 12), delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0),
+           gt=st.floats(0.05, 1.0), dt=st.floats(0.01, 0.3), n_t=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dim=12, delta=1.8, f=1.0, gt=0.1, dt=0.1, n_t=300, seed=0)
+    def test_matches_dense_expm_along_a_density_matrix_flow(self, dim, delta, f, gt, dt,
+                                                            n_t, seed):
+        liou = make_liouvillian(dim, delta, f, gt)
+        rng = np.random.default_rng(seed)
+        # full rank, so both (m + n)-parity sectors of rho0 are filled
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = m @ m.conj().T
+        rho0 /= np.trace(rho0).real
+        ts = dt * np.arange(n_t)
+        rhos = evolve_master(liou, rho0, ts)
+        assert rhos.shape == (n_t, dim, dim)
+        scale = np.max(np.abs(rhos))
+        # past 128 points the later states are reached through P^128 jumps
+        for k in {n_t // 2, n_t - 1}:
+            ref = expm(liou.matrix * ts[k]) @ rho0.reshape(-1)
+            assert np.max(np.abs(rhos[k].reshape(-1) - ref)) < 1e-10 * scale
+        adj = rhos.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) < 1e-10
+        assert np.max(np.abs(rhos - adj)) < 1e-10
+        assert np.linalg.eigvalsh(0.5 * (rhos + adj)).min() > -1e-10
+
+    def test_grid_must_be_uniform_from_zero(self):
+        sp, liou, rho0 = TestPropagation.coherent_case()
+        with pytest.raises(ValueError, match="uniform"):
+            evolve_master(liou, rho0, np.array([0.0, 0.5, 1.5, 2.0]))
+        with pytest.raises(ValueError, match="from 0"):
+            evolve_master(liou, rho0, np.array([0.5, 1.0, 1.5]))
 
 
 class TestSumRule:
