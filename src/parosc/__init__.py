@@ -5,8 +5,11 @@ eigenfrequency, in the frame rotating at half the drive frequency: spectral
 flows and degeneracies, adiabatic preparation of quasienergy states, the
 half-line Landau-Zener problem, Wigner tomography, zero-temperature Lindblad
 dissipation (the generator and its steady state in ``lindblad``), and, on one
-exact flow of that generator in ``radiation``, the density matrix rho(t) and
-the transient/steady emission spectra.
+exact flow of that generator in ``radiation``, four functions: the density
+matrix rho(t) (``evolve_master``), the two-time correlator array
+(``two_time_correlator``), the transient and stationary emission spectra as two
+arrays on the caller's frequency grid (``emission_spectra``) and their sum rule
+(``sum_rule_check``).
 
 Units: hbar = 1; energies and rates in units of the Kerr nonlinearity V, time
 in units of 1/V.
@@ -62,13 +65,4 @@ from .lz import (
     weber_solution,
 )
 from .lindblad import Liouvillian, build_liouvillian, state_decay_rate, steady_state
-from .radiation import (
-    CorrelatorGrid,
-    SpectralDensity,
-    emission_spectra,
-    evolve_master,
-    steady_spectrum,
-    sum_rule_check,
-    transient_spectrum,
-    two_time_correlator,
-)
+from .radiation import emission_spectra, evolve_master, sum_rule_check, two_time_correlator

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -35,73 +36,80 @@ from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
 from .wigner import wigner_transform
 
-# experiment name -> {key: (type, default)}; None default means required
-EXPERIMENTS: dict[str, dict[str, tuple[type, object]]] = {
+# experiment name -> {key: (type, default, domain)}; None default means required.
+# A domain (op, bound) holds every value of the key (each entry of a list) to
+# ``value op bound``; each is the library check that the run would otherwise
+# fail at.  No ramp or spectrum can run at dim <= 4: the truncation-edge checks
+# take the top max(4, dim // 8) levels.
+POSITIVE, NON_NEGATIVE, DIM = (">", 0), (">=", 0), (">=", 5)
+EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
     "zero_drive": {
-        "delta": (float, None),
-        "n_max": (int, 10),
+        "delta": (float, None, None),
+        "n_max": (int, 10, NON_NEGATIVE),
     },
     "spectrum": {
-        "delta": (float, None),
-        "f_min": (float, 0.0),
-        "f_max": (float, 3.0),
-        "f_points": (int, 61),
-        "n_levels": (int, 5),
-        "dim": (int, 60),
+        "delta": (float, None, None),
+        "f_min": (float, 0.0, NON_NEGATIVE),
+        "f_max": (float, 3.0, NON_NEGATIVE),
+        "f_points": (int, 61, (">=", 1)),
+        "n_levels": (int, 5, (">=", 1)),
+        "dim": (int, 60, DIM),
     },
     "ramp": {
-        "delta": (float, None),
-        "f_final": (float, None),
-        "s_tilde": (float, None),
-        "dim": (int, 40),
-        "rel_tol": (float, 1e-8),
-        "n_out": (int, 101),
+        "delta": (float, None, None),
+        "f_final": (float, None, POSITIVE),
+        "s_tilde": (float, None, POSITIVE),
+        "dim": (int, 40, DIM),
+        "rel_tol": (float, 1e-8, POSITIVE),
+        "n_out": (int, 101, (">=", 1)),
     },
     "wigner": {
-        "delta": (float, None),
-        "f_final": (float, None),
-        "s_tilde": (float, None),
-        "dim": (int, 40),
-        "rel_tol": (float, 1e-8),
-        "q_max": (float, 2.5),
-        "q_points": (int, 101),
-        "p_max": (float, 2.5),
-        "p_points": (int, 101),
+        "delta": (float, None, None),
+        "f_final": (float, None, POSITIVE),
+        "s_tilde": (float, None, POSITIVE),
+        "dim": (int, 40, DIM),
+        "rel_tol": (float, 1e-8, POSITIVE),
+        "q_max": (float, 2.5, POSITIVE),
+        "q_points": (int, 101, (">=", 2)),
+        "p_max": (float, 2.5, POSITIVE),
+        "p_points": (int, 101, (">=", 2)),
     },
     "lz": {
-        "delta2_over_s": (float, None),
-        "sign": (int, 1),
-        "t_max": (float, 12.0),
-        "n_out": (int, 1201),
+        "delta2_over_s": (float, None, NON_NEGATIVE),
+        "sign": (int, 1, ("in", {-1, 1})),
+        "t_max": (float, 12.0, POSITIVE),
+        "n_out": (int, 1201, (">=", 2)),
     },
     "decay_rates": {
-        "delta": (float, 0.0),
-        "gamma_tildes": (list, [0.5, 1.0, 2.0]),
-        "f_min": (float, 0.0),
-        "f_max": (float, 6.0),
-        "f_points": (int, 61),
-        "dim": (int, 80),
+        "delta": (float, 0.0, None),
+        "gamma_tildes": (list, [0.5, 1.0, 2.0], NON_NEGATIVE),
+        "f_min": (float, 0.0, NON_NEGATIVE),
+        "f_max": (float, 6.0, NON_NEGATIVE),
+        "f_points": (int, 61, (">=", 1)),
+        "dim": (int, 80, DIM),
     },
     "radiation": {
-        "delta": (float, None),
-        "f": (float, None),
-        "gamma_tilde": (float, None),
-        "s_tilde": (float, 0.06),
-        "dim": (int, 24),
-        "T_max": (float, None),
-        "x_max": (float, 8.0),
-        "x_points": (int, 801),
+        "delta": (float, None, None),
+        "f": (float, None, POSITIVE),
+        "gamma_tilde": (float, None, POSITIVE),
+        "s_tilde": (float, 0.06, POSITIVE),
+        "dim": (int, 24, DIM),
+        "T_max": (float, None, None),       # >= 10/gamma_tilde, checked below
+        "x_max": (float, 8.0, None),
+        "x_points": (int, 801, (">=", 1)),
     },
     "floquet_check": {
-        "omega0": (float, 1.0),
-        "V": (float, 1e-3),
-        "delta": (float, None),
-        "f": (float, None),
-        "k_cut": (int, 12),
-        "n_cut": (int, 24),
-        "n_track": (int, 6),
+        "omega0": (float, 1.0, POSITIVE),
+        "V": (float, 1e-3, POSITIVE),
+        "delta": (float, None, None),
+        "f": (float, None, NON_NEGATIVE),
+        "k_cut": (int, 12, (">=", 4)),
+        "n_cut": (int, 24, (">=", 4)),
+        "n_track": (int, 6, (">=", 1)),
     },
 }
+IN_DOMAIN = {">": operator.gt, ">=": operator.ge,
+             "in": lambda value, allowed: value in allowed}
 
 COMMON_KEYS = {"experiment": (str, None), "output_dir": (str, None)}
 
@@ -142,29 +150,21 @@ def validate_config(raw: dict) -> dict:
     if "output_dir" not in raw:
         raise ConfigError("missing key: output_dir")
     cfg = {"experiment": name, "output_dir": raw["output_dir"]}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, domain) in schema.items():
         if key in raw:
             value = _convert(key, typ, raw[key])
         elif default is None:
             raise ConfigError(f"missing required key for {name}: {key}")
         else:
             value = default
+        if domain and not all(IN_DOMAIN[domain[0]](v, domain[1])
+                              for v in (value if typ is list else [value])):
+            raise ConfigError(f"key {key} must be {domain[0]} {domain[1]}, got {value}")
         cfg[key] = value
-    if any(g < 0 for g in cfg.get("gamma_tildes", ())):
-        raise ConfigError(f"key gamma_tildes must hold rates >= 0, got {cfg['gamma_tildes']}")
-    if name == "lz":
-        if cfg["sign"] not in (1, -1):
-            raise ConfigError(f"key sign must be +1 or -1, got {cfg['sign']}")
-        if cfg["delta2_over_s"] < 0:
-            raise ConfigError(f"key delta2_over_s must be >= 0, got {cfg['delta2_over_s']}")
-    if name == "radiation":
-        gt = cfg["gamma_tilde"]
-        if gt <= 0:
-            raise ConfigError(f"key gamma_tilde must be > 0, got {gt}")
-        # the comparison of radiation._time_grid, which keeps it for library callers
-        if cfg["T_max"] < 10.0 / gt:
-            raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
-                              f"need >= 10/gamma_tilde = {10.0 / gt}")
+    # the comparison of radiation._time_grid, which keeps it for library callers
+    if name == "radiation" and cfg["T_max"] < 10.0 / cfg["gamma_tilde"]:
+        raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
+                          f"need >= 10/gamma_tilde = {10.0 / cfg['gamma_tilde']}")
     return cfg
 
 
@@ -337,20 +337,19 @@ def _radiation_run(dim, cfg, xs):
 
 def _run_radiation(cfg):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
-    trans, steady, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
+    e_rad, q_st, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
     lhs, rhs = sum_rule_check(liou, rho0, cfg["T_max"])
-    tables = {"transient_spectrum.csv": {"x": trans.omega_grid, "E_rad": trans.values},
-              "steady_spectrum.csv": {"x": steady.omega_grid, "Q_st": steady.values}}
+    tables = {"transient_spectrum.csv": {"x": xs, "E_rad": e_rad},
+              "steady_spectrum.csv": {"x": xs, "Q_st": q_st}}
     results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)
 
     def probe(dim):
-        t, s, *_ = _radiation_run(dim, cfg, xs[::k])
-        return np.concatenate([t.values, s.values])
+        return np.concatenate(_radiation_run(dim, cfg, xs[::k])[:2])
 
-    base = np.concatenate([trans.values[::k], steady.values[::k]])
+    base = np.concatenate([e_rad[::k], q_st[::k]])
     return tables, results, convergence_report(base, probe, cfg["dim"], rel_tol=1e-4)
 
 
@@ -358,13 +357,13 @@ def _run_floquet_check(cfg):
     def eps_over_v(n_cut):
         p = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
                                         k_cut=cfg["k_cut"], n_cut=n_cut)
-        rows = floquet_vs_rwa(p, n_track=cfg["n_track"])
-        return rows, np.array([r["eps_fourier"] for r in rows]) / cfg["V"]
+        columns = floquet_vs_rwa(p, n_track=cfg["n_track"])
+        return columns, columns["eps_fourier"] / cfg["V"]
 
-    rows, base = eps_over_v(cfg["n_cut"])
-    table = {key: np.array([r[key] for r in rows])
+    columns, base = eps_over_v(cfg["n_cut"])
+    table = {key: columns[key]
              for key in ("parity", "rank", "eps_fourier", "eps_rwa", "discrepancy")}
-    results = {"worst_discrepancy_over_V": max(r["discrepancy"] for r in rows) / cfg["V"]}
+    results = {"worst_discrepancy_over_V": float(np.max(columns["discrepancy"])) / cfg["V"]}
     return {"floquet_check.csv": table}, results, convergence_report(
         base, lambda n_cut: eps_over_v(n_cut)[1], cfg["n_cut"], dim_step=8, rel_tol=1e-5)
 
@@ -418,8 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list":
         for name, schema in EXPERIMENTS.items():
-            required = [k for k, (_, d) in schema.items() if d is None]
-            optional = {k: d for k, (_, d) in schema.items() if d is not None}
+            required = [k for k, (_, d, _) in schema.items() if d is None]
+            optional = {k: d for k, (_, d, _) in schema.items() if d is not None}
             print(f"{name}: required {required or '[]'}, optional {optional}")
         return 0
     try:

@@ -155,9 +155,11 @@ def _circular_distance(a: float, b: float, period: float) -> float:
 
 
 def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
-                   rwa_dim: int | None = None) -> list[dict]:
+                   rwa_dim: int | None = None) -> dict[str, np.ndarray]:
     """Compare tracked quasienergies between the Fourier matrix and the RWA mapping.
 
+    Returns columns (name -> 1-D array, one entry per tracked state, lowest RWA
+    energy first): parity, rank, eps_fourier, eps_rwa, overlap, discrepancy.
     Each low-lying RWA eigenstate is embedded into the Fourier basis along its
     resonant chain (Fock component n of an even state sits at Fourier index
     k = n/2, odd at k = (n-1)/2); the Fourier eigenvector with maximal overlap
@@ -174,7 +176,8 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
     w, vecs = np.linalg.eigh(m)
     nk = 2 * p.k_cut + 1
 
-    out = []
+    table = {key: [] for key in ("parity", "rank", "eps_fourier", "eps_rwa", "overlap",
+                                 "discrepancy")}
     for energy, parity, rank in states[:n_track]:
         idx, _, v = chains[parity]
         keep = (idx < p.n_cut) & (idx // 2 <= p.k_cut)
@@ -186,28 +189,20 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
         j = int(np.argmax(overlaps))
         eps_fourier = float(w[j] % p.omegaF)
         eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)
-        out.append({
-            "parity": parity,
-            "rank": rank,
-            "eps_fourier": eps_fourier,
-            "eps_rwa": eps_rwa,
-            "overlap": float(overlaps[j]),
-            "discrepancy": _circular_distance(eps_fourier, eps_rwa, p.omegaF),
-        })
-    return out
+        row = (parity, rank, eps_fourier, eps_rwa, float(overlaps[j]),
+               _circular_distance(eps_fourier, eps_rwa, p.omegaF))
+        for column, value in zip(table.values(), row):
+            column.append(value)
+    return {key: np.array(column) for key, column in table.items()}
 
 
 def floquet_quasienergies(p: LabFrameParams, n_track: int = 6) -> QuasienergySet:
     """Tracked low-lying quasienergies of the Fourier matrix, parity-labeled."""
-    rows = floquet_vs_rwa(p, n_track=n_track)
-    return QuasienergySet(
-        omegaF=p.omegaF,
-        values=np.array([r["eps_fourier"] for r in rows]),
-        parities=np.array([r["parity"] for r in rows], dtype=int),
-    )
+    table = floquet_vs_rwa(p, n_track=n_track)
+    return QuasienergySet(omegaF=p.omegaF, values=table["eps_fourier"],
+                          parities=table["parity"].astype(int))
 
 
 def worst_discrepancy(p: LabFrameParams, n_track: int = 6) -> float:
     """Largest quasienergy mismatch over the tracked states, in units of V."""
-    rows = floquet_vs_rwa(p, n_track=n_track)
-    return max(r["discrepancy"] for r in rows) / p.V
+    return float(np.max(floquet_vs_rwa(p, n_track=n_track)["discrepancy"])) / p.V

@@ -8,16 +8,18 @@ eigenvectors coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The first
 128 states are stepped one matrix-vector product at a time; every later block
 of 128 states is one matrix product of the block before it with P^128.
 
-``evolve_master`` returns rho(t) = exp(L t) rho0 on such a grid.  Two-time
-correlators <a_dag(t1) a(t2)> follow from the quantum regression rule:
-propagate rho to t1, deform it by a_dag on the right, propagate the deformation
-for tau = t2 - t1, and trace against a.
+``evolve_master`` returns rho(t) = exp(L t) rho0 on such a grid.
+``two_time_correlator`` returns <a_dag(t1) a(t2)> by the quantum regression
+rule on full d^2 vectors, the reference for the spectra: propagate rho to t1,
+deform it by a_dag on the right, propagate the deformation for tau = t2 - t1,
+and trace against a.
 
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
 rho a_dag of the even part fill, so the spectra keep only the even deviation
 from the steady state, the odd seeds and the odd adjoint rows tr_a Lambda^tau;
-``emission_spectra`` reads both spectra off one stepping of those rows.
+``emission_spectra`` reads both spectra, as arrays on the caller's grid, off
+one stepping of those rows, and ``sum_rule_check`` integrates the first.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -30,15 +32,18 @@ relative to the steady state):
 
 evaluated on a uniform time grid with trapezoidal weights; the grid step obeys
 dt <= min(0.05/gamma_tilde, 0.2/max|x|) so the fastest retained oscillation is
-resolved.  Frequency grids must be uniform: the Fourier sums over the time grid
-are evaluated for all x at once by the chirp-z transform (Rabiner, Schafer &
-Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
+resolved.  The stationary spectrum
+
+    Q_st(x) = 2 Re Int_0^T dtau e^{i x tau} C_st(tau)
+
+uses the same grid.  Frequency grids must be uniform: the Fourier sums over the
+time grid are evaluated for all x at once by the chirp-z transform (Rabiner,
+Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -48,21 +53,8 @@ from .fock import ladder_operators
 from .lindblad import Liouvillian, steady_state
 
 _BLOCK = 128        # states per matrix product in the blocked stepping
-
-
-@dataclass
-class CorrelatorGrid:
-    """C(t1, t2) = <a_dag(t1) a(t2)> for t2 >= t1; lower triangle unused (zeros)."""
-
-    t_grid: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
-class SpectralDensity:
-    omega_grid: np.ndarray      # x = Omega - omega_F/2, units of V
-    values: np.ndarray
-    kind: str                   # "transient_energy" or "steady_power"
+_RELAX_TOL = 1e-4   # largest |rho(T_max) - rho_st| entry before the relaxation warning
+_SUM_RULE_POINTS = 4001     # frequencies of the sum rule's x-quadrature
 
 
 def _uniform_step(grid: np.ndarray, name: str) -> float:
@@ -209,8 +201,8 @@ def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray) -> n
 # correlators
 
 def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
-                        t_grid: np.ndarray) -> CorrelatorGrid:
-    """Fill C(t1, t2) for all grid pairs with t2 >= t1 by quantum regression.
+                        t_grid: np.ndarray) -> np.ndarray:
+    """C[i, j] = <a_dag(t_i) a(t_j)> for j >= i by quantum regression; zero below the diagonal.
 
     Works on full d^2 vectors (both sectors of rho0, every seed), so it is an
     independent reference for the sector-only spectra.
@@ -224,73 +216,45 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
     values = np.zeros((n_t, n_t), dtype=complex)
     for i in range(n_t):
         values[i, i:] = full[: n_t - i, i]
-    return CorrelatorGrid(t_grid=t_grid, values=values)
-
-
-def stationary_correlator(liou: Liouvillian, taus: np.ndarray,
-                          rho_st: np.ndarray | None = None) -> np.ndarray:
-    """C_st(tau) = Tr[a Lambda_tau(rho_st a_dag)], the odd adjoint rows against one seed."""
-    if rho_st is None:
-        rho_st = steady_state(liou)
-    taus = np.asarray(taus, dtype=float)
-    tr_a, src, coef = _odd_operators(liou)
-    rows = _SteppingFlow(liou, taus).states(1, tr_a, adjoint=True)
-    return rows @ (coef * np.asarray(rho_st, complex).reshape(-1)[liou.sectors[0].idx][src])
+    return values
 
 
 # ---------------------------------------------------------------------------
 # spectra
 
-def _time_grid(liou: Liouvillian, T: float, name: str, omega_grid: np.ndarray,
-               dt: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(omega_grid, uniform time grid on [0, T]), validated before any propagation."""
+def _time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray) -> np.ndarray:
+    """Uniform time grid on [0, T_max] for omega_grid, validated before any propagation."""
     gt = liou.gamma_tilde
     if gt <= 0:
         raise ValueError("emission spectra need gamma_tilde > 0")
-    if T < 10.0 / gt:
-        raise ValueError(f"{name} = {T} too short; need >= {10.0 / gt}")
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    if T_max < 10.0 / gt:
+        raise ValueError(f"T_max = {T_max} too short; need >= {10.0 / gt}")
     _uniform_step(omega_grid, "omega_grid")
-    if dt is None:
-        x_max = float(np.max(np.abs(omega_grid), initial=0.0))
-        dt = min(0.05 / gt, 0.2 / x_max) if x_max > 0 else 0.05 / gt
-    return omega_grid, np.linspace(0.0, T, int(np.ceil(T / dt)) + 1)
-
-
-def _density(omega_grid: np.ndarray, ts: np.ndarray, samples: np.ndarray,
-             kind: str) -> SpectralDensity:
-    """2 Re Int dt samples(t) e^{i x t} by the trapezoid rule on ts, for every x."""
-    w = _trapz_weights(len(ts), ts[1] - ts[0])
-    return SpectralDensity(omega_grid=omega_grid, kind=kind,
-                           values=_fourier_quadrature(omega_grid, ts, w * samples))
-
-
-def transient_spectrum(liou: Liouvillian, rho0: np.ndarray, T_max: float,
-                       omega_grid: np.ndarray, dt: float | None = None,
-                       relax_tol: float = 1e-4) -> SpectralDensity:
-    """Excess emitted energy per unit frequency after preparing rho0.
-
-    Requires T_max >= 10/gamma_tilde so the transient has relaxed, and a
-    uniform omega_grid; warns if the state at T_max still differs from the
-    steady state by more than relax_tol.  Values may be negative: the prepared
-    state can emit less at a frequency than the steady state does.
-    """
-    return _transient(liou, rho0, T_max, omega_grid, dt, relax_tol)[0]
+    x_max = float(np.max(np.abs(omega_grid), initial=0.0))
+    dt = min(0.05 / gt, 0.2 / x_max) if x_max > 0 else 0.05 / gt
+    return np.linspace(0.0, T_max, int(np.ceil(T_max / dt)) + 1)
 
 
 def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
-                     omega_grid: np.ndarray) -> tuple[SpectralDensity, SpectralDensity]:
-    """(transient_spectrum, steady_spectrum with T_corr = T_max) from one odd-sector stepping."""
-    return _transient(liou, rho0, T_max, omega_grid, None, 1e-4)[:2]
+                     omega_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E_rad, Q_st) at every x of the uniform omega_grid, from one odd-sector stepping.
+
+    E_rad is the excess emitted energy per unit frequency after preparing rho0;
+    it may be negative, since the prepared state can emit less at a frequency
+    than the steady state does.  Q_st is the stationary emitted power per unit
+    frequency, windowed at T_max like E_rad.  Requires T_max >= 10/gamma_tilde
+    and warns if rho(T_max) has not relaxed to the steady state.
+    """
+    return _transient(liou, rho0, T_max, omega_grid)[:2]
 
 
-def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
-               omega_grid: np.ndarray, dt: float | None, relax_tol: float):
-    """(transient spectrum, steady spectrum, Int dt (<n>(t) - <n>_st)) on one time grid.
+def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np.ndarray):
+    """(E_rad, Q_st, Int dt (<n>(t) - <n>_st)) on one time grid.
 
     Both correlators are the odd adjoint rows tr_a Lambda^tau against different seeds.
     """
-    omega_grid, ts = _time_grid(liou, T_max, "T_max", omega_grid, dt)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    ts = _time_grid(liou, T_max, omega_grid)
     dt = ts[1] - ts[0]
 
     even, odd = liou.sectors
@@ -304,7 +268,7 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     dev = flow.states(0, dev0[even.idx])
     left = max(float(np.max(np.abs(dev[-1]))),
                float(np.max(np.abs(flow.final(1, dev0[odd.idx])))))
-    if left > relax_tol:
+    if left > _RELAX_TOL:
         warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
                       RuntimeWarning, stacklevel=3)
     # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the diagonal
@@ -324,49 +288,38 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     s_tau[:-1] += np.einsum("jm,jm->j", rows[:-1], c_rev[1:])
     s_tau -= rows @ h0
     c_st = rows @ (coef * rho_st[even.idx][src])
-    return (_density(omega_grid, ts, s_tau, "transient_energy"),
-            _density(omega_grid, ts, c_st, "steady_power"),
-            float(np.sum(_trapz_weights(len(ts), dt) * excess)))
+    # 2 Re Int dt s(t) e^{i x t} by the trapezoid rule, for every x
+    w = _trapz_weights(len(ts), dt)
+    return (_fourier_quadrature(omega_grid, ts, w * s_tau),
+            _fourier_quadrature(omega_grid, ts, w * c_st), float(np.sum(w * excess)))
 
 
-def steady_spectrum(liou: Liouvillian, omega_grid: np.ndarray, T_corr: float,
-                    dt: float | None = None) -> SpectralDensity:
-    """Stationary emitted power per unit frequency around half the drive frequency."""
-    omega_grid, taus = _time_grid(liou, T_corr, "T_corr", omega_grid, dt)
-    return _density(omega_grid, taus, stationary_correlator(liou, taus), "steady_power")
-
-
-def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float,
-                   x_max: float | None = None, n_x: int = 4001,
-                   dt: float | None = None) -> tuple[float, float]:
+def sum_rule_check(liou: Liouvillian, rho0: np.ndarray, T_max: float) -> tuple[float, float]:
     """Frequency-integral consistency check of the transient spectrum.
 
     lhs = (1/2 pi) Int dx E_rad(x) over a wide grid; rhs = Int dt (<n>(t) - <n>_st).
+    The grid covers every odd-sector oscillation frequency that carries weight
+    for rho0, plus a margin of 100 gamma_tilde.
     The two must agree because integrating the phase factor over all x
     collapses the double time integral onto its diagonal.  Both come from one
     propagation: the excess occupation is read off the deviation that the
     transient spectrum steps.
     """
-    gt = liou.gamma_tilde
-    if x_max is None:
-        # cover every oscillation frequency that carries weight for this seed;
-        # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The
-        # trace against a only sees the odd sector, so its modes suffice.
-        even, odd = liou.sectors
-        mu, r = np.linalg.eig(odd.block)
-        cond = np.linalg.cond(r)
-        # cond*eps bounds the relative error of the mode weights
-        if cond > 1e13:
-            raise ValueError(
-                f"x_max must be given explicitly: odd-sector eigenbasis condition "
-                f"number {cond:.2e} too large"
-            )
-        tr_a, src, coef = _odd_operators(liou)
-        dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)[even.idx]
-        w = np.abs((tr_a @ r) * np.linalg.solve(r, coef * dev0[src]))
-        active = w > 1e-12 * max(float(w.max()), 1e-300)
-        x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
-            + 100.0 * gt
-    xs = np.linspace(-x_max, x_max, n_x)
-    spec, _, rhs = _transient(liou, rho0, T_max, xs, dt, relax_tol=1e-4)
-    return float(np.trapezoid(spec.values, xs) / (2.0 * np.pi)), rhs
+    # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The trace
+    # against a only sees the odd sector, so its modes suffice.
+    even, odd = liou.sectors
+    mu, r = np.linalg.eig(odd.block)
+    cond = np.linalg.cond(r)
+    # cond*eps bounds the relative error of the mode weights
+    if cond > 1e13:
+        raise ValueError(f"sum rule needs the odd-sector eigenbasis: condition "
+                         f"number {cond:.2e} too large")
+    tr_a, src, coef = _odd_operators(liou)
+    dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)[even.idx]
+    w = np.abs((tr_a @ r) * np.linalg.solve(r, coef * dev0[src]))
+    active = w > 1e-12 * max(float(w.max()), 1e-300)
+    x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
+        + 100.0 * liou.gamma_tilde
+    xs = np.linspace(-x_max, x_max, _SUM_RULE_POINTS)
+    e_rad, _, rhs = _transient(liou, rho0, T_max, xs)
+    return float(np.trapezoid(e_rad, xs) / (2.0 * np.pi)), rhs

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,12 +96,52 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("lz", "n_out=2.7", "n_out"),           # int(2.7) used to run 2 quietly
     ("lz", "sign=1.5", "sign"),
     ("radiation", "gamma_tilde=0", "gamma_tilde"),
+    # sizes and rates outside the domain of the library call they feed
+    ("lz", "n_out=0", "n_out"),
+    ("lz", "n_out=1", "n_out"),
+    ("lz", "t_max=0", "t_max"),
+    ("radiation", "dim=2", "dim"),
+    ("radiation", "s_tilde=0", "s_tilde"),
+    ("radiation", "x_points=0", "x_points"),
+    ("ramp", "n_out=0", "n_out"),
+    ("ramp", "dim=1", "dim"),
+    ("ramp", "s_tilde=0", "s_tilde"),
+    ("spectrum", "f_points=0", "f_points"),
+    ("spectrum", "n_levels=0", "n_levels"),
+    ("spectrum", "dim=1", "dim"),
+    ("wigner", "q_points=1", "q_points"),   # a one-point axis has no cell size
+    ("decay_rates", "f_points=0", "f_points"),
+    ("floquet_check", "n_track=0", "n_track"),
+    ("floquet_check", "k_cut=2", "k_cut"),
+    ("zero_drive", "n_max=-1", "n_max"),
 ])
 def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, key):
-    keys = {"zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0}, "decay_rates": {},
-            "radiation": TINY["radiation"]}
+    keys = {**TINY, "zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0},
+            "decay_rates": {}}
     assert_rejected_before_run(tmp_path, capsys, {"experiment": experiment, **keys[experiment]},
                                override, f"key {key}")
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def bench_configs():
+    """Each timed and probe entry of the three workloads and each tiny.json entry."""
+    params = []
+    for workload in ("dissipation", "tomography", "flows"):
+        spec = json.loads((BENCH_CONFIGS / f"{workload}.json").read_text(encoding="utf-8"))
+        for group in ("timed", "probe"):
+            params += [pytest.param(cfg, id=f"{workload}-{group}{i}")
+                       for i, cfg in enumerate(spec.get(group, []))]
+    tiny = json.loads((BENCH_CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+    return params + [pytest.param(cfg, id=f"tiny-{name}") for name, cfg in tiny.items()]
+
+
+@pytest.mark.parametrize("raw", bench_configs())
+def test_benchmark_config_validates(tmp_path, raw):
+    # the domains of validate_config must not fail a benchmark operation
+    cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
+    assert cfg["experiment"] == raw["experiment"]
 
 
 @pytest.mark.parametrize("override, key", [
@@ -285,7 +326,7 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(path))
 
 
-def test_wigner_run_records_boundary_mass(tmp_path, capsys):
+def test_wigner_run_records_boundary_mass(tmp_path):
     out = tmp_path / "w"
     cfg = write_config(tmp_path, {"experiment": "wigner", "delta": 0.0,
                                   "f_final": 0.5, "s_tilde": 0.25, "dim": 16,
@@ -297,9 +338,6 @@ def test_wigner_run_records_boundary_mass(tmp_path, capsys):
     assert 0.0 <= manifest["results"]["boundary_mass"] < 1e-4
     assert manifest["results"]["norm"] == pytest.approx(1.0, abs=1e-3)
     assert manifest["results"]["lambda"] == 1.0
-    # a one-point axis has no cell size: the CLI reports it, not an IndexError
-    assert main(["run", "--config", cfg, "--set", "q_points=1"]) == 1
-    assert "q_axis" in capsys.readouterr().err
 
 
 TINY = {

@@ -129,11 +129,10 @@ def test_quasienergy_mapping():
 
 def test_fourier_vs_rwa_tracked_states():
     p = make_params(0.3, 0.8)
-    rows = floquet_vs_rwa(p, n_track=6)
-    assert len(rows) == 6
-    for r in rows:
-        assert r["overlap"] > 0.99
-        assert r["discrepancy"] < 2e-3 * V
+    table = floquet_vs_rwa(p, n_track=6)
+    assert {len(column) for column in table.values()} == {6}
+    assert np.all(table["overlap"] > 0.99)
+    assert np.all(table["discrepancy"] < 2e-3 * V)
 
 
 def test_quasienergy_set_type():
@@ -161,8 +160,7 @@ def test_rwa_error_decreases_with_nonlinearity():
 def test_quasienergy_set_stable_under_k_cut():
     p1 = make_params(1.8, 1.0, k_cut=10, n_cut=20)
     p2 = make_params(1.8, 1.0, k_cut=12, n_cut=20)
-    r1 = floquet_vs_rwa(p1, n_track=6)
-    r2 = floquet_vs_rwa(p2, n_track=6)
-    for a, b in zip(r1, r2):
-        d = abs(a["eps_fourier"] - b["eps_fourier"]) % p1.omegaF
-        assert min(d, p1.omegaF - d) < 1e-8 * p1.omegaF
+    e1 = floquet_vs_rwa(p1, n_track=6)["eps_fourier"]
+    e2 = floquet_vs_rwa(p2, n_track=6)["eps_fourier"]
+    d = np.abs(e1 - e2) % p1.omegaF
+    assert np.all(np.minimum(d, p1.omegaF - d) < 1e-8 * p1.omegaF)

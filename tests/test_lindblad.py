@@ -137,6 +137,15 @@ class TestSteadyState:
         assert expectation_number(rho_st) > 0.1   # both wells populated
         assert np.max(np.abs(liou.apply(rho_st))) < 1e-10
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.integers(4, 20), delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 1.5),
+           gt=st.floats(0.05, 1.0))
+    def test_positive_unit_trace_hermitian(self, dim, delta, f, gt):
+        rho_st = steady_state(make_liouvillian(dim, delta, f, gt))
+        assert np.max(np.abs(rho_st - rho_st.conj().T)) < 1e-12
+        assert abs(np.trace(rho_st) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho_st).min() >= -1e-12
+
     def test_degenerate_null_space_raises(self):
         # a zero generator leaves every even vector stationary
         d = 6
