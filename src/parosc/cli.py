@@ -165,6 +165,14 @@ def validate_config(raw: dict) -> dict:
     if name == "radiation" and cfg["T_max"] < 10.0 / cfg["gamma_tilde"]:
         raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
                           f"need >= 10/gamma_tilde = {10.0 / cfg['gamma_tilde']}")
+    # spectrum_vs_drive needs an ascending drive grid
+    if "f_min" in schema and cfg["f_min"] > cfg["f_max"]:
+        raise ConfigError(f"key f_min = {cfg['f_min']} must be <= key f_max = {cfg['f_max']}")
+    # the RWA chains at n_cut hold n_cut states in all, and the probe at n_cut + 8
+    # must track as many as the run
+    if name == "floquet_check" and cfg["n_track"] > cfg["n_cut"]:
+        raise ConfigError(f"key n_track = {cfg['n_track']} must be <= key n_cut = "
+                          f"{cfg['n_cut']}, the number of RWA states at n_cut")
     return cfg
 
 
@@ -338,10 +346,12 @@ def _radiation_run(dim, cfg, xs):
 def _run_radiation(cfg):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
     e_rad, q_st, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
-    lhs, rhs = sum_rule_check(liou, rho0, cfg["T_max"])
+    lhs, rhs, rate = sum_rule_check(liou, rho0, cfg["T_max"])
     tables = {"transient_spectrum.csv": {"x": xs, "E_rad": e_rad},
               "steady_spectrum.csv": {"x": xs, "Q_st": q_st}}
-    results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, **_cf4_record(ramp)}
+    # the share of the slowest weighted correlator mode left past the horizon
+    results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, "slowest_odd_rate": rate,
+               "horizon_weight": math.exp(-rate * cfg["T_max"]), **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)

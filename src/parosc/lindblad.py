@@ -13,6 +13,14 @@ with odd m + n.  Each Liouvillian carries these two parity sectors as separate
 dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
 is solved on the even block, and ``radiation`` steps rho(t), the correlators
 and the spectra block by block.
+
+A Lindblad generator preserves Hermiticity, L(rho^dag) = L(rho)^dag (Alicki &
+Lendi, Lect. Notes Phys. 286 (1987)), and each sector is closed under the
+adjoint.  In the Hermitian basis E_mm, (E_mn + E_nm)/sqrt(2),
+i(E_mn - E_nm)/sqrt(2) (m < n) every sector block is therefore a real matrix,
+and a Hermitian rho has real coordinates.  Each ``Sector`` keeps only that real
+block, with the two gathers between its Fock entries and its Hermitian-basis
+coordinates; this module is the only one that knows either coordinate system.
 """
 
 from __future__ import annotations
@@ -26,11 +34,67 @@ from .fock import FockSpace, check_state, ladder_operators, number_operator
 from .rwa import RwaSystem, build_h_rwa
 
 
+_GATHER_ROWS = 32   # rows per pass of a Gather over a stack of vectors
+
+
+class Gather(NamedTuple):
+    """Sparse linear map out[..., i] = sum_j coef[i, j] * v[..., pos[i, j]] on the last axis."""
+
+    pos: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(v.shape[:-1] + (len(self.pos),), np.result_type(v, self.coef))
+        rows, flat = v.reshape(-1, v.shape[-1]), out.reshape(-1, len(self.pos))
+        # a few rows at a time, so that the gathered terms stay in cache
+        for start in range(0, len(rows), _GATHER_ROWS):
+            block, acc = rows[start:start + _GATHER_ROWS], flat[start:start + _GATHER_ROWS]
+            np.multiply(block[:, self.pos[:, 0]], self.coef[:, 0], out=acc)
+            for j in range(1, self.pos.shape[1]):
+                acc += block[:, self.pos[:, j]] * self.coef[:, j]
+        return out
+
+    def after(self, first: Gather) -> Gather:
+        """The map v -> self(first(v)), its terms multiplied out."""
+        n = len(self.pos)
+        return Gather(first.pos[self.pos].reshape(n, -1),
+                      (self.coef[:, :, None] * first.coef[self.pos]).reshape(n, -1))
+
+
 class Sector(NamedTuple):
-    """Row-stacked indices m*dim + n with (m + n) % 2 fixed, and the generator block."""
+    """One (m + n)-parity sector: its Fock entries, its real block and the maps between them.
+
+    idx holds the row-stacked indices m*dim + n with (m + n) % 2 fixed; the
+    sector's Fock vector is x = vec(rho)[idx].  The columns of the unitary T
+    are the Hermitian basis, and y = T^H x are the coordinates, real for a
+    Hermitian rho: ``to_herm`` applies T^H and ``to_fock`` applies T, two
+    terms per entry each, and ``block`` is the real matrix T^H L_s T.
+    Coordinate k belongs to entry idx[k]: E_mm on the diagonal, the symmetric
+    element of the pair (m, n) above it and the antisymmetric one below it.
+    """
 
     idx: np.ndarray
     block: np.ndarray
+    to_herm: Gather
+    to_fock: Gather
+
+
+def _sector(matrix: np.ndarray, dim: int, parity: int) -> Sector:
+    """The sector of the given (m + n) parity of the generator ``matrix``."""
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    idx = np.flatnonzero((m + n) % 2 == parity)
+    local = np.zeros(dim * dim, dtype=np.intp)
+    local[idx] = np.arange(idx.size)
+    m, n = m[idx], n[idx]
+    pos = np.stack([np.arange(idx.size), local[n * dim + m]], axis=1)   # entry, its transpose
+    r = np.sqrt(0.5)
+    upper, lower = (m < n)[:, None], (m > n)[:, None]
+    herm = np.where(upper, [r, r], np.where(lower, [1j * r, -1j * r], [0.5, 0.5]))
+    fock = np.where(upper, [r, 1j * r], np.where(lower, [-1j * r, r], [0.5, 0.5]))
+    to_herm = Gather(pos, herm)
+    # T^H L_s T: the columns of T are the conjugated rows of T^H
+    ls_t = Gather(pos, herm.conj())(matrix[np.ix_(idx, idx)])
+    return Sector(idx, np.ascontiguousarray(to_herm(ls_t.T).T.real), to_herm, Gather(pos, fock))
 
 
 @dataclass
@@ -45,12 +109,7 @@ class Liouvillian:
     _steady: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        m, n = np.divmod(np.arange(self.dim * self.dim), self.dim)
-        parity = (m + n) % 2
-        self.sectors = tuple(
-            Sector(idx, self.matrix[np.ix_(idx, idx)])
-            for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
-        )
+        self.sectors = tuple(_sector(self.matrix, self.dim, parity) for parity in (0, 1))
 
     @property
     def dim(self) -> int:
@@ -91,8 +150,10 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     """Stationary density matrix: null vector of L under the trace constraint.
 
     Solved as the least-squares solution of L x = 0 stacked with Tr x = 1 on
-    the even sector, which holds the diagonal and hence the trace; the odd
-    entries of the result are exactly zero.  The stacked matrix has full
+    the real block of the even sector, which holds the diagonal and hence the
+    trace; the result is Hermitian by construction and its odd entries are
+    exactly zero.  T is unitary, so the singular values are those of the
+    complex block in Fock coordinates.  The stacked matrix has full
     column rank iff the even null space is at most one-dimensional, so a
     smallest singular value below ``null_tol`` times the largest means a
     degenerate null space; none at all leaves a large residual.  Measured
@@ -105,19 +166,18 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
         return liou._steady
     dim = liou.dim
     even = liou.sectors[0]
-    tr_row = _vec(np.eye(dim))[even.idx].astype(complex)
+    tr_row = even.to_herm(_vec(np.eye(dim))[even.idx]).real
     a_mat = np.vstack([even.block, tr_row])
-    b = np.zeros(len(even.idx) + 1, dtype=complex)
+    b = np.zeros(len(even.idx) + 1)
     b[-1] = 1.0
-    x_even, _, _, sv = np.linalg.lstsq(a_mat, b, rcond=None)
+    y_even, _, _, sv = np.linalg.lstsq(a_mat, b, rcond=None)
     if sv[-1] < null_tol * sv[0]:
         raise RuntimeError(f"degenerate null space: smallest singular value "
                            f"{sv[-1]:.3g} below {null_tol:.3g} x {sv[0]:.3g}")
     scale = max(float(sv[0]), 1.0)
     x = np.zeros(dim * dim, dtype=complex)
-    x[even.idx] = x_even
+    x[even.idx] = even.to_fock(y_even)
     rho = _unvec(x, dim)
-    rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     resid = float(np.max(np.abs(liou.apply(rho))))
     if resid > 1e-10 * scale:

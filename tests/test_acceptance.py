@@ -279,12 +279,12 @@ def test_c12_sum_rule(fig8_strong_drive):
     gt = 0.1
     liou0 = build_liouvillian(space, RwaSystem(delta=1.0, f=0.0), gt)
     rho1 = np.outer(space.basis_state(1), space.basis_state(1))
-    lhs0, rhs0 = sum_rule_check(liou0, rho1, 150.0)
+    lhs0, rhs0, _ = sum_rule_check(liou0, rho1, 150.0)
     analytic_ok = (abs(lhs0 - 1 / (2 * gt)) <= 0.02 * (1 / (2 * gt))
                    and abs(lhs0 - rhs0) <= 0.02 * abs(rhs0))
 
     liou, rho0, _ = fig8_strong_drive
-    lhs, rhs = sum_rule_check(liou, rho0, 120.0)
+    lhs, rhs, _ = sum_rule_check(liou, rho0, 120.0)
     driven_ok = abs(lhs - rhs) <= 0.02 * abs(rhs)
     ok = analytic_ok and driven_ok
     assert report(12, ok, f"single-decay lhs={lhs0:.4f} (target 5), "

@@ -114,12 +114,16 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("floquet_check", "n_track=0", "n_track"),
     ("floquet_check", "k_cut=2", "k_cut"),
     ("zero_drive", "n_max=-1", "n_max"),
+    # cross-key rules, each naming every key it compares (comma-separated here)
+    ("floquet_check", "n_track=13", "n_track,n_cut"),   # used to die in a numpy broadcast
+    ("spectrum", "f_min=1.0", "f_min,f_max"),
+    ("decay_rates", "f_min=7.0", "f_min,f_max"),
 ])
 def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, key):
     keys = {**TINY, "zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0},
             "decay_rates": {}}
     assert_rejected_before_run(tmp_path, capsys, {"experiment": experiment, **keys[experiment]},
-                               override, f"key {key}")
+                               override, *(f"key {k}" for k in key.split(",")))
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -294,6 +298,16 @@ def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
                                     "output_dir": str(tmp_path)}))
     assert sum(1 for key in steps if key[-1] == 1) == 3
     assert set(steps.values()) == {1}
+
+
+def test_radiation_manifest_records_horizon_weight(tmp_path):
+    # the weight the slowest weighted odd mode keeps past T_max is in the manifest
+    manifest = run_experiment(validate_config({"experiment": "radiation", **TINY["radiation"],
+                                               "output_dir": str(tmp_path)}))
+    res = manifest["results"]
+    assert 0.0 < res["slowest_odd_rate"] < np.inf
+    assert res["horizon_weight"] == pytest.approx(
+        np.exp(-res["slowest_odd_rate"] * TINY["radiation"]["T_max"]), rel=1e-15)
 
 
 def test_ramp_run_manifest(tmp_path):

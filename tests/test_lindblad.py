@@ -66,6 +66,49 @@ class TestParitySectors:
         assert np.all(rho_st.reshape(-1)[parity == 1] == 0.0)
 
 
+class TestHermitianBasis:
+    """Each sector block is the real matrix T^H L_s T in the Hermitian basis."""
+
+    @staticmethod
+    def hermitian_basis(dim, idx):
+        """T with column k the basis element at entry idx[k], in the sector's Fock entries."""
+        pos = {int(i): k for k, i in enumerate(idx)}
+        t = np.zeros((idx.size, idx.size), complex)
+        r = np.sqrt(0.5)
+        for k, i in enumerate(idx):
+            m, n = divmod(int(i), dim)
+            j = pos[n * dim + m]
+            if m == n:          # E_mm
+                t[k, k] = 1.0
+            elif m < n:         # (E_mn + E_nm)/sqrt(2)
+                t[k, k] = t[j, k] = r
+            else:               # i(E_nm - E_mn)/sqrt(2) of the pair n < m
+                t[j, k], t[k, k] = 1j * r, -1j * r
+        return t
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0),
+           gt=st.floats(0.05, 1.0), dim=st.integers(3, 12))
+    def test_real_blocks_in_hermitian_basis(self, delta, f, gt, dim):
+        liou = make_liouvillian(dim, delta, f, gt)
+        scale = np.max(np.abs(liou.matrix))
+        for sector in liou.sectors:
+            t = self.hermitian_basis(dim, sector.idx)
+            eye = np.eye(sector.idx.size)
+            assert np.max(np.abs(t.conj().T @ t - eye)) < 1e-14
+            # the maps are T^H and T: as gathers on rows, eye -> conj(T) and T^T
+            assert np.max(np.abs(sector.to_herm(eye) - t.conj())) < 1e-15
+            assert np.max(np.abs(sector.to_fock(eye) - t.T)) < 1e-15
+            dense = t.conj().T @ liou.matrix[np.ix_(sector.idx, sector.idx)] @ t
+            assert sector.block.dtype == np.float64
+            assert np.max(np.abs(sector.block - dense)) < 1e-13 * scale
+
+        mu = np.concatenate([np.linalg.eigvals(s.block) for s in liou.sectors])
+        ref = np.linalg.eigvals(liou.matrix)
+        rows, cols = linear_sum_assignment(np.abs(mu[:, None] - ref[None, :]))
+        assert np.max(np.abs(mu[rows] - ref[cols])) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+
 class TestEvolve:
     def test_exponential_occupation_decay(self):
         gt = 0.25

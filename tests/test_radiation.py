@@ -389,6 +389,30 @@ class TestEvolveMaster:
         assert np.max(np.abs(rhos - adj)) < 1e-10
         assert np.linalg.eigvalsh(0.5 * (rhos + adj)).min() > -1e-10
 
+    def test_hermitian_input_steps_one_real_row_other_input_two(self, monkeypatch):
+        # the flow is real arithmetic: a Hermitian rho0 has real coordinates,
+        # any other matrix is stepped as its real and imaginary coordinates
+        sp, liou, rho0 = TestPropagation.coherent_case()
+        shapes = []
+        states = _SteppingFlow.states
+
+        def recording(self, s, x, adjoint=False):
+            shapes.append(x.shape)
+            assert x.dtype == np.float64
+            return states(self, s, x, adjoint)
+
+        monkeypatch.setattr(_SteppingFlow, "states", recording)
+        ts = np.linspace(0.0, 3.0, 7)
+        evolve_master(liou, rho0, ts)
+        m = liou.sectors[0].idx.size
+        assert shapes == [(m,), (m,)]
+        shapes.clear()
+        x = rho0 @ ladder_operators(sp)[1]        # not Hermitian, both sectors
+        rhos = evolve_master(liou, x, ts)
+        assert shapes == [(2, m), (2, m)]
+        ref = expm(liou.matrix * ts[-1]) @ x.reshape(-1)
+        assert np.max(np.abs(rhos[-1].reshape(-1) - ref)) < 1e-10 * np.max(np.abs(ref))
+
     def test_grid_must_be_uniform_from_zero(self):
         sp, liou, rho0 = TestPropagation.coherent_case()
         with pytest.raises(ValueError, match="uniform"):
@@ -404,21 +428,23 @@ class TestSumRule:
         sp = FockSpace(dim)
         liou = make_liouvillian(dim, 1.0, 0.0, gt)
         rho0 = np.outer(sp.basis_state(1), sp.basis_state(1))
-        lhs, rhs = sum_rule_check(liou, rho0, 150.0)
+        lhs, rhs, rate = sum_rule_check(liou, rho0, 150.0)
         assert rhs == pytest.approx(1 / (2 * gt), rel=1e-4)   # trapezoid-limited
         assert lhs == pytest.approx(rhs, rel=0.02)
+        # the one weighted odd mode is the coherence |1><0|, which decays at gt
+        assert rate == pytest.approx(gt, rel=1e-12)
 
     def test_steady_seed_both_zero(self):
         liou = make_liouvillian(8, 0.5, 0.4, 0.3)
         rho_st = steady_state(liou)
-        lhs, rhs = sum_rule_check(liou, rho_st, 40.0)
+        lhs, rhs, _ = sum_rule_check(liou, rho_st, 40.0)
         assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
 
     def test_driven_configuration(self):
         dim, delta, f, gt = 20, 1.8, 1.0, 0.1
         rho0 = prepared_state(dim, delta, f)
         liou = make_liouvillian(dim, delta, f, gt)
-        lhs, rhs = sum_rule_check(liou, rho0, 120.0)
+        lhs, rhs, _ = sum_rule_check(liou, rho0, 120.0)
         assert lhs == pytest.approx(rhs, rel=0.02)
         # independent occupation route: <n>(t) is the equal-time regression
         # correlator of the full-space reference
