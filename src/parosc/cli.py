@@ -95,7 +95,7 @@ EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
         "s_tilde": (float, 0.06, POSITIVE),
         "dim": (int, 24, DIM),
         "T_max": (float, None, None),       # >= 10/gamma_tilde, checked below
-        "x_max": (float, 8.0, None),
+        "x_max": (float, 8.0, POSITIVE),
         "x_points": (int, 801, (">=", 1)),
     },
     "floquet_check": {

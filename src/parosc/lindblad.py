@@ -3,16 +3,16 @@
 d rho/dt = -i [H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n)
 
 with the single lowering-operator dissipator (bath temperature far below the
-oscillator quantum).  The Liouvillian is kept as a dense dim^2 x dim^2 matrix
-acting on row-stacked density matrices: at desk-scale truncations robustness
-beats scalability.
+oscillator quantum).  The generator is written once, as its action on d x d
+matrices through the two bands of H (``rwa.h_rwa_bands``).
 
 H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
-dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
-is solved on the even block, and ``radiation`` steps rho(t), the correlators
-and the spectra block by block.
+dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)), built by applying
+the generator to the sector's basis matrices; the steady state is solved on the
+even block, and ``radiation`` steps rho(t), the correlators and the spectra
+block by block.
 
 A Lindblad generator preserves Hermiticity, L(rho^dag) = L(rho)^dag (Alicki &
 Lendi, Lect. Notes Phys. 286 (1987)), and each sector is closed under the
@@ -26,12 +26,12 @@ coordinates; this module is the only one that knows either coordinate system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fock import FockSpace, check_state, ladder_operators, number_operator
-from .rwa import RwaSystem, build_h_rwa
+from .fock import FockSpace, check_state
+from .rwa import RwaSystem, h_rwa_bands
 
 
 _GATHER_ROWS = 32   # rows per pass of a Gather over a stack of vectors
@@ -79,8 +79,25 @@ class Sector(NamedTuple):
     to_fock: Gather
 
 
-def _sector(matrix: np.ndarray, dim: int, parity: int) -> Sector:
-    """The sector of the given (m + n) parity of the generator ``matrix``."""
+def _generator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float,
+               rho: np.ndarray) -> np.ndarray:
+    """L[rho] on the last two axes of rho, for H with bands (diag, off2) of ``h_rwa_bands``."""
+    n = np.arange(len(diag))
+    out = (-1j * (diag[:, None] - diag) - gamma_tilde * (n[:, None] + n)) * rho
+    # -i[H, rho] off the diagonal: <k|H|k+2> = <k+2|H|k> = off2[k]
+    i_off2 = 1j * off2
+    out[..., 2:, :] -= i_off2[:, None] * rho[..., :-2, :]
+    out[..., :-2, :] -= i_off2[:, None] * rho[..., 2:, :]
+    out[..., :, 2:] += rho[..., :, :-2] * i_off2
+    out[..., :, :-2] += rho[..., :, 2:] * i_off2
+    # 2 gamma_tilde (a rho a_dag)[m, n] = sqrt(2 gamma_tilde (m+1) (n+1)) rho[m+1, n+1]
+    root = np.sqrt(2.0 * gamma_tilde * n[1:])
+    out[..., :-1, :-1] += np.outer(root, root) * rho[..., 1:, 1:]
+    return out
+
+
+def _sector(apply: Callable[[np.ndarray], np.ndarray], dim: int, parity: int) -> Sector:
+    """The sector of the given (m + n) parity of the generator ``apply`` on d x d stacks."""
     m, n = np.divmod(np.arange(dim * dim), dim)
     idx = np.flatnonzero((m + n) % 2 == parity)
     local = np.zeros(dim * dim, dtype=np.intp)
@@ -91,59 +108,41 @@ def _sector(matrix: np.ndarray, dim: int, parity: int) -> Sector:
     upper, lower = (m < n)[:, None], (m > n)[:, None]
     herm = np.where(upper, [r, r], np.where(lower, [1j * r, -1j * r], [0.5, 0.5]))
     fock = np.where(upper, [r, 1j * r], np.where(lower, [-1j * r, r], [0.5, 0.5]))
-    to_herm = Gather(pos, herm)
-    # T^H L_s T: the columns of T are the conjugated rows of T^H
-    ls_t = Gather(pos, herm.conj())(matrix[np.ix_(idx, idx)])
-    return Sector(idx, np.ascontiguousarray(to_herm(ls_t.T).T.real), to_herm, Gather(pos, fock))
+    to_herm, to_fock = Gather(pos, herm), Gather(pos, fock)
+    # row k of T^T is the basis matrix T e_k; column k of T^H L_s T is T^H L[T e_k]
+    basis = np.zeros((idx.size, dim * dim), dtype=complex)
+    basis[:, idx] = to_fock(np.eye(idx.size))
+    ls_t = apply(basis.reshape(-1, dim, dim)).reshape(idx.size, -1)[:, idx]
+    return Sector(idx, np.ascontiguousarray(to_herm(ls_t).T.real), to_herm, to_fock)
 
 
 @dataclass
 class Liouvillian:
-    """Dense generator of the dissipative evolution and its two parity-sector blocks."""
+    """Lindblad generator of the dissipative evolution and its two parity-sector blocks."""
 
     space: FockSpace
     sys: RwaSystem
     gamma_tilde: float
-    matrix: np.ndarray
     sectors: tuple[Sector, Sector] = field(init=False, repr=False)
     _steady: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.sectors = tuple(_sector(self.matrix, self.dim, parity) for parity in (0, 1))
+        self.sectors = tuple(_sector(self.apply, self.dim, parity) for parity in (0, 1))
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.matrix @ rho.reshape(d * d)).reshape(d, d)
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1)
-
-
-def _unvec(x: np.ndarray, dim: int) -> np.ndarray:
-    return x.reshape(dim, dim)
+        """L[rho] for one d x d matrix or a stack of them on the last two axes."""
+        return _generator(*h_rwa_bands(self.dim, self.sys), self.gamma_tilde, rho)
 
 
 def build_liouvillian(space: FockSpace, sys: RwaSystem, gamma_tilde: float) -> Liouvillian:
-    """L[rho] = -i[H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n), units of V.
-
-    Row-stacking convention: vec(A rho B) = (A kron B^T) vec(rho).
-    """
+    """L[rho] = -i[H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n), units of V."""
     if gamma_tilde < 0:
         raise ValueError("gamma_tilde must be >= 0")
-    dim = space.dim
-    h = build_h_rwa(space, sys)
-    a, _ = ladder_operators(space)
-    n_op = number_operator(space)
-    eye = np.eye(dim)
-    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    lmat += -gamma_tilde * (np.kron(n_op, eye) + np.kron(eye, n_op.T)
-                            - 2.0 * np.kron(a, a.conj()))
-    return Liouvillian(space=space, sys=sys, gamma_tilde=gamma_tilde, matrix=lmat)
+    return Liouvillian(space=space, sys=sys, gamma_tilde=gamma_tilde)
 
 
 def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
@@ -166,7 +165,7 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
         return liou._steady
     dim = liou.dim
     even = liou.sectors[0]
-    tr_row = even.to_herm(_vec(np.eye(dim))[even.idx]).real
+    tr_row = even.to_herm(np.eye(dim).reshape(-1)[even.idx]).real
     a_mat = np.vstack([even.block, tr_row])
     b = np.zeros(len(even.idx) + 1)
     b[-1] = 1.0
@@ -177,7 +176,7 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     scale = max(float(sv[0]), 1.0)
     x = np.zeros(dim * dim, dtype=complex)
     x[even.idx] = even.to_fock(y_even)
-    rho = _unvec(x, dim)
+    rho = x.reshape(dim, dim)
     rho /= np.trace(rho).real
     resid = float(np.max(np.abs(liou.apply(rho))))
     if resid > 1e-10 * scale:

@@ -38,6 +38,12 @@ class RampProtocol:
         if self.s_tilde <= 0 or self.f_final <= 0:
             raise ValueError("s_tilde and f_final must be > 0")
         check_state(np.asarray(self.initial_state))
+        if self.output_times is not None:
+            times = np.asarray(self.output_times, dtype=float)
+            if not (times.ndim == 1 and times.size and times[0] >= 0.0
+                    and np.all(np.diff(times) > 0.0) and times[-1] <= self.t_end + 1e-12):
+                raise ValueError(f"output_times must ascend strictly within "
+                                 f"[0, t_end = {self.t_end:.6g}]")
 
     @property
     def t_end(self) -> float:

@@ -3,8 +3,9 @@
 H = -delta*n + (n^2 + n)/2 + (f/2)(a^2 + a_dag^2) couples |n> only to |n+-2>,
 so its single encoding is a pair of bands (``h_rwa_bands``): the diagonal and
 the second off-diagonal.  Each occupation-number parity block is then an exact
-tridiagonal chain, diagonalized by ``parity_eigh``; ``build_h_rwa`` assembles
-the dense matrix from the same bands for the Liouvillian.
+tridiagonal chain, diagonalized by ``parity_eigh``, and the Lindblad generator
+of ``lindblad`` applies H through the same bands; ``build_h_rwa`` assembles the
+dense matrix from them for dense checks such as ``coherent_eigen_residual``.
 
 Unit convention (everywhere in this package): hbar = 1, energies and rates in
 units of the Kerr nonlinearity V, time in units of 1/V.  The dimensionless

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 
+from parosc.fock import ladder_operators, number_operator
 from parosc.lindblad import Liouvillian
 from parosc.lz import LzProblem, lz_evolve_numeric
+from parosc.rwa import build_h_rwa
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
@@ -27,10 +29,26 @@ def expectation_number(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ np.diag(np.arange(rho.shape[0])))))
 
 
+def dense_generator(liou: Liouvillian) -> np.ndarray:
+    """The unsplit d^2 x d^2 generator from dense operators: the oracle for the band-built L.
+
+    Row-stacking convention: vec(A rho B) = (A kron B^T) vec(rho).
+    """
+    h = build_h_rwa(liou.space, liou.sys)
+    a, _ = ladder_operators(liou.space)
+    n_op = number_operator(liou.space)
+    eye = np.eye(liou.dim)
+    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lmat += -liou.gamma_tilde * (np.kron(n_op, eye) + np.kron(eye, n_op.T)
+                                 - 2.0 * np.kron(a, a.conj()))
+    return lmat
+
+
 def trace_preservation_residual(liou: Liouvillian) -> float:
-    """Max entry of Tr(L[.]): the trace functional must annihilate the generator."""
-    tr_vec = np.eye(liou.dim).reshape(-1).astype(complex)
-    return float(np.max(np.abs(tr_vec @ liou.matrix)))
+    """Max |Tr L[E_mn]| over the matrix units: the trace functional must annihilate the generator."""
+    d = liou.dim
+    units = np.eye(d * d).reshape(d * d, d, d)
+    return float(np.max(np.abs(np.trace(liou.apply(units), axis1=1, axis2=2))))
 
 
 def poisson_tail(mean: float, start: int) -> float:

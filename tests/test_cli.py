@@ -103,6 +103,8 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("radiation", "dim=2", "dim"),
     ("radiation", "s_tilde=0", "s_tilde"),
     ("radiation", "x_points=0", "x_points"),
+    ("radiation", "x_max=0", "x_max"),
+    ("radiation", "x_max=-2", "x_max"),
     ("ramp", "n_out=0", "n_out"),
     ("ramp", "dim=1", "dim"),
     ("ramp", "s_tilde=0", "s_tilde"),

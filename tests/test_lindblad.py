@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from helpers import check_density_matrix, expectation_number, trace_preservation_residual
+from helpers import (check_density_matrix, dense_generator, expectation_number,
+                     trace_preservation_residual)
 from parosc.fock import FockSpace
-from parosc.lindblad import Liouvillian, build_liouvillian, state_decay_rate, steady_state
+from parosc.lindblad import build_liouvillian, state_decay_rate, steady_state
 from parosc.radiation import evolve_master
 from parosc.rwa import RwaSystem
 from parosc.spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
@@ -39,6 +40,20 @@ class TestGenerator:
         n_op = np.diag(np.arange(8))
         assert np.trace(n_op @ drho).real == pytest.approx(-2 * gt)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0), gt=st.floats(0.0, 1.0),
+           dim=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_apply_on_a_stack_matches_dense_generator(self, delta, f, gt, dim, k, seed):
+        liou = make_liouvillian(dim, delta, f, gt)
+        lmat = dense_generator(liou)
+        rng = np.random.default_rng(seed)
+        rho = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+        out = liou.apply(rho)
+        assert out.shape == rho.shape
+        bound = 1e-13 * np.max(np.abs(lmat)) * np.max(np.abs(rho))
+        for r, o in zip(rho, out):
+            assert np.max(np.abs(o - (lmat @ r.reshape(-1)).reshape(dim, dim))) < bound
+
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             make_liouvillian(8, 0.0, 0.0, -0.1)
@@ -50,14 +65,15 @@ class TestParitySectors:
            gt=st.floats(0.05, 1.0), dim=st.integers(3, 12))
     def test_sector_structure(self, delta, f, gt, dim):
         liou = make_liouvillian(dim, delta, f, gt)
+        lmat = dense_generator(liou)
         m, n = np.divmod(np.arange(dim * dim), dim)
         parity = (m + n) % 2
         cross = parity[:, None] != parity[None, :]
-        assert np.all(liou.matrix[cross] == 0.0)
+        assert np.all(lmat[cross] == 0.0)
 
         # sector eigenvalues against the unsplit matrix, paired as multisets
         mu = np.concatenate([np.linalg.eigvals(s.block) for s in liou.sectors])
-        ref = np.linalg.eigvals(liou.matrix)
+        ref = np.linalg.eigvals(lmat)
         rows, cols = linear_sum_assignment(np.abs(mu[:, None] - ref[None, :]))
         scale = max(np.max(np.abs(ref)), 1.0)
         assert np.max(np.abs(mu[rows] - ref[cols])) < 1e-9 * scale
@@ -91,7 +107,8 @@ class TestHermitianBasis:
            gt=st.floats(0.05, 1.0), dim=st.integers(3, 12))
     def test_real_blocks_in_hermitian_basis(self, delta, f, gt, dim):
         liou = make_liouvillian(dim, delta, f, gt)
-        scale = np.max(np.abs(liou.matrix))
+        lmat = dense_generator(liou)
+        scale = np.max(np.abs(lmat))
         for sector in liou.sectors:
             t = self.hermitian_basis(dim, sector.idx)
             eye = np.eye(sector.idx.size)
@@ -99,12 +116,12 @@ class TestHermitianBasis:
             # the maps are T^H and T: as gathers on rows, eye -> conj(T) and T^T
             assert np.max(np.abs(sector.to_herm(eye) - t.conj())) < 1e-15
             assert np.max(np.abs(sector.to_fock(eye) - t.T)) < 1e-15
-            dense = t.conj().T @ liou.matrix[np.ix_(sector.idx, sector.idx)] @ t
+            dense = t.conj().T @ lmat[np.ix_(sector.idx, sector.idx)] @ t
             assert sector.block.dtype == np.float64
             assert np.max(np.abs(sector.block - dense)) < 1e-13 * scale
 
         mu = np.concatenate([np.linalg.eigvals(s.block) for s in liou.sectors])
-        ref = np.linalg.eigvals(liou.matrix)
+        ref = np.linalg.eigvals(lmat)
         rows, cols = linear_sum_assignment(np.abs(mu[:, None] - ref[None, :]))
         assert np.max(np.abs(mu[rows] - ref[cols])) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
 
@@ -190,10 +207,9 @@ class TestSteadyState:
         assert np.linalg.eigvalsh(rho_st).min() >= -1e-12
 
     def test_degenerate_null_space_raises(self):
-        # a zero generator leaves every even vector stationary
-        d = 6
-        liou = Liouvillian(FockSpace(d), RwaSystem(delta=0.0, f=0.0), 1.0,
-                           np.zeros((d * d, d * d), complex))
+        # zero sector blocks leave every even vector stationary
+        liou = make_liouvillian(6, 0.0, 0.0, 1.0)
+        liou.sectors = tuple(s._replace(block=np.zeros_like(s.block)) for s in liou.sectors)
         with pytest.raises(RuntimeError, match="degenerate null space"):
             steady_state(liou)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parosc.fock import FockSpace, ladder_operators
-from helpers import expectation_number
+from helpers import dense_generator, expectation_number
 from parosc.lindblad import build_liouvillian, steady_state
 from parosc.radiation import (
     _BLOCK,
@@ -312,7 +312,8 @@ class TestPropagation:
         ts = np.linspace(0.0, 5.0, 11)
         x0 = rho0.reshape(-1)
         row = rng.normal(size=x0.size) + 1j * rng.normal(size=x0.size)
-        props = [expm(liou.matrix * t) for t in ts]
+        lmat = dense_generator(liou)
+        props = [expm(lmat * t) for t in ts]
         flow = _SteppingFlow(liou, ts)
         cols = np.stack([p @ x0 for p in props], axis=1)
         rows = np.stack([row @ p for p in props])
@@ -326,7 +327,8 @@ class TestPropagation:
         d = sp.dim
         ts = np.linspace(0.0, 4.0, 17)
         corr = two_time_correlator(liou, rho0, ts)
-        props = [expm(liou.matrix * t) for t in ts]     # uniform grid: tau = ts[j - i]
+        lmat = dense_generator(liou)
+        props = [expm(lmat * t) for t in ts]     # uniform grid: tau = ts[j - i]
         for i in range(len(ts)):
             rho_t1 = (props[i] @ rho0.reshape(-1)).reshape(d, d)
             seed = (rho_t1 @ a_dag).reshape(-1)
@@ -343,7 +345,7 @@ class TestPropagation:
         rng = np.random.default_rng(3)
         x0 = rho0.reshape(-1)
         row = rng.normal(size=x0.size) + 1j * rng.normal(size=x0.size)
-        prop = expm(liou.matrix * (ts[1] - ts[0]))
+        prop = expm(dense_generator(liou) * (ts[1] - ts[0]))
         cols, rows = [x0], [row]
         for _ in range(n_t - 1):
             cols.append(prop @ cols[-1])
@@ -381,8 +383,9 @@ class TestEvolveMaster:
         assert rhos.shape == (n_t, dim, dim)
         scale = np.max(np.abs(rhos))
         # past 128 points the later states are reached through P^128 jumps
+        lmat = dense_generator(liou)
         for k in {n_t // 2, n_t - 1}:
-            ref = expm(liou.matrix * ts[k]) @ rho0.reshape(-1)
+            ref = expm(lmat * ts[k]) @ rho0.reshape(-1)
             assert np.max(np.abs(rhos[k].reshape(-1) - ref)) < 1e-10 * scale
         adj = rhos.conj().transpose(0, 2, 1)
         assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) < 1e-10
@@ -410,7 +413,7 @@ class TestEvolveMaster:
         x = rho0 @ ladder_operators(sp)[1]        # not Hermitian, both sectors
         rhos = evolve_master(liou, x, ts)
         assert shapes == [(2, m), (2, m)]
-        ref = expm(liou.matrix * ts[-1]) @ x.reshape(-1)
+        ref = expm(dense_generator(liou) * ts[-1]) @ x.reshape(-1)
         assert np.max(np.abs(rhos[-1].reshape(-1) - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_grid_must_be_uniform_from_zero(self):

@@ -33,6 +33,16 @@ def test_protocol_validation():
     assert p.t_end == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("times", [[-1.0, 0.0, 0.2],      # would start under a negative drive
+                                   [0.0, 0.2, 0.1],       # unsorted
+                                   [0.0, 0.2, 0.2],       # repeated
+                                   [0.0, 2.0, 4.5],       # past t_end = 4
+                                   []])
+def test_output_times_checked_against_the_ramp(times):
+    with pytest.raises(ValueError, match="output_times"):
+        make_protocol(FockSpace(10), 0.0, 2.0, 0.5, output_times=np.array(times))
+
+
 def test_initial_label():
     sp = FockSpace(20)
     assert initial_label(sp, 0.0, sp.vacuum()) == (1, 0)
