@@ -8,7 +8,8 @@ Each runner computes its tables (CSV file name -> column name -> 1-D array),
 its results and its truncation report (a summary of the run's own result at dim
 against the same quantity recomputed at dim+10).  ``run_experiment`` is the only
 code that writes: one CSV per table through ``io.write_csv``, and manifest.json
-with the parameters, the table names, the report, the results and the wall time.
+with the parameters, the table names, the report, the results, the message of
+every warning the run raised and the wall time.
 Nothing else is written, and CSV output is byte-reproducible for identical configs.
 """
 
@@ -20,6 +21,7 @@ import math
 import operator
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,9 @@ EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
         "n_track": (int, 6, (">=", 1)),
     },
 }
+# relative tolerance of the radiation run: its dim+10 report and the weight its
+# spectra may lose past the horizon
+RADIATION_REL_TOL = 1e-4
 IN_DOMAIN = {">": operator.gt, ">=": operator.ge,
              "in": lambda value, allowed: value in allowed}
 
@@ -350,8 +355,14 @@ def _run_radiation(cfg):
     tables = {"transient_spectrum.csv": {"x": xs, "E_rad": e_rad},
               "steady_spectrum.csv": {"x": xs, "Q_st": q_st}}
     # the share of the slowest weighted correlator mode left past the horizon
+    horizon = math.exp(-rate * cfg["T_max"])
+    if horizon > RADIATION_REL_TOL:
+        warnings.warn(f"spectra truncated at the horizon: T_max = {cfg['T_max']:g} keeps "
+                      f"horizon_weight = {horizon:.3g} > {RADIATION_REL_TOL:g} of the "
+                      f"slowest weighted odd mode (slowest_odd_rate = {rate:.4g})",
+                      RuntimeWarning, stacklevel=2)
     results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, "slowest_odd_rate": rate,
-               "horizon_weight": math.exp(-rate * cfg["T_max"]), **_cf4_record(ramp)}
+               "horizon_weight": horizon, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)
@@ -360,7 +371,8 @@ def _run_radiation(cfg):
         return np.concatenate(_radiation_run(dim, cfg, xs[::k])[:2])
 
     base = np.concatenate([e_rad[::k], q_st[::k]])
-    return tables, results, convergence_report(base, probe, cfg["dim"], rel_tol=1e-4)
+    return tables, results, convergence_report(base, probe, cfg["dim"],
+                                               rel_tol=RADIATION_REL_TOL)
 
 
 def _run_floquet_check(cfg):
@@ -391,9 +403,19 @@ RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> dict:
-    """Execute a validated config, write its tables and manifest.json; return the manifest."""
+    """Execute a validated config, write its tables and manifest.json; return the manifest.
+
+    The manifest lists every warning the run raises; the caller's warning
+    filters decide only which of them are shown.
+    """
     start = time.perf_counter()
-    tables, results, conv = RUNNERS[cfg["experiment"]](cfg)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tables, results, conv = RUNNERS[cfg["experiment"]](cfg)
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     for name, columns in tables.items():
@@ -406,6 +428,7 @@ def run_experiment(cfg: dict) -> dict:
         "outputs": sorted(tables),
         "convergence": conv,
         "results": results,
+        "warnings": [str(w.message) for w in caught],
         "wall_time_s": time.perf_counter() - start,
     }
     write_json(outdir / "manifest.json", manifest)

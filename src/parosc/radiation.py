@@ -4,9 +4,15 @@ Everything here is one propagation: exact stepping on a uniform time grid with
 the matrix exponential P = expm(L_s dt) of each (m + n)-parity sector block L_s
 of the Liouvillian.  No eigendecomposition of the non-normal generator is
 involved, so the flow stays accurate near exceptional points, where
-eigenvectors coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The first
-128 states are stepped one matrix-vector product at a time; every later block
-of 128 states is one matrix product of the block before it with P^128.
+eigenvectors coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  P comes
+from the [13/13] Pade scaling-and-squaring method written in NumPy, so that
+every matrix product and solve of the flow runs on NumPy's BLAS:
+``scipy.linalg.expm`` runs on scipy's own copy of OpenBLAS, and calls that
+alternate between the two copies leave their thread pools contending for the
+same cores (with two threads each, the radiation experiment took 1.5 to 2
+times as long).  The first 128 states are stepped one matrix-vector product at
+a time; every later block of 128 states is one matrix product of the block
+before it with P^128.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
 Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
@@ -52,16 +58,23 @@ Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970)
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg import expm
 
 from .fock import ladder_operators
 from .lindblad import Gather, Liouvillian, steady_state
 
 _BLOCK = 128        # states per matrix product in the blocked stepping
+# [13/13] Pade numerator coefficients b_0..b_13 over b_0, and the largest 1-norm
+# at which that approximant of exp meets double precision (Higham 2005)
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
 _RELAX_TOL = 1e-4   # largest |rho(T_max) - rho_st| entry before the relaxation warning
 _SUM_RULE_POINTS = 4001     # frequencies of the sum rule's x-quadrature
 _HERMITIAN_TOL = 1e-14      # largest |Im y| / max|y| of coordinates stepped as one real row
@@ -79,6 +92,51 @@ def _uniform_step(grid: np.ndarray, name: str) -> float:
 
 # ---------------------------------------------------------------------------
 # propagation
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix: [13/13] Pade scaling and squaring (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in NumPy alone.
+
+    a is scaled by 2^-s so that its 1-norm is at most theta_13; then
+    exp(a) ~ (V - U)^-1 (V + U) with U the odd and V the even part of the
+    numerator, and the result is squared s times.  U and V are built in place.
+    """
+    b, n = _PADE13, a.shape[0]
+    s = math.ceil(math.log2(max(np.linalg.norm(a, 1) / _THETA13, 1.0)))
+    a = a * 0.5**s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    w = b[13] * a6
+    w += b[11] * a4
+    w += b[9] * a2
+    u = a6 @ w
+    u += b[7] * a6
+    u += b[5] * a4
+    u += b[3] * a2
+    u.flat[::n + 1] += b[1]
+    u = a @ u
+    np.multiply(a6, b[12], out=w)
+    w += b[10] * a4
+    w += b[8] * a2
+    v = a6 @ w
+    v += b[6] * a6
+    v += b[4] * a4
+    v += b[2] * a2
+    v.flat[::n + 1] += b[0]
+    del a2, a4, a6, w
+    p = v + u
+    v -= u
+    p = np.linalg.solve(v, p)
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
+# bench/tracer.py times the builds of P through this binding; the function
+# itself keeps a private name, so the tracer does not wrap it a second time
+expm = _expm
+
 
 class _SteppingFlow:
     """Exact flow on a uniform grid ts, stepped by the real P = expm(L_s dt) per parity sector.

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -310,6 +311,42 @@ def test_radiation_manifest_records_horizon_weight(tmp_path):
     assert 0.0 < res["slowest_odd_rate"] < np.inf
     assert res["horizon_weight"] == pytest.approx(
         np.exp(-res["slowest_odd_rate"] * TINY["radiation"]["T_max"]), rel=1e-15)
+    # 4.5e-5 is below the run's 1e-4, so nothing is truncated and nothing warns
+    assert res["horizon_weight"] < cli.RADIATION_REL_TOL
+    assert manifest["warnings"] == []
+
+
+def test_radiation_manifest_records_horizon_truncation(tmp_path):
+    # the dissipation benchmark as checked in (seed 0) keeps 15 % of its slowest
+    # odd mode past T_max = 120: the run warns, and the manifest keeps the message
+    raw = json.loads((BENCH_CONFIGS / "dissipation.json").read_text(encoding="utf-8"))
+    cfg = validate_config({**raw["timed"][0], "output_dir": str(tmp_path)})
+    with pytest.warns(RuntimeWarning, match="horizon") as shown:
+        manifest = run_experiment(cfg)
+    assert manifest["results"]["horizon_weight"] > cli.RADIATION_REL_TOL
+    [message] = manifest["warnings"]
+    assert message in [str(w.message) for w in shown]
+    for name in ("T_max = 120", "slowest_odd_rate = 0.016", "horizon_weight = 0.146"):
+        assert name in message
+    assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == [message]
+
+
+def test_manifest_records_warnings_the_filters_hide(tmp_path, monkeypatch):
+    # the filters in force decide what is shown, not what the manifest keeps
+    run = cli.RUNNERS["zero_drive"]
+
+    def warning_run(cfg):
+        warnings.warn("raised by the run", RuntimeWarning)
+        return run(cfg)
+
+    monkeypatch.setitem(cli.RUNNERS, "zero_drive", warning_run)
+    cfg = validate_config({"experiment": "zero_drive", **TINY["zero_drive"],
+                           "output_dir": str(tmp_path)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_experiment(cfg)["warnings"] == ["raised by the run"]
+    with pytest.warns(RuntimeWarning, match="raised by the run"):
+        assert run_experiment(cfg)["warnings"] == ["raised by the run"]
 
 
 def test_ramp_run_manifest(tmp_path):
