@@ -32,7 +32,7 @@ from .fock import FockSpace, convergence_report
 from .io import write_csv, write_json
 from .lindblad import build_liouvillian, state_decay_rate
 from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric
-from .radiation import emission_spectra, sum_rule_check
+from .radiation import emission_spectra, spectrum_time_grid, sum_rule_check
 from .ramp import RampProtocol, evolve_ramp, instantaneous_fidelity
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
@@ -361,8 +361,10 @@ def _run_radiation(cfg):
                       f"horizon_weight = {horizon:.3g} > {RADIATION_REL_TOL:g} of the "
                       f"slowest weighted odd mode (slowest_odd_rate = {rate:.4g})",
                       RuntimeWarning, stacklevel=2)
+    ts = spectrum_time_grid(liou, cfg["T_max"], xs)
     results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, "slowest_odd_rate": rate,
-               "horizon_weight": horizon, **_cf4_record(ramp)}
+               "horizon_weight": horizon, "stepping_dt": float(ts[1] - ts[0]),
+               "stepping_steps": len(ts) - 1, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t
     k = max(1, len(xs) // 16)

@@ -35,6 +35,7 @@ from .rwa import RwaSystem, h_rwa_bands
 
 
 _GATHER_ROWS = 32   # rows per pass of a Gather over a stack of vectors
+_NULL_TOL = 1e-8    # smallest sigma_min/sigma_max of the steady-state solve
 
 
 class Gather(NamedTuple):
@@ -145,7 +146,7 @@ def build_liouvillian(space: FockSpace, sys: RwaSystem, gamma_tilde: float) -> L
     return Liouvillian(space=space, sys=sys, gamma_tilde=gamma_tilde)
 
 
-def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
+def steady_state(liou: Liouvillian) -> np.ndarray:
     """Stationary density matrix: null vector of L under the trace constraint.
 
     Solved as the least-squares solution of L x = 0 stacked with Tr x = 1 on
@@ -154,7 +155,7 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     exactly zero.  T is unitary, so the singular values are those of the
     complex block in Fock coordinates.  The stacked matrix has full
     column rank iff the even null space is at most one-dimensional, so a
-    smallest singular value below ``null_tol`` times the largest means a
+    smallest singular value below ``_NULL_TOL`` = 1e-8 times the largest means a
     degenerate null space; none at all leaves a large residual.  Measured
     sigma_min/sigma_max of the stacked matrix is >= 1.8e-5 at f = 1 for dim
     12-44, delta in {0, 1.8, 3} and gamma_tilde in {0.05, 0.1, 1}.
@@ -170,9 +171,9 @@ def steady_state(liou: Liouvillian, null_tol: float = 1e-8) -> np.ndarray:
     b = np.zeros(len(even.idx) + 1)
     b[-1] = 1.0
     y_even, _, _, sv = np.linalg.lstsq(a_mat, b, rcond=None)
-    if sv[-1] < null_tol * sv[0]:
+    if sv[-1] < _NULL_TOL * sv[0]:
         raise RuntimeError(f"degenerate null space: smallest singular value "
-                           f"{sv[-1]:.3g} below {null_tol:.3g} x {sv[0]:.3g}")
+                           f"{sv[-1]:.3g} below {_NULL_TOL:.3g} x {sv[0]:.3g}")
     scale = max(float(sv[0]), 1.0)
     x = np.zeros(dim * dim, dtype=complex)
     x[even.idx] = even.to_fock(y_even)

@@ -12,7 +12,8 @@ alternate between the two copies leave their thread pools contending for the
 same cores (with two threads each, the radiation experiment took 1.5 to 2
 times as long).  The first 128 states are stepped one matrix-vector product at
 a time; every later block of 128 states is one matrix product of the block
-before it with P^128.
+before it with P^128.  The stepping hands out these blocks in turn and keeps
+only the last one; ``evolve_master`` and the correlators put them together.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
 Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
@@ -29,10 +30,17 @@ and trace against a.
 
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
-rho a_dag of the even part fill, so the spectra keep only the even deviation
-from the steady state, the odd seeds and the odd adjoint rows tr_a Lambda^tau;
-``emission_spectra`` reads both spectra, as arrays on the caller's grid, off
-one stepping of those rows, and ``sum_rule_check`` integrates the first.
+K(M) = M a_dag of the even part fill, so the spectra need only the even
+deviation from the steady state, its odd seeds and the odd adjoint rows
+tr_a Lambda^tau; ``emission_spectra`` reads both spectra, as arrays on the
+caller's grid, off one stepping of those rows, and ``sum_rule_check``
+integrates the first.  K is linear, so the trapezoid prefix over t' of the
+seeds is K of the prefix B of the even deviation.  B, formed block by block
+as the deviation is stepped, is the one array of all n_t times that the
+spectra keep: n_t x d^2/2 reals for a Hermitian rho0.  Each block of adjoint
+rows tau_j, j in [a, b), then meets the reversed slice B[n_t-b : n_t-a]
+through K alone, so the odd seeds and rows never exist for more than one
+block of times.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -160,40 +168,44 @@ class _SteppingFlow:
                                      else np.linalg.matrix_power(self._prop(s), power))
         return self._props[s, power]
 
-    def states(self, s: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Rows exp(L_s t) x, or x^T exp(L_s t) if adjoint, for every t: (n_t,) + x.shape.
+    def states(self, s: int, x: np.ndarray, adjoint: bool = False):
+        """Blocks (start, rows) of the rows exp(L_s t) x, or x^T exp(L_s t) if adjoint.
 
-        x holds real coordinates of sector s: one vector, or a stack of them
-        (shape (r, m)) that is stepped together.
+        rows[k] is the state at ts[start + k], and a block holds at most
+        _BLOCK times: shape (n,) + x.shape.  x holds real coordinates of
+        sector s: one vector, or a stack of them (shape (r, m)) that is
+        stepped together.  Each block is computed from the one before, the
+        only one kept, so callers must not write to a block.
         """
-        # rows advance as out[k] = out[k - 1] @ M with M = P (adjoint) or P^T;
-        # flat views the r rows of each time as consecutive rows of one matrix
-        out = np.empty((self.n_t,) + x.shape)
-        out[0] = x
-        flat, r = out.reshape(-1, x.shape[-1]), x.size // x.shape[-1]
+        # rows advance as rows[k] = rows[k - 1] @ M with M = P (adjoint) or P^T
+        block = np.empty((min(self.n_t, _BLOCK),) + x.shape)
+        block[0] = x
         if self.n_t > 1:
             step = self._prop(s) if adjoint else self._prop(s).T
-            for k in range(1, min(self.n_t, _BLOCK)):
-                np.matmul(out[k - 1], step, out=out[k])
+            for k in range(1, len(block)):
+                np.matmul(block[k - 1], step, out=block[k])
+        yield 0, block
         if self.n_t > _BLOCK:
             jump = self._prop(s, _BLOCK) if adjoint else self._prop(s, _BLOCK).T
-            for start in range(_BLOCK, self.n_t, _BLOCK):
-                stop = min(start + _BLOCK, self.n_t)
-                np.matmul(flat[r * (start - _BLOCK):r * (stop - _BLOCK)], jump,
-                          out=flat[r * start:r * stop])
-        return out
+        for start in range(_BLOCK, self.n_t, _BLOCK):
+            n = min(_BLOCK, self.n_t - start)
+            # the r rows of each time are consecutive rows of one matrix
+            block = (block[:n].reshape(-1, x.shape[-1]) @ jump).reshape((n,) + x.shape)
+            yield start, block
 
-    def complex_states(self, s: int, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def complex_blocks(self, s: int, y: np.ndarray, adjoint: bool = False):
         """``states`` of complex coordinates y: one real row if y is real to rounding, else two.
 
         A Hermitian matrix has real coordinates, but products such as
         psi psi^dag round its imaginary parts only to about eps, not to 0.
+        Real rows are yielded as they are stepped, two rows as complex rows.
         """
         imag = np.max(np.abs(y.imag), initial=0.0)
         if imag <= _HERMITIAN_TOL * np.max(np.abs(y), initial=0.0):
-            return self.states(s, y.real, adjoint)
-        out = self.states(s, np.stack([y.real, y.imag]), adjoint)
-        return out[:, 0] + 1j * out[:, 1]
+            yield from self.states(s, y.real, adjoint)
+            return
+        for start, rows in self.states(s, np.stack([y.real, y.imag]), adjoint):
+            yield start, rows[:, 0] + 1j * rows[:, 1]
 
     def final(self, s: int, y: np.ndarray) -> np.ndarray:
         """exp(L_s T) y at the last grid time, by the steps of ``states``; y may be complex."""
@@ -215,9 +227,10 @@ class _SteppingFlow:
         out = np.zeros((self.n_t, row.size), dtype=complex)
         for s, sector in enumerate(self.sectors):
             if np.any(row[sector.idx]):
-                rows = self.complex_states(s, sector.to_herm(row[sector.idx].conj()).conj(),
-                                           adjoint=True)
-                out[:, sector.idx] = sector.to_fock(np.conj(rows)).conj()
+                for start, rows in self.complex_blocks(
+                        s, sector.to_herm(row[sector.idx].conj()).conj(), adjoint=True):
+                    out[start:start + len(rows), sector.idx] = \
+                        sector.to_fock(np.conj(rows)).conj()
         return out
 
 
@@ -236,8 +249,8 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray) -> np
     out = np.zeros((len(t_grid), x0.size), dtype=complex)
     for s, sector in enumerate(liou.sectors):
         if np.any(x0[sector.idx]):
-            out[:, sector.idx] = sector.to_fock(flow.complex_states(s, sector.to_herm(
-                x0[sector.idx])))
+            for start, rows in flow.complex_blocks(s, sector.to_herm(x0[sector.idx])):
+                out[start:start + len(rows), sector.idx] = sector.to_fock(rows)
     return out.reshape(len(t_grid), liou.dim, liou.dim)
 
 
@@ -335,6 +348,14 @@ def _time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray,
     return np.linspace(0.0, T_max, int(np.ceil(T_max / dt)) + 1)
 
 
+def spectrum_time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray) -> np.ndarray:
+    """The uniform grid on [0, T_max] on which ``emission_spectra`` steps for omega_grid.
+
+    Its step is min(0.05/gamma_tilde, 0.2/max|x|); raises as ``emission_spectra`` does.
+    """
+    return _time_grid(liou, T_max, np.asarray(omega_grid, dtype=float), _SPECTRUM_PHASE)
+
+
 def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
                      omega_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E_rad, Q_st) at every x of the uniform omega_grid, from one odd-sector stepping.
@@ -356,7 +377,7 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     ts = _time_grid(liou, T_max, omega_grid, phase)
-    dt = ts[1] - ts[0]
+    dt, n_t = ts[1] - ts[0], len(ts)
 
     even, odd = liou.sectors
     tr_a, seed = _odd_operators(liou)
@@ -367,32 +388,45 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np
     # enters the relaxation check alone.
     rho_st = steady_state(liou).reshape(-1)
     dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
-    dev = flow.complex_states(0, even.to_herm(dev0[even.idx]))
+    # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the real diagonal n
+    n_row = even.to_herm(np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]).real
+    excess = np.empty(n_t)
+    # each block of the deviation becomes its part of the trapezoid prefix over
+    # t': B[r] = Int_0^{t_r} dev dt' = c[r] + c[r-1] - h[0] with h = dev dt/2
+    # and c its running sum (c[-1] = 0).  The seed map K is linear, so K B[r] is
+    # the prefix of the seeds; B is the one full-length array of the spectra.
+    carry = 0.0
+    for start, dev in flow.complex_blocks(0, even.to_herm(dev0[even.idx])):
+        if start == 0:
+            prefix = np.empty((n_t, dev.shape[1]), dev.dtype)
+            h0 = 0.5 * dt * dev[0]
+        excess[start:start + len(dev)] = np.real(dev @ n_row)
+        c = prefix[start:start + len(dev)]
+        np.multiply(dev, 0.5 * dt, out=c)
+        c[0] += carry
+        np.cumsum(c, axis=0, out=c)
+        last = c[-1].copy()
+        c[1:] += c[:-1]
+        c[0] += carry
+        c -= h0
+        carry = last
     odd_left = odd.to_fock(flow.final(1, odd.to_herm(dev0[odd.idx])))
     left = max(float(np.max(np.abs(even.to_fock(dev[-1])))), float(np.max(np.abs(odd_left))))
     if left > _RELAX_TOL:
         warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
                       RuntimeWarning, stacklevel=3)
-    # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the real diagonal n
-    n_row = even.to_herm(np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]).real
-    excess = np.real(dev @ n_row)
-    seeds = seed(dev)                             # (n_t, odd), per t'
-    del dev
 
-    # trapezoid prefix over t': B[r] = Int_0^{t_r} seeds dt' = c[r] + c[r-1] - h[0]
-    # with h = seeds dt/2 and c its running sum (c[-1] = 0), all in place
-    seeds *= 0.5 * dt
-    h0 = seeds[0].copy()
-    c_rev = np.cumsum(seeds, axis=0, out=seeds)[::-1]
     # S(tau_j) = Int_0^{T - tau_j} dt' dC(t', t' + tau_j)
-    #          = [tr_a Lambda^{tau_j}] . B[n-1-j]
-    rows = flow.complex_states(1, tr_a, adjoint=True)
-    s_tau = np.einsum("jm,jm->j", rows, c_rev)
-    s_tau[:-1] += np.einsum("jm,jm->j", rows[:-1], c_rev[1:])
-    s_tau -= rows @ h0
-    c_st = rows @ seed(even.to_herm(rho_st[even.idx]).real)
+    #          = [tr_a Lambda^{tau_j}] . K B[n-1-j],
+    # so the adjoint rows j in [a, b) pair with B[n-b : n-a] reversed
+    seed_st = seed(even.to_herm(rho_st[even.idx]).real)
+    s_tau, c_st = np.empty(n_t, complex), np.empty(n_t, complex)
+    for a, rows in flow.complex_blocks(1, tr_a, adjoint=True):
+        b = a + len(rows)
+        s_tau[a:b] = np.einsum("jm,jm->j", rows, seed(prefix[n_t - b:n_t - a][::-1]))
+        c_st[a:b] = rows @ seed_st
     # 2 Re Int dt s(t) e^{i x t} by the trapezoid rule, for every x
-    w = _trapz_weights(len(ts), dt)
+    w = _trapz_weights(n_t, dt)
     return (_fourier_quadrature(omega_grid, ts, w * s_tau),
             _fourier_quadrature(omega_grid, ts, w * c_st), float(np.sum(w * excess)))
 

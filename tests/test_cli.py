@@ -314,6 +314,9 @@ def test_radiation_manifest_records_horizon_weight(tmp_path):
     # 4.5e-5 is below the run's 1e-4, so nothing is truncated and nothing warns
     assert res["horizon_weight"] < cli.RADIATION_REL_TOL
     assert manifest["warnings"] == []
+    # the spectra's stepping: stepping_steps steps of stepping_dt span [0, T_max]
+    assert res["stepping_steps"] * res["stepping_dt"] == pytest.approx(
+        TINY["radiation"]["T_max"], rel=1e-12)
 
 
 def test_radiation_manifest_records_horizon_truncation(tmp_path):

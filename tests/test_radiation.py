@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from parosc.radiation import (
     _SteppingFlow,
     emission_spectra,
     evolve_master,
+    spectrum_time_grid,
     sum_rule_check,
     two_time_correlator,
 )
@@ -189,6 +191,45 @@ class TestTransientSpectrum:
                              for x in xs])
         assert np.max(np.abs(spec - explicit)) < 1e-10 * np.max(np.abs(explicit))
 
+    @pytest.mark.filterwarnings("ignore:state not relaxed")
+    @pytest.mark.parametrize("n_t, hermitian", [(2, True), (_BLOCK, True), (_BLOCK + 1, True),
+                                                (2 * _BLOCK + 1, True),
+                                                (2 * _BLOCK + 1, False)])
+    def test_blocks_match_explicit_double_trapezoid(self, monkeypatch, n_t, hermitian):
+        # the adjoint rows meet the even prefix one block at a time: grids inside
+        # one block, exactly one block, one row past it and one row past two;
+        # a non-Hermitian rho0 steps its even deviation as two real rows
+        sp = FockSpace(8)
+        liou = make_liouvillian(8, 1.1, 0.9, 0.25)
+        psi = sp.coherent_state(0.6 + 0.3j)
+        phi = psi if hermitian else sp.coherent_state(-0.4 + 0.5j)
+        rho0 = np.outer(psi, phi.conj())
+        ts = np.linspace(0.0, 0.2 * (n_t - 1), n_t)
+        xs = np.linspace(-0.7, 1.0, 35)
+        monkeypatch.setattr(radiation, "_time_grid", lambda *args: ts)
+        shapes = []
+        states = _SteppingFlow.states
+
+        def recording(self, s, x, adjoint=False):
+            shapes.append(x.shape)
+            return states(self, s, x, adjoint)
+
+        monkeypatch.setattr(_SteppingFlow, "states", recording)
+        spec = transient(liou, rho0, ts[-1], xs)
+        assert shapes[0] == ((liou.sectors[0].idx.size,) if hermitian
+                             else (2, liou.sectors[0].idx.size))
+        corr = two_time_correlator(liou, rho0, ts)
+        c_st = two_time_correlator(liou, steady_state(liou), ts)[0]
+        dt = ts[1]
+        inner = np.zeros(n_t, dtype=complex)
+        for j in range(n_t):
+            diff = np.diagonal(corr, j) - c_st[j]      # C(t', t' + tau_j) - C_st(tau_j)
+            inner[j] = dt * (diff.sum() - 0.5 * (diff[0] + diff[-1]))
+        w = np.full(n_t, dt)
+        w[0] = w[-1] = 0.5 * dt
+        explicit = 2.0 * np.real(np.exp(1j * np.outer(xs, ts)) @ (w * inner))
+        assert np.max(np.abs(spec - explicit)) < 1e-10 * np.max(np.abs(explicit))
+
     def test_relaxation_warning_sees_odd_sector(self):
         # the even part is exactly the steady state, so the spectrum vanishes,
         # but the odd coherence has not decayed by T_max
@@ -297,6 +338,27 @@ class TestEmissionSpectra:
         w[0] = w[-1] = 0.5 * ts[1]
         explicit = 2.0 * np.real(np.exp(1j * np.outer(xs, ts)) @ (w * c_st))
         assert np.max(np.abs(q_st - explicit)) <= 1e-10 * np.max(np.abs(explicit))
+
+
+    @pytest.mark.filterwarnings("ignore:state not relaxed")
+    def test_peak_memory_is_one_prefix_array(self):
+        # the one full-length array is the even prefix, n_t x d^2/2 reals; the
+        # odd seeds and adjoint rows live one block of times at a time
+        dim, T = 16, 120.0
+        liou = make_liouvillian(dim, 1.8, 1.0, 0.1)
+        psi = FockSpace(dim).coherent_state(1.0 + 0.3j)
+        rho0 = np.outer(psi, psi.conj())
+        xs = np.linspace(-8.0, 8.0, 801)
+        steady_state(liou)                  # cached on liou, as in every run
+        prefix_bytes = len(spectrum_time_grid(liou, T, xs)) * (dim * dim // 2) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            emission_spectra(liou, rho0, T, xs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * prefix_bytes
 
 
 class TestPropagation:

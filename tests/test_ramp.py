@@ -15,6 +15,7 @@ from parosc.ramp import (
     instantaneous_fidelity,
     propagate_linear,
 )
+from parosc.spectrum import same_parity_gap, spectrum_vs_drive
 
 
 def make_protocol(space, delta, f_final, s_tilde, **kw):
@@ -235,3 +236,19 @@ def test_propagate_linear_rejects_non_finite(where):
     args = good | {where: bad[where]}
     with pytest.raises(ValueError, match="finite"):
         propagate_linear(args["a"], args["b"], args["psi0"], np.linspace(0.0, 1.0, 3), 1e-8)
+
+
+# twice the infidelity 1 - F measured for each rank k
+@pytest.mark.parametrize("k, bound", [(0, 2 * 9.6e-4), (1, 2 * 2.6e-3), (2, 2 * 9.5e-4),
+                                      (3, 2 * 1.4e-3), (4, 2 * 4.3e-4), (5, 2 * 2.0e-5)])
+def test_vacuum_ramp_prepares_every_even_rank(k, bound):
+    # any even quasienergy state from the ground state: at f = 0, |2m> lies
+    # below the vacuum iff m < delta - 1/2, so at delta = k + 1 the vacuum
+    # carries the label (+1, k); a ramp slow against the smallest same-parity
+    # gap along it carries the vacuum onto that state
+    space, delta = FockSpace(60), k + 1.0
+    series = spectrum_vs_drive(space, delta, np.linspace(0.0, 1.0, 201), k + 2)
+    g_min = float(np.min(same_parity_gap(series, 1, k)))
+    result = evolve_ramp(space, make_protocol(space, delta, 1.0, g_min**2 / 16))
+    assert result.target_label == (1, k)
+    assert 1.0 - result.final_fidelity <= bound
