@@ -173,8 +173,13 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
                     key=lambda t: t[0])
 
     m = build_floquet_matrix(p)
-    w, vecs = np.linalg.eigh(m)
     nk = 2 * p.k_cut + 1
+    # q^2 changes n by 0 or 2, so rows of even and odd n never meet: one eigh per parity
+    sign = 1 - 2 * (np.arange(nk * p.n_cut) % p.n_cut % 2)
+    blocks = {}
+    for parity in chains:
+        rows = np.flatnonzero(sign == parity)
+        blocks[parity] = (rows, *np.linalg.eigh(m[np.ix_(rows, rows)]))
 
     table = {key: [] for key in ("parity", "rank", "eps_fourier", "eps_rwa", "overlap",
                                  "discrepancy")}
@@ -185,7 +190,8 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
         embedded = np.zeros(nk * p.n_cut)
         embedded[(n // 2 + p.k_cut) * p.n_cut + n] = v[keep, rank]
         embedded /= np.linalg.norm(embedded)
-        overlaps = np.abs(vecs.T @ embedded)
+        rows, w, vecs = blocks[parity]
+        overlaps = np.abs(vecs.T @ embedded[rows])
         j = int(np.argmax(overlaps))
         eps_fourier = float(w[j] % p.omegaF)
         eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)

@@ -8,16 +8,28 @@ and is what places the double-well states on the Q axis.
 
 W(Q, P) = (1/(pi*lam)) Int dxi exp(-2i*P*xi/lam) rho(Q + xi, Q - xi)
 
-With a = (P - iQ)/sqrt(2*lam), the element of each Fock pair m <= n is a
-Gaussian times a Laguerre polynomial (Cahill & Glauber, Phys. Rev. 177, 1882
-(1969)): w_mn = (-1)^m sqrt(m!/n!) (2a)^(n-m) L_m^(n-m)(4|a|^2) e^(-2|a|^2)/(pi*lam)
-and W = sum_m rho_mm w_mm + 2 Re sum_{m<n} rho_mn w_mn.  The elements are built
-row by row by the stable recurrence w_mn = (2a w_m,n-1 - sqrt(m) w_m-1,n-1)/sqrt(n)
-(2conj(a) on the diagonal), holding one grid per Fock index, not one per pair.
+With a = (P - iQ)/sqrt(2*lam) and r2 = |2a|^2 = 2(Q^2 + P^2)/lam, the element of
+each Fock pair (m, m+k) is a Gaussian times a Laguerre polynomial (Cahill &
+Glauber, Phys. Rev. 177, 1882 (1969)): w_m,m+k = (2a)^k g_mk(r2) with the real
+radial factor g_mk = (-1)^m sqrt(m!/(m+k)!) L_m^(k)(r2) e^(-r2/2)/(pi*lam), and
+W = Re sum_k (2a)^k D_k with D_k = sum_m c_m,m+k g_mk, c = rho_mm on the diagonal
+and 2 rho_mn above it.
+
+The radial factors depend on r2 alone, so they are computed once for each
+distinct radius of the grid, in real arithmetic, by the forward three-term
+recurrence in the degree m along each diagonal k (the stable direction for
+Laguerre polynomials):
+g_m+1,k = ((r2 - 2m - 1 - k) g_mk - sqrt(m(m+k)) g_m-1,k) / sqrt((m+1)(m+1+k)),
+started from g_0k = g_00/sqrt(k!), g_00 = e^(-r2/2)/(pi*lam).  The phase is put
+back by one Horner pass over the diagonals on the full grid, k = d-1 down to 0:
+acc <- acc * 2a/sqrt(k+1) + sqrt(k!) D_k.  The factor 1/sqrt(k!) rides in the
+Horner step, so no e^(-r2/2)/sqrt(k!) underflows at large d.  Each diagonal is
+summed and gathered to the grid before the next one is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,23 +77,38 @@ def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
 
     Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
     two_a = np.sqrt(2.0 / lam) * (P - 1j * Q)
-    root = np.sqrt(np.arange(dim))
+    # points of equal r2 = |2a|^2 (exact equality) share their radial factors
+    radii, inverse = np.unique((2.0 / lam) * (Q * Q + P * P), return_inverse=True)
+    inverse = inverse.reshape(two_a.shape)
     weight = 2.0 * np.triu(rho, 1) + np.diag(rho.diagonal().real)
-    # w[n] holds w_mn of the current row m for n >= m (row -1 is all zero)
-    w = [np.exp(-0.5 * np.abs(two_a) ** 2) / (np.pi * lam)] + [0.0] * (dim - 1)
+    gauss = np.exp(-0.5 * radii) / (np.pi * lam)
     acc = np.zeros_like(two_a)
-    for m in range(dim):
-        carry = w[m]        # w_m-1,m, then w_m-1,n-1 along the row
-        if m:
-            w[m] = (two_a.conj() * carry - root[m] * w[m - 1]) / root[m]
-        acc += weight[m, m] * w[m]
-        for n in range(m + 1, dim):
-            w[n], carry = (two_a * w[n - 1] - root[m] * carry) / root[n], w[n]
-            acc += weight[m, n] * w[n]
+    for k in range(dim - 1, -1, -1):
+        # acc becomes sqrt(k!) sum_{j>=k} (2a)^(j-k) D_j, so W = Re acc after k = 0
+        acc *= two_a / math.sqrt(k + 1)
+        acc += _diagonal_sum(np.diagonal(weight, k), radii, gauss, k)[inverse]
 
     grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=acc.real, lam=lam)
     grid.boundary_mass = _check_boundary(grid, boundary_tol)
     return grid
+
+
+def _diagonal_sum(c: np.ndarray, radii: np.ndarray, gauss: np.ndarray, k: int) -> np.ndarray:
+    """sqrt(k!) D_k = sum_m c[m] sqrt(k!) g_m,k(radii), by the forward recurrence in m.
+
+    The recurrence is linear, so it runs from sqrt(k!) g_0,k = gauss = g_00.
+    """
+    g = gauss
+    re, im = c[0].real * g, c[0].imag * g
+    prev = np.zeros_like(g)
+    for m in range(len(c) - 1):
+        step = (radii - (2 * m + 1 + k)) * g
+        step -= math.sqrt(m * (m + k)) * prev
+        step /= math.sqrt((m + 1) * (m + 1 + k))
+        g, prev = step, g
+        re += c[m + 1].real * g
+        im += c[m + 1].imag * g
+    return re + 1j * im
 
 
 def _check_boundary(grid: WignerGrid, tol: float) -> float:

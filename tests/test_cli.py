@@ -288,19 +288,34 @@ def test_radiation_zero_horizon_rejected(tmp_path, capsys):
 
 def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
     # both spectra read the same odd adjoint rows: on each time grid (main run,
-    # sum rule, dim+10 probe) every parity sector is stepped exactly once
-    steps = Counter()
-    states = radiation._SteppingFlow.states
+    # sum rule, dim+10 probe) every parity sector is stepped by one call that
+    # yields all n_t rows, and the odd sector's last state takes one `final`
+    calls, rows_drawn, finals = Counter(), Counter(), Counter()
+    states, final = radiation._SteppingFlow.states, radiation._SteppingFlow.final
 
-    def counting(self, s, x, adjoint=False):
-        steps[self.sectors[s].idx.size, self.n_t, self.dt, s] += 1
-        return states(self, s, x, adjoint)
+    def grid(flow):
+        return flow.sectors[0].idx.size, flow.n_t, flow.dt
 
-    monkeypatch.setattr(radiation._SteppingFlow, "states", counting)
+    def counting_states(self, s, x, adjoint=False):
+        calls[grid(self), s] += 1
+        for start, rows in states(self, s, x, adjoint):
+            rows_drawn[grid(self), s] += len(rows)
+            yield start, rows
+
+    def counting_final(self, s, y):
+        finals[grid(self)] += 1
+        return final(self, s, y)
+
+    monkeypatch.setattr(radiation._SteppingFlow, "states", counting_states)
+    monkeypatch.setattr(radiation._SteppingFlow, "final", counting_final)
     run_experiment(validate_config({"experiment": "radiation", **TINY["radiation"],
                                     "output_dir": str(tmp_path)}))
-    assert sum(1 for key in steps if key[-1] == 1) == 3
-    assert set(steps.values()) == {1}
+    grids = {key for key, _ in calls}
+    assert len(grids) == 3
+    assert set(calls) == {(key, s) for key in grids for s in (0, 1)}
+    assert set(calls.values()) == {1}
+    assert rows_drawn == Counter({(key, s): key[1] for key, s in calls})
+    assert finals == Counter(dict.fromkeys(grids, 1))
 
 
 def test_radiation_manifest_records_horizon_weight(tmp_path):

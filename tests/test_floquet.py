@@ -164,3 +164,33 @@ def test_quasienergy_set_stable_under_k_cut():
     e2 = floquet_vs_rwa(p2, n_track=6)["eps_fourier"]
     d = np.abs(e1 - e2) % p1.omegaF
     assert np.all(np.minimum(d, p1.omegaF - d) < 1e-8 * p1.omegaF)
+
+
+@pytest.mark.parametrize("n_cut", [24, 32])
+def test_even_and_odd_fock_rows_never_meet(n_cut):
+    # q^2 changes n by 0 or 2, so the block between rows of even n and rows
+    # of odd n is exactly zero: each parity is diagonalised on its own
+    m = build_floquet_matrix(make_params(1.8, 1.0, n_cut=n_cut))
+    odd = np.arange(len(m)) % n_cut % 2 == 1
+    assert m[np.ix_(~odd, odd)].size > 0
+    assert np.all(m[np.ix_(~odd, odd)] == 0.0)
+
+
+@pytest.mark.parametrize("delta, f", [(1.8, 1.0), (0.3, 0.8), (2.5, 2.0)])
+def test_parity_blocks_match_full_matrix_eigh(delta, f):
+    # oracle: the whole Fourier x Fock matrix, each tracked state picked by its
+    # overlap with the resonant-chain embedding over all eigenvectors
+    p = make_params(delta, f)
+    table = floquet_vs_rwa(p, n_track=6)
+    w, vecs = np.linalg.eigh(build_floquet_matrix(p))
+    nk = 2 * p.k_cut + 1
+    chains = {parity: parity_eigh(p.n_cut, RwaSystem(delta=delta, f=f), parity)
+              for parity in (1, -1)}
+    for parity, rank, eps in zip(table["parity"], table["rank"], table["eps_fourier"]):
+        idx, _, v = chains[int(parity)]
+        keep = (idx < p.n_cut) & (idx // 2 <= p.k_cut)
+        embedded = np.zeros(nk * p.n_cut)
+        embedded[(idx[keep] // 2 + p.k_cut) * p.n_cut + idx[keep]] = v[keep, int(rank)]
+        j = int(np.argmax(np.abs(vecs.T @ embedded)))
+        d = abs(w[j] % p.omegaF - eps)
+        assert min(d, p.omegaF - d) < 1e-12 * p.omegaF
