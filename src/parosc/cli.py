@@ -273,27 +273,28 @@ def _run_ramp(cfg):
             convergence_report(result.final_fidelity, probe, cfg["dim"]))
 
 
-def _wigner_run(dim, cfg, qs, ps):
-    result = _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1]
-    rho = np.outer(result.final_state, result.final_state.conj())
-    return result, wigner_transform(rho, 1.0 / (2.0 * cfg["f_final"]), qs, ps)
-
-
 def _run_wigner(cfg):
     qs = np.linspace(-cfg["q_max"], cfg["q_max"], cfg["q_points"])
     ps = np.linspace(-cfg["p_max"], cfg["p_max"], cfg["p_points"])
-    result, grid = _wigner_run(cfg["dim"], cfg, qs, ps)
+    _, result = _vacuum_ramp(cfg["dim"], cfg, cfg["f_final"], cfg["rel_tol"])
+    psi = result.final_state
+    grid = wigner_transform(np.outer(psi, psi.conj()),
+                            RwaSystem(delta=cfg["delta"], f=cfg["f_final"]).lam, qs, ps)
     # long format, Q-major
     table = {"Q": np.repeat(grid.q_axis, len(grid.p_axis)),
              "P": np.tile(grid.p_axis, len(grid.q_axis)), "W": grid.values.ravel()}
     results = {"lambda": grid.lam, "norm": grid.norm(), "boundary_mass": grid.boundary_mass,
                "final_fidelity": result.final_fidelity, **_cf4_record(result)}
 
-    def peaks(g):
-        return np.array([g.norm(), float(g.values.max())])
+    # the report compares the prepared states amplitude by amplitude, psi
+    # zero-padded to dim + step, so weight above level dim counts; since
+    # |W_psi - W_phi| <= 2 ||psi - phi|| / (pi lam) at every point, it bounds the grid
+    def probe(dim):
+        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1].final_state.view(float)
 
+    step = 10
     return {"wigner.csv": table}, results, convergence_report(
-        peaks(grid), lambda dim: peaks(_wigner_run(dim, cfg, qs, ps)[1]), cfg["dim"])
+        np.pad(psi, (0, step)).view(float), probe, cfg["dim"], dim_step=step)
 
 
 def _run_lz(cfg):

@@ -154,8 +154,7 @@ def _circular_distance(a: float, b: float, period: float) -> float:
     return min(d, period - d)
 
 
-def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
-                   rwa_dim: int | None = None) -> dict[str, np.ndarray]:
+def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6) -> dict[str, np.ndarray]:
     """Compare tracked quasienergies between the Fourier matrix and the RWA mapping.
 
     Returns columns (name -> 1-D array, one entry per tracked state, lowest RWA
@@ -165,9 +164,8 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6,
     k = n/2, odd at k = (n-1)/2); the Fourier eigenvector with maximal overlap
     against this embedding identifies the state across the omegaF ambiguity.
     """
-    dim = rwa_dim or p.n_cut
     system = RwaSystem(delta=p.delta, f=p.f)
-    chains = {parity: parity_eigh(dim, system, parity) for parity in (1, -1)}
+    chains = {parity: parity_eigh(p.n_cut, system, parity) for parity in (1, -1)}
     states = sorted(((w * p.V, parity, r)
                      for parity, (_, ws, _) in chains.items() for r, w in enumerate(ws)),
                     key=lambda t: t[0])

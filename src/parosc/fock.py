@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_NORM_TOL = 1e-10   # largest | ||psi|| - 1 | that check_state accepts
+
 
 class ConvergenceError(RuntimeError):
     """Raised when a result is not converged with respect to the Fock truncation."""
@@ -73,11 +75,11 @@ def parity_operator(space: FockSpace) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
 
 
-def check_state(psi: np.ndarray, tol: float = 1e-10) -> None:
+def check_state(psi: np.ndarray) -> None:
     """Raise if psi is not a normalized state vector."""
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state norm {nrm} deviates from 1 by more than {tol}")
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm {nrm} deviates from 1 by more than {_NORM_TOL}")
 
 
 def tail_population(state_or_rho: np.ndarray, tail_levels: int) -> float:

@@ -126,8 +126,7 @@ def _pcf_slope(nu: complex) -> complex:
     return -math.sqrt(2.0) * cmath.exp(loggamma((1.0 - nu) / 2.0) - loggamma(-nu / 2.0))
 
 
-def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray,
-                              rel_tol: float = 1e-12) -> np.ndarray:
+def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray) -> np.ndarray:
     """D_nu(k*t) / D_nu(0) for t on a nonnegative real grid, along the fixed ray arg(k).
 
     Integrates w'' + (nu + 1/2 - z^2/4) w = 0 in the ray parameter t from
@@ -141,7 +140,7 @@ def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray,
 
     y0 = np.array([1.0, k * _pcf_slope(nu)], dtype=complex)
     sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
-                    method="DOP853", rtol=rel_tol, atol=1e-13)
+                    method="DOP853", rtol=1e-12, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"parabolic cylinder integration failed: {sol.message}")
     return sol.y[0]

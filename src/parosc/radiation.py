@@ -13,14 +13,15 @@ same cores (with two threads each, the radiation experiment took 1.5 to 2
 times as long).  The first 128 states are stepped one matrix-vector product at
 a time; every later block of 128 states is one matrix product of the block
 before it with P^128.  The stepping hands out these blocks in turn and keeps
-only the last one; ``evolve_master`` and the correlators put them together.
+only the last one; ``_SteppingFlow.fock_rows`` writes them into the Fock
+arrays of ``evolve_master`` and the correlators.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
 Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
 are real.  A Hermitian state (rho0 - rho_st, say) is one real row; any other
 vector, such as the seeds rho a_dag or the row of Tr[a .], is two real rows,
-its real and imaginary coordinates.  Vectors enter and leave in Fock
-coordinates only at the edges of ``evolve_master`` and the correlators.
+its real and imaginary coordinates.  The rows of ``evolve_master`` and the
+correlators enter and leave Fock coordinates through ``fock_rows``.
 
 ``evolve_master`` returns rho(t) = exp(L t) rho0 on such a grid.
 ``two_time_correlator`` returns <a_dag(t1) a(t2)> by the quantum regression
@@ -33,14 +34,13 @@ sector.  The trace against a sees only the odd sector, which the seeds
 K(M) = M a_dag of the even part fill, so the spectra need only the even
 deviation from the steady state, its odd seeds and the odd adjoint rows
 tr_a Lambda^tau; ``emission_spectra`` reads both spectra, as arrays on the
-caller's grid, off one stepping of those rows, and ``sum_rule_check``
-integrates the first.  K is linear, so the trapezoid prefix over t' of the
-seeds is K of the prefix B of the even deviation.  B, formed block by block
-as the deviation is stepped, is the one array of all n_t times that the
-spectra keep: n_t x d^2/2 reals for a Hermitian rho0.  Each block of adjoint
-rows tau_j, j in [a, b), then meets the reversed slice B[n_t-b : n_t-a]
-through K alone, so the odd seeds and rows never exist for more than one
-block of times.
+caller's grid, off one stepping of those rows.  K is linear, so the trapezoid
+prefix over t' of the seeds is K of the prefix B of the even deviation.  B,
+formed block by block as the deviation is stepped, is the one array of all
+n_t times that the spectra keep: n_t x d^2/2 reals for a Hermitian rho0.
+Each block of adjoint rows tau_j, j in [a, b), then meets the reversed slice
+B[n_t-b : n_t-a] through K alone, so the odd seeds and rows never exist for
+more than one block of times.
 
 The frequency axis is x = Omega - omega_F/2 in units of V; physical bath
 prefactors are set to one, so spectra are in the reduced form where only peak
@@ -53,15 +53,17 @@ relative to the steady state):
 
 evaluated on a uniform time grid with trapezoidal weights; the grid step obeys
 dt <= min(0.05/gamma_tilde, 0.2/max|x|) so that each x is resolved to 0.2 rad
-per step.  ``sum_rule_check`` integrates E_rad over a band |x| <= X and only
-needs the band free of aliasing, which takes X dt < pi; it steps at X dt = 1.
-The stationary spectrum
+per step.  The stationary spectrum
 
     Q_st(x) = 2 Re Int_0^T dtau e^{i x tau} C_st(tau)
 
-uses the same grid.  Frequency grids must be uniform: the Fourier sums over the
-time grid are evaluated for all x at once by the chirp-z transform (Rabiner,
+uses the same grid.  The spectra, sums 2 Re sum_j u_j e^{i x t_j} of trapezoid-
+weighted time signals u, are the only Fourier sums; frequency grids must be
+uniform, and the sums run for all x at once by the chirp-z transform (Rabiner,
 Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
+``sum_rule_check`` integrates E_rad over a band |x| <= X in closed form,
+(1/2 pi) Int_{-X}^{X} 2 Re u_j e^{i x t_j} dx = (2X/pi) Re u_j sinc(X t_j/pi),
+and steps at X dt = 1, which keeps the band free of aliasing (X dt < pi).
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
     40840800, 960960, 16380, 182, 1))
 _THETA13 = 5.371920351148152
 _RELAX_TOL = 1e-4   # largest |rho(T_max) - rho_st| entry before the relaxation warning
-_SUM_RULE_POINTS = 4001     # frequencies of the sum rule's x-quadrature
 _HERMITIAN_TOL = 1e-14      # largest |Im y| / max|y| of coordinates stepped as one real row
 _SPECTRUM_PHASE = 0.2       # largest x dt of the spectra: each x resolved
 _SUM_RULE_PHASE = 1.0       # largest x dt of the sum-rule band: a third of the alias limit pi
@@ -207,30 +208,20 @@ class _SteppingFlow:
         for start, rows in self.states(s, np.stack([y.real, y.imag]), adjoint):
             yield start, rows[:, 0] + 1j * rows[:, 1]
 
-    def final(self, s: int, y: np.ndarray) -> np.ndarray:
-        """exp(L_s T) y at the last grid time, by the steps of ``states``; y may be complex."""
-        if not np.any(y):
-            return y
-        x = np.stack([y.real, y.imag], axis=1)
-        jumps, steps = divmod(self.n_t - 1, _BLOCK)
-        for _ in range(jumps):
-            x = self._prop(s, _BLOCK) @ x
-        for _ in range(steps):
-            x = self._prop(s) @ x
-        return x[:, 0] + 1j * x[:, 1]
+    def fock_rows(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """exp(L t) x for every t, or the rows x^T exp(L t) if adjoint; shape (len(ts), d^2).
 
-    def adjoint_rows(self, row: np.ndarray) -> np.ndarray:
-        """Rows row^T exp(L t) for every t, shape (len(ts), d^2), in Fock coordinates.
-
-        A row pairs with T y as (T^T row) . y, and T^T = conj(T^H).
+        x and the result are in Fock coordinates.  A row pairs with T y as
+        (T^T row) . y, and T^T = conj(T^H), so adjoint rows enter and leave
+        conjugated.
         """
-        out = np.zeros((self.n_t, row.size), dtype=complex)
+        flip = np.conj if adjoint else np.asarray
+        out = np.zeros((self.n_t, x.size), dtype=complex)
         for s, sector in enumerate(self.sectors):
-            if np.any(row[sector.idx]):
+            if np.any(x[sector.idx]):
                 for start, rows in self.complex_blocks(
-                        s, sector.to_herm(row[sector.idx].conj()).conj(), adjoint=True):
-                    out[start:start + len(rows), sector.idx] = \
-                        sector.to_fock(np.conj(rows)).conj()
+                        s, flip(sector.to_herm(flip(x[sector.idx]))), adjoint):
+                    out[start:start + len(rows), sector.idx] = flip(sector.to_fock(flip(rows)))
         return out
 
 
@@ -244,14 +235,8 @@ def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray) -> np
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must ascend from 0")
-    flow = _SteppingFlow(liou, t_grid)
-    x0 = np.asarray(rho0, complex).reshape(-1)
-    out = np.zeros((len(t_grid), x0.size), dtype=complex)
-    for s, sector in enumerate(liou.sectors):
-        if np.any(x0[sector.idx]):
-            for start, rows in flow.complex_blocks(s, sector.to_herm(x0[sector.idx])):
-                out[start:start + len(rows), sector.idx] = sector.to_fock(rows)
-    return out.reshape(len(t_grid), liou.dim, liou.dim)
+    rows = _SteppingFlow(liou, t_grid).fock_rows(np.asarray(rho0, complex).reshape(-1))
+    return rows.reshape(len(t_grid), liou.dim, liou.dim)
 
 
 def _operators(liou: Liouvillian):
@@ -278,12 +263,6 @@ def _odd_operators(liou: Liouvillian):
                    np.where(last, 0.0, np.sqrt(odd.idx % d + 1.0))[:, None])
     # tr_a is real, so T^T tr_a = conj(T^H tr_a)
     return odd.to_herm(tr_a[odd.idx]).conj(), odd.to_herm.after(shift).after(even.to_fock)
-
-
-def _trapz_weights(n: int, dt: float) -> np.ndarray:
-    w = np.full(n, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
 
 
 def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray) -> np.ndarray:
@@ -323,7 +302,7 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
     n_t = len(t_grid)
     tr_a, a_dag = _operators(liou)
     seeds = (evolve_master(liou, rho0, t_grid) @ a_dag).reshape(n_t, -1)
-    rows = _SteppingFlow(liou, t_grid).adjoint_rows(tr_a)    # row j = tr_a Lambda^{j dt}
+    rows = _SteppingFlow(liou, t_grid).fock_rows(tr_a, adjoint=True)  # tr_a Lambda^{j dt}
     full = rows @ seeds.T                                    # (tau index, t1 index)
     values = np.zeros((n_t, n_t), dtype=complex)
     for i in range(n_t):
@@ -334,16 +313,13 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
 # ---------------------------------------------------------------------------
 # spectra
 
-def _time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray,
-               phase: float) -> np.ndarray:
-    """Uniform grid on [0, T_max] with max|x| dt <= phase, validated before any propagation."""
+def _time_grid(liou: Liouvillian, T_max: float, x_max: float, phase: float) -> np.ndarray:
+    """Uniform grid on [0, T_max] with x_max dt <= phase, validated before any propagation."""
     gt = liou.gamma_tilde
     if gt <= 0:
         raise ValueError("emission spectra need gamma_tilde > 0")
     if T_max < 10.0 / gt:
         raise ValueError(f"T_max = {T_max} too short; need >= {10.0 / gt}")
-    _uniform_step(omega_grid, "omega_grid")
-    x_max = float(np.max(np.abs(omega_grid), initial=0.0))
     dt = min(0.05 / gt, phase / x_max) if x_max > 0 else 0.05 / gt
     return np.linspace(0.0, T_max, int(np.ceil(T_max / dt)) + 1)
 
@@ -353,7 +329,10 @@ def spectrum_time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray) 
 
     Its step is min(0.05/gamma_tilde, 0.2/max|x|); raises as ``emission_spectra`` does.
     """
-    return _time_grid(liou, T_max, np.asarray(omega_grid, dtype=float), _SPECTRUM_PHASE)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    _uniform_step(omega_grid, "omega_grid")
+    x_max = float(np.max(np.abs(omega_grid), initial=0.0))
+    return _time_grid(liou, T_max, x_max, _SPECTRUM_PHASE)
 
 
 def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
@@ -366,17 +345,19 @@ def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     frequency, windowed at T_max like E_rad.  Requires T_max >= 10/gamma_tilde
     and warns if rho(T_max) has not relaxed to the steady state.
     """
-    return _transient(liou, rho0, T_max, omega_grid, _SPECTRUM_PHASE)[:2]
-
-
-def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np.ndarray,
-               phase: float):
-    """(E_rad, Q_st, Int dt (<n>(t) - <n>_st)) on one time grid with max|x| dt <= phase.
-
-    Both correlators are the odd adjoint rows tr_a Lambda^tau against different seeds.
-    """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    ts = _time_grid(liou, T_max, omega_grid, phase)
+    ts = spectrum_time_grid(liou, T_max, omega_grid)
+    u_s, u_c, _ = _transient(liou, rho0, ts)
+    return _fourier_quadrature(omega_grid, ts, u_s), _fourier_quadrature(omega_grid, ts, u_c)
+
+
+def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
+    """(w S(tau), w C_st(tau), Int dt (<n>(t) - <n>_st)) on the uniform grid ts.
+
+    w are the trapezoid weights, so E_rad and Q_st are the Fourier sums
+    2 Re sum_j u_j e^{i x t_j} of the first two.  Both correlators are the odd
+    adjoint rows tr_a Lambda^tau against different seeds.
+    """
     dt, n_t = ts[1] - ts[0], len(ts)
 
     even, odd = liou.sectors
@@ -410,8 +391,13 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np
         c[0] += carry
         c -= h0
         carry = last
-    odd_left = odd.to_fock(flow.final(1, odd.to_herm(dev0[odd.idx])))
-    left = max(float(np.max(np.abs(even.to_fock(dev[-1])))), float(np.max(np.abs(odd_left))))
+    left = float(np.max(np.abs(even.to_fock(dev[-1]))))
+    odd0 = odd.to_herm(dev0[odd.idx])
+    if np.any(odd0):
+        # only the last row counts; each block replaces the one before
+        for _, rows in flow.complex_blocks(1, odd0):
+            pass
+        left = max(left, float(np.max(np.abs(odd.to_fock(rows[-1])))))
     if left > _RELAX_TOL:
         warnings.warn(f"state not relaxed at T_max: deviation {left:.2e}",
                       RuntimeWarning, stacklevel=3)
@@ -425,10 +411,9 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, T_max: float, omega_grid: np
         b = a + len(rows)
         s_tau[a:b] = np.einsum("jm,jm->j", rows, seed(prefix[n_t - b:n_t - a][::-1]))
         c_st[a:b] = rows @ seed_st
-    # 2 Re Int dt s(t) e^{i x t} by the trapezoid rule, for every x
-    w = _trapz_weights(n_t, dt)
-    return (_fourier_quadrature(omega_grid, ts, w * s_tau),
-            _fourier_quadrature(omega_grid, ts, w * c_st), float(np.sum(w * excess)))
+    w = np.full(n_t, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w * s_tau, w * c_st, float(np.sum(w * excess))
 
 
 def sum_rule_check(liou: Liouvillian, rho0: np.ndarray,
@@ -436,16 +421,16 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray,
     """Frequency-integral consistency check of the transient spectrum.
 
     Returns (lhs, rhs, slowest_odd_rate).  lhs = (1/2 pi) Int dx E_rad(x) over
-    a wide band |x| <= X; rhs = Int dt (<n>(t) - <n>_st).  The band covers
-    every odd-sector oscillation frequency that carries weight for rho0, plus a
-    margin of 100 gamma_tilde.
-    The two must agree because integrating the phase factor over all x
-    collapses the double time integral onto its diagonal.  Both come from one
-    propagation: the excess occupation is read off the deviation that the
-    transient spectrum steps, on a grid with X dt = 1 that keeps the band free
-    of aliasing.  slowest_odd_rate is the smallest decay rate -Re mu among
-    those weighted odd modes (inf if none carries weight): the correlators
-    keep exp(-rate T_max) of their weight past the horizon.
+    a wide band |x| <= X, in closed form; rhs = Int dt (<n>(t) - <n>_st).
+    The band covers every odd-sector oscillation frequency that carries weight
+    for rho0, plus a margin of 100 gamma_tilde.  The two must agree because
+    integrating the phase factor over all x collapses the double time integral
+    onto its diagonal.  Both come from one propagation: the excess occupation
+    is read off the deviation that the transient spectrum steps, on a grid
+    with X dt = 1 that keeps the band free of aliasing.  slowest_odd_rate is
+    the smallest decay rate -Re mu among those weighted odd modes (inf if none
+    carries weight): the correlators keep exp(-rate T_max) of their weight
+    past the horizon.
     """
     # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The trace
     # against a only sees the odd sector, so its modes suffice.
@@ -463,6 +448,7 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray,
     x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
         + 100.0 * liou.gamma_tilde
     slowest = float(np.min(-mu[active].real)) if np.any(active) else np.inf
-    xs = np.linspace(-x_max, x_max, _SUM_RULE_POINTS)
-    e_rad, _, rhs = _transient(liou, rho0, T_max, xs, _SUM_RULE_PHASE)
-    return float(np.trapezoid(e_rad, xs) / (2.0 * np.pi)), rhs, slowest
+    ts = _time_grid(liou, T_max, x_max, _SUM_RULE_PHASE)
+    u_s, _, rhs = _transient(liou, rho0, ts)
+    lhs = 2.0 * x_max / np.pi * float(np.sum(u_s.real * np.sinc(x_max / np.pi * ts)))
+    return lhs, rhs, slowest

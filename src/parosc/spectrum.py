@@ -17,6 +17,10 @@ import numpy as np
 from .fock import ConvergenceError, FockSpace
 from .rwa import RwaSystem, parity_eigh, zero_drive_levels
 
+_TAIL_TOL = 1e-8            # largest top-level population of a tracked eigenvector
+_DEGENERACY_TOL = 1e-8      # largest gap that find_degeneracy_points calls a coincidence
+_DEGENERACY_LEVELS = 6      # lowest levels per parity that it scans
+
 
 def level_label_at_zero_drive(delta: float, n: int) -> tuple[int, int]:
     """(parity, rank) label of the Fock state |n> within its parity block at f = 0.
@@ -69,7 +73,7 @@ class SpectrumSeries:
 
 
 def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
-                      n_levels: int, tail_tol: float = 1e-8) -> SpectrumSeries:
+                      n_levels: int) -> SpectrumSeries:
     """Track the lowest ``n_levels`` levels per parity across an ascending drive grid.
 
     Columns are ordered by energy at the first grid point and keep their
@@ -90,7 +94,7 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
             idx, w, v = parity_eigh(dim, system, parity)
             flow[i] = w[:flow.shape[1]]
             if i == len(f_grid) - 1:
-                _check_tracked_tails(idx, v[:, :flow.shape[1]], dim, tail_tol)
+                _check_tracked_tails(idx, v[:, :flow.shape[1]], dim)
 
     levels = np.concatenate([even_flow, odd_flow], axis=1)
     parities = np.concatenate([np.ones(n_even, dtype=int), -np.ones(n_odd, dtype=int)])
@@ -100,17 +104,17 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
                           parities=parities[order], ranks=ranks[order], dim=dim)
 
 
-def _check_tracked_tails(idx, v, dim, tail_tol):
+def _check_tracked_tails(idx, v, dim):
     """Truncation check at the largest drive: the tracked eigenvectors (columns
     of v over Fock indices idx) must not lean on the top Fock levels."""
     tail = max(4, dim // 8)
     pops = np.sum(np.abs(v[idx >= dim - tail]) ** 2, axis=0)
-    bad = np.flatnonzero(pops > tail_tol)
+    bad = np.flatnonzero(pops > _TAIL_TOL)
     if bad.size:
         r = bad[0]
         raise ConvergenceError(
             f"tracked level rank {r} has tail population "
-            f"{pops[r]:.3g} > {tail_tol:.3g}; increase dim"
+            f"{pops[r]:.3g} > {_TAIL_TOL:.3g}; increase dim"
         )
 
 
@@ -127,8 +131,7 @@ def same_parity_gap(series: SpectrumSeries, parity: int, rank: int) -> np.ndarra
     return gaps
 
 
-def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float,
-                           tol: float = 1e-8, n_levels: int = 6) -> list[dict]:
+def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float) -> list[dict]:
     """Scan the detuning for level coincidences at fixed drive.
 
     Reports opposite-parity coincidences (exact at integer delta for any drive)
@@ -136,21 +139,19 @@ def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float,
     Each record carries the detuning, the kind, the two (parity, rank) labels,
     and the residual gap.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     found = []
     for delta in np.asarray(delta_grid, dtype=float):
         system = RwaSystem(delta=delta, f=f)
-        ev = parity_eigh(space.dim, system, 1)[1][:n_levels]
-        od = parity_eigh(space.dim, system, -1)[1][:n_levels]
+        ev = parity_eigh(space.dim, system, 1)[1][:_DEGENERACY_LEVELS]
+        od = parity_eigh(space.dim, system, -1)[1][:_DEGENERACY_LEVELS]
         for i, ei in enumerate(ev):
             for j, oj in enumerate(od):
-                if abs(ei - oj) < tol:
+                if abs(ei - oj) < _DEGENERACY_TOL:
                     found.append({"delta": float(delta), "kind": "opposite-parity",
                                   "labels": ((1, i), (-1, j)), "gap": float(abs(ei - oj))})
         for name, block, par in (("even", ev, 1), ("odd", od, -1)):
             for i in range(len(block) - 1):
-                if block[i + 1] - block[i] < tol:
+                if block[i + 1] - block[i] < _DEGENERACY_TOL:
                     found.append({"delta": float(delta), "kind": f"same-parity-{name}",
                                   "labels": ((par, i), (par, i + 1)),
                                   "gap": float(block[i + 1] - block[i])})

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BOUNDARY_TOL = 1e-4    # largest |W| mass on the grid's edge ring
+
 
 @dataclass
 class WignerGrid:
@@ -62,7 +64,7 @@ def _uniform_axis(name: str, axis) -> np.ndarray:
 
 
 def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
-                     p_axis: np.ndarray, boundary_tol: float = 1e-4) -> WignerGrid:
+                     p_axis: np.ndarray) -> WignerGrid:
     """Wigner function of a Fock-basis density matrix on a rectangular grid.
 
     Raises if an axis is not uniform and ascending, or if the grid is too
@@ -89,7 +91,7 @@ def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
         acc += _diagonal_sum(np.diagonal(weight, k), radii, gauss, k)[inverse]
 
     grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=acc.real, lam=lam)
-    grid.boundary_mass = _check_boundary(grid, boundary_tol)
+    grid.boundary_mass = _check_boundary(grid)
     return grid
 
 
@@ -111,8 +113,8 @@ def _diagonal_sum(c: np.ndarray, radii: np.ndarray, gauss: np.ndarray, k: int) -
     return re + 1j * im
 
 
-def _check_boundary(grid: WignerGrid, tol: float) -> float:
-    """|W| mass on the boundary ring; raises if it exceeds tol."""
+def _check_boundary(grid: WignerGrid) -> float:
+    """|W| mass on the boundary ring; raises if it exceeds _BOUNDARY_TOL."""
     dq = grid.q_axis[1] - grid.q_axis[0]
     dp = grid.p_axis[1] - grid.p_axis[0]
     edges = np.concatenate([
@@ -121,9 +123,9 @@ def _check_boundary(grid: WignerGrid, tol: float) -> float:
     ])
     # edge mass estimate: |W| on the boundary ring times one cell depth
     mass = float(edges.sum() * dq * dp)
-    if mass > tol:
+    if mass > _BOUNDARY_TOL:
         raise ValueError(
-            f"grid too small: boundary mass {mass:.3g} exceeds {tol:.3g}; "
+            f"grid too small: boundary mass {mass:.3g} exceeds {_BOUNDARY_TOL:.3g}; "
             "widen q_axis/p_axis"
         )
     return mass

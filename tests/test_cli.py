@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from collections import Counter
@@ -289,9 +290,9 @@ def test_radiation_zero_horizon_rejected(tmp_path, capsys):
 def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
     # both spectra read the same odd adjoint rows: on each time grid (main run,
     # sum rule, dim+10 probe) every parity sector is stepped by one call that
-    # yields all n_t rows, and the odd sector's last state takes one `final`
-    calls, rows_drawn, finals = Counter(), Counter(), Counter()
-    states, final = radiation._SteppingFlow.states, radiation._SteppingFlow.final
+    # yields all n_t rows
+    calls, rows_drawn = Counter(), Counter()
+    states = radiation._SteppingFlow.states
 
     def grid(flow):
         return flow.sectors[0].idx.size, flow.n_t, flow.dt
@@ -302,12 +303,7 @@ def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
             rows_drawn[grid(self), s] += len(rows)
             yield start, rows
 
-    def counting_final(self, s, y):
-        finals[grid(self)] += 1
-        return final(self, s, y)
-
     monkeypatch.setattr(radiation._SteppingFlow, "states", counting_states)
-    monkeypatch.setattr(radiation._SteppingFlow, "final", counting_final)
     run_experiment(validate_config({"experiment": "radiation", **TINY["radiation"],
                                     "output_dir": str(tmp_path)}))
     grids = {key for key, _ in calls}
@@ -315,7 +311,6 @@ def test_radiation_steps_each_sector_once_per_grid(tmp_path, monkeypatch):
     assert set(calls) == {(key, s) for key in grids for s in (0, 1)}
     assert set(calls.values()) == {1}
     assert rows_drawn == Counter({(key, s): key[1] for key, s in calls})
-    assert finals == Counter(dict.fromkeys(grids, 1))
 
 
 def test_radiation_manifest_records_horizon_weight(tmp_path):
@@ -445,6 +440,28 @@ def test_truncation_probe_runs_only_at_dim_check(tmp_path, monkeypatch, experime
     manifest = run_experiment(cfg)
     assert dims == [manifest["convergence"]["dim_check"]]
     assert manifest["convergence"]["converged"]
+
+
+def test_wigner_report_sees_weight_above_dim(tmp_path, monkeypatch):
+    # the dim+10 state puts 1e-5 of its weight on level dim, which the dim
+    # state cannot hold, so the report must not call the run converged
+    dim, leak = TINY["wigner"]["dim"], 1e-5
+    vacuum_ramp = cli._vacuum_ramp
+
+    def leaky_ramp(d, *args, **kwargs):
+        space, result = vacuum_ramp(d, *args, **kwargs)
+        if d == dim:
+            return space, result
+        psi = np.sqrt(1.0 - leak) * result.final_state
+        psi[dim] = np.sqrt(leak)
+        return space, dataclasses.replace(result, final_state=psi)
+
+    monkeypatch.setattr(cli, "_vacuum_ramp", leaky_ramp)
+    manifest = run_experiment(validate_config({"experiment": "wigner", **TINY["wigner"],
+                                               "output_dir": str(tmp_path)}))
+    assert manifest["convergence"]["dim_check"] == dim + 10
+    assert manifest["convergence"]["rel_diff"] > 1e-3
+    assert not manifest["convergence"]["converged"]
 
 
 @pytest.mark.parametrize("experiment, rel_tol", [

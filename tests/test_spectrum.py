@@ -154,10 +154,6 @@ class TestDegeneracyScan:
         found = find_degeneracy_points(FockSpace(40), np.array([2.5]), 0.3)
         assert all(not r["kind"].startswith("same-parity") for r in found)
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            find_degeneracy_points(FockSpace(20), np.array([1.0]), 0.1, tol=0.0)
-
 
 def test_eigenstate_by_label_phase_and_energy():
     sp = FockSpace(40)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from parosc import wigner
 from parosc.fock import FockSpace
 from parosc.wigner import wigner_transform
+
+
+@pytest.fixture
+def boundary_tol(monkeypatch):
+    """Sets the transform's edge-mass tolerance for one test, for grids that cut the state."""
+    return lambda tol: monkeypatch.setattr(wigner, "_BOUNDARY_TOL", tol)
 
 
 def fock_wavefunctions(dim, lam, x):
@@ -47,7 +54,8 @@ def test_vacuum_gaussian():
     assert 0.0 < grid.boundary_mass < 1e-8
 
 
-def test_against_brute_force_oracle():
+def test_against_brute_force_oracle(boundary_tol):
+    boundary_tol(1.0)
     rng = np.random.default_rng(11)
     dim = 6
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -56,15 +64,16 @@ def test_against_brute_force_oracle():
     lam = 0.35
     qs = np.linspace(-2.5, 2.5, 21)
     ps = np.linspace(-2.5, 2.5, 19)
-    grid = wigner_transform(rho, lam, qs, ps, boundary_tol=1.0)
+    grid = wigner_transform(rho, lam, qs, ps)
     oracle = brute_force_wigner(rho, lam, qs, ps)
     assert np.max(np.abs(grid.values - oracle)) < 1e-6
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5])
-def test_fock_states_match_laguerre_closed_form(lam):
+def test_fock_states_match_laguerre_closed_form(lam, boundary_tol):
     # W of |n><n| is (-1)^n L_n(2 r^2/lam) exp(-r^2/lam) / (pi lam), r^2 = Q^2 + P^2;
     # the high-n states probe the recurrence far from the vacuum
+    boundary_tol(np.inf)
     from scipy.special import eval_laguerre
 
     dim = 40
@@ -74,7 +83,7 @@ def test_fock_states_match_laguerre_closed_form(lam):
     for n in (0, 1, 2, 7, 20, 30, 39):
         rho = np.zeros((dim, dim))
         rho[n, n] = 1.0
-        grid = wigner_transform(rho, lam, qs, ps, boundary_tol=np.inf)
+        grid = wigner_transform(rho, lam, qs, ps)
         exact = ((-1) ** n * eval_laguerre(n, 2 * r2 / lam) * np.exp(-r2 / lam)
                  / (np.pi * lam))
         assert np.max(np.abs(grid.values - exact)) < 1e-12 / (np.pi * lam), n
@@ -109,10 +118,11 @@ def test_reality_parity_and_bound():
     assert np.max(np.abs(grid.values)) <= 1 / (np.pi * lam) + 1e-8
 
 
-def test_coherent_eigenstate_lobe_position_analytic():
+def test_coherent_eigenstate_lobe_position_analytic(boundary_tol):
     # at unit scaled detuning the double-well eigenstates are coherent states
     # with occupation f, so their lobes sit at Q = +-sqrt(2*lam*f) = +-1
     # exactly, for every drive; this pins the quadrature scaling.
+    boundary_tol(1.0)
     from parosc.spectrum import eigenstate_by_label
 
     f = 3.0
@@ -121,23 +131,24 @@ def test_coherent_eigenstate_lobe_position_analytic():
     rho = np.outer(phi, phi.conj())
     qs = np.linspace(0.5, 1.5, 201)
     ps = np.linspace(-0.4, 0.4, 81)
-    grid = wigner_transform(rho, lam, qs, ps, boundary_tol=1.0)
+    grid = wigner_transform(rho, lam, qs, ps)
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert qs[i] == pytest.approx(1.0, abs=0.01)
     assert ps[j] == pytest.approx(0.0, abs=0.01)
 
 
-def test_prepared_cat_lobe_sits_inside_classical_well():
+def test_prepared_cat_lobe_sits_inside_classical_well(boundary_tol):
     # the exact lobe of the delta=0, f=5 double-well ground state sits at
     # Q ~ 0.885, inside the classical minimum Q0 = 1 by an amount that is a
     # real quantum correction at lam = 0.1 (frozen from fine-grid runs)
+    boundary_tol(1.0)
     from parosc.spectrum import eigenstate_by_label
 
     _, phi = eigenstate_by_label(FockSpace(60), 0.0, 5.0, 1, 0)
     rho = np.outer(phi, phi.conj())
     qs = np.linspace(0.5, 1.5, 201)
     ps = np.linspace(-0.3, 0.3, 61)
-    grid = wigner_transform(rho, 0.1, qs, ps, boundary_tol=1.0)
+    grid = wigner_transform(rho, 0.1, qs, ps)
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert qs[i] == pytest.approx(0.885, abs=0.02)
     assert ps[j] == pytest.approx(0.0, abs=0.01)
@@ -192,21 +203,23 @@ def cahill_glauber_sum(rho, lam, qs, ps):
     (np.linspace(-3.0, 3.0, 41), np.linspace(-3.0, 3.0, 41)),
     (np.linspace(-2.7, 3.1, 37), np.linspace(-3.3, 2.4, 29)),
 ], ids=["symmetric", "asymmetric"])
-def test_dense_state_matches_double_sum(dim, axes):
+def test_dense_state_matches_double_sum(dim, axes, boundary_tol):
     # symmetric axes share radii between points; asymmetric ones share almost none
+    boundary_tol(np.inf)
     lam = 0.35
     rho = _random_rho(np.random.default_rng(dim), dim)
-    grid = wigner_transform(rho, lam, *axes, boundary_tol=np.inf)
+    grid = wigner_transform(rho, lam, *axes)
     oracle = cahill_glauber_sum(rho, lam, *axes)
     # measured <= 5.2e-16 in units of 1/(pi lam)
     assert np.max(np.abs(grid.values - oracle)) < 2e-15 / (np.pi * lam)
 
 
 @pytest.mark.parametrize("m, n", [(40, 79), (60, 79), (20, 60)])
-def test_high_fock_coherences_match_mpmath(m, n):
+def test_high_fock_coherences_match_mpmath(m, n, boundary_tol):
     # rho = (|m><n| + |n><m|)/2 at d = 80, lam = 0.5, on 14 points with r^2 from
     # 8 to 100: a 60-digit evaluation of the closed form gives errors <= 2.6e-16
     # in units of 1/(pi lam), where a recurrence along the rows loses every digit
+    boundary_tol(np.inf)
     import mpmath
 
     mpmath.mp.dps = 60
@@ -214,7 +227,7 @@ def test_high_fock_coherences_match_mpmath(m, n):
     qs, ps = np.linspace(1.0, 4.0, 7), np.array([1.0, 3.0])
     rho = np.zeros((dim, dim))
     rho[m, n] = rho[n, m] = 0.5
-    grid = wigner_transform(rho, lam, qs, ps, boundary_tol=np.inf)
+    grid = wigner_transform(rho, lam, qs, ps)
 
     def exact(q, p):
         two_a = mpmath.sqrt(mpmath.mpf(2) / lam) * (mpmath.mpf(p) - 1j * mpmath.mpf(q))
@@ -229,9 +242,10 @@ def test_high_fock_coherences_match_mpmath(m, n):
     assert np.max(np.abs(grid.values - oracle)) < 1e-15 / (np.pi * lam)
 
 
-def test_transform_holds_less_than_one_complex_grid_per_fock_index():
+def test_transform_holds_less_than_one_complex_grid_per_fock_index(boundary_tol):
     # the CLI's 101 x 101 grid at d = 50: the radial factors live on the 2,809
     # distinct radii, and only one diagonal is summed at a time
+    boundary_tol(np.inf)
     import tracemalloc
 
     dim = 50
@@ -239,7 +253,7 @@ def test_transform_holds_less_than_one_complex_grid_per_fock_index():
     rho = _random_rho(np.random.default_rng(3), dim)
     tracemalloc.start()
     try:
-        wigner_transform(rho, 0.1, axis, axis, boundary_tol=np.inf)
+        wigner_transform(rho, 0.1, axis, axis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
