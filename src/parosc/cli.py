@@ -364,7 +364,8 @@ def _run_radiation(cfg):
                       RuntimeWarning, stacklevel=2)
     ts = spectrum_time_grid(liou, cfg["T_max"], xs)
     results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, "slowest_odd_rate": rate,
-               "horizon_weight": horizon, "stepping_dt": float(ts[1] - ts[0]),
+               "horizon_weight": horizon, "steady_sigma_ratio": liou.steady_sigma_ratio,
+               "stepping_dt": float(ts[1] - ts[0]),
                "stepping_steps": len(ts) - 1, **_cf4_record(ramp)}
 
     # every k-th frequency; the subgrid keeps -x_max, hence dt and n_t

@@ -9,10 +9,11 @@ matrices through the two bands of H (``rwa.h_rwa_bands``).
 H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
-dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)), built by applying
-the generator to the sector's basis matrices; the steady state is solved on the
-even block, and ``radiation`` steps rho(t), the correlators and the spectra
-block by block.
+dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
+is solved on the even block, and ``radiation`` steps rho(t), the correlators and
+the spectra block by block.  The generator moves each Fock index by at most 2,
+so a block is read off the generator applied to 50 sums of basis matrices, one
+per color of coordinates that never share an output entry (see ``_sector``).
 
 A Lindblad generator preserves Hermiticity, L(rho^dag) = L(rho)^dag (Alicki &
 Lendi, Lect. Notes Phys. 286 (1987)), and each sector is closed under the
@@ -29,31 +30,36 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .fock import FockSpace, check_state
 from .rwa import RwaSystem, h_rwa_bands
 
 
-_GATHER_ROWS = 32   # rows per pass of a Gather over a stack of vectors
 _NULL_TOL = 1e-8    # smallest sigma_min/sigma_max of the steady-state solve
 
 
-class Gather(NamedTuple):
-    """Sparse linear map out[..., i] = sum_j coef[i, j] * v[..., pos[i, j]] on the last axis."""
+class Gather:
+    """Sparse linear map out[..., i] = sum_j coef[i, j] * v[..., pos[i, j]] on the last axis.
 
-    pos: np.ndarray
-    coef: np.ndarray
+    The terms are held as one CSR matrix A with A[i, pos[i, j]] += coef[i, j],
+    and a call is the one product out = v A^T.  Positions may repeat within a
+    row (the diagonal coordinates read entry k twice) and coefficients may be
+    zero; both enter as stored terms.
+    """
+
+    def __init__(self, pos: np.ndarray, coef: np.ndarray):
+        self.pos, self.coef = pos, coef
+        n, k = pos.shape
+        self.matrix = csr_array((coef.ravel(), pos.ravel(), np.arange(0, n * k + 1, k)),
+                                shape=(n, int(pos.max(initial=-1)) + 1))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(v.shape[:-1] + (len(self.pos),), np.result_type(v, self.coef))
-        rows, flat = v.reshape(-1, v.shape[-1]), out.reshape(-1, len(self.pos))
-        # a few rows at a time, so that the gathered terms stay in cache
-        for start in range(0, len(rows), _GATHER_ROWS):
-            block, acc = rows[start:start + _GATHER_ROWS], flat[start:start + _GATHER_ROWS]
-            np.multiply(block[:, self.pos[:, 0]], self.coef[:, 0], out=acc)
-            for j in range(1, self.pos.shape[1]):
-                acc += block[:, self.pos[:, j]] * self.coef[:, j]
-        return out
+        v = np.asarray(v)
+        n, m = self.matrix.shape
+        # columns past the last position carry no term
+        rows = v.reshape(-1, v.shape[-1])[:, :m]
+        return (self.matrix @ rows.T).T.reshape(v.shape[:-1] + (n,))
 
     def after(self, first: Gather) -> Gather:
         """The map v -> self(first(v)), its terms multiplied out."""
@@ -69,7 +75,8 @@ class Sector(NamedTuple):
     sector's Fock vector is x = vec(rho)[idx].  The columns of the unitary T
     are the Hermitian basis, and y = T^H x are the coordinates, real for a
     Hermitian rho: ``to_herm`` applies T^H and ``to_fock`` applies T, two
-    terms per entry each, and ``block`` is the real matrix T^H L_s T.
+    terms per entry each, and ``block`` is the real matrix T^H L_s T, built
+    from the generator applied to sums of basis matrices (``_sector``).
     Coordinate k belongs to entry idx[k]: E_mm on the diagonal, the symmetric
     element of the pair (m, n) above it and the antisymmetric one below it.
     """
@@ -98,7 +105,21 @@ def _generator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float,
 
 
 def _sector(apply: Callable[[np.ndarray], np.ndarray], dim: int, parity: int) -> Sector:
-    """The sector of the given (m + n) parity of the generator ``apply`` on d x d stacks."""
+    """The sector of the given (m + n) parity of the generator ``apply`` on d x d stacks.
+
+    L[rho][i, j] reads rho only within two steps of (i, j) along each index,
+    so block entry (k', k) can be nonzero only if the sorted Fock pair
+    (lo, hi) of coordinate k, or its transpose, lies in the 5 x 5 box
+    lo' +- 2, hi' +- 2 around the sorted pair of k'; and if (hi, lo) lies in
+    that box, so does (lo, hi).  The box holds one pair of each residue pair
+    (lo mod 5, hi mod 5), so of each color (lo mod 5, hi mod 5, symmetric or
+    antisymmetric) one coordinate at most reaches row k', and the coordinates
+    of a color have disjoint supports.  The block is therefore read off the
+    generator applied to the sum of each color's basis matrices, 50 matrices
+    at most whatever the dimension (Curtis, Powell & Reid, J. Inst. Math.
+    Appl. 13, 117 (1974)).  Each entry comes from the same arithmetic on the
+    same operands as in T^H L[T e_k], so the block is the same to the bit.
+    """
     m, n = np.divmod(np.arange(dim * dim), dim)
     idx = np.flatnonzero((m + n) % 2 == parity)
     local = np.zeros(dim * dim, dtype=np.intp)
@@ -110,11 +131,25 @@ def _sector(apply: Callable[[np.ndarray], np.ndarray], dim: int, parity: int) ->
     herm = np.where(upper, [r, r], np.where(lower, [1j * r, -1j * r], [0.5, 0.5]))
     fock = np.where(upper, [r, 1j * r], np.where(lower, [-1j * r, r], [0.5, 0.5]))
     to_herm, to_fock = Gather(pos, herm), Gather(pos, fock)
-    # row k of T^T is the basis matrix T e_k; column k of T^H L_s T is T^H L[T e_k]
-    basis = np.zeros((idx.size, dim * dim), dtype=complex)
-    basis[:, idx] = to_fock(np.eye(idx.size))
-    ls_t = apply(basis.reshape(-1, dim, dim)).reshape(idx.size, -1)[:, idx]
-    return Sector(idx, np.ascontiguousarray(to_herm(ls_t).T.real), to_herm, to_fock)
+
+    lo, hi, anti = np.minimum(m, n), np.maximum(m, n), lower[:, 0]
+    colors, color = np.unique((lo % 5 * 5 + hi % 5) * 2 + anti, return_inverse=True)
+    # T applied to the indicator of color c is the sum of its basis matrices T e_k
+    probes = np.zeros((colors.size, dim * dim), dtype=complex)
+    probes[:, idx] = to_fock(np.arange(colors.size)[:, None] == color)
+    ls_t = to_herm(apply(probes.reshape(-1, dim, dim)).reshape(colors.size, -1)[:, idx])
+    # the owner of row k' in color c: the pair of c's residues in the box around k'
+    col = colors[:, None]
+    c_lo, c_hi, c_anti = col // 10, col // 2 % 5, col % 2 == 1
+    own_lo = lo - 2 + (c_lo - lo + 2) % 5
+    own_hi = hi - 2 + (c_hi - hi + 2) % 5
+    owned = ((own_lo >= 0) & (own_hi < dim) & ((own_lo + own_hi) % 2 == parity)
+             & np.where(c_anti, own_lo < own_hi, own_lo <= own_hi))
+    entry = np.where(c_anti, own_hi * dim + own_lo, own_lo * dim + own_hi)
+    c, row = np.nonzero(owned)
+    block = np.zeros((idx.size, idx.size))
+    block[row, local[entry[c, row]]] = ls_t[c, row].real
+    return Sector(idx, block, to_herm, to_fock)
 
 
 @dataclass
@@ -126,6 +161,8 @@ class Liouvillian:
     gamma_tilde: float
     sectors: tuple[Sector, Sector] = field(init=False, repr=False)
     _steady: np.ndarray | None = field(default=None, repr=False)
+    # sigma_min/sigma_max of the steady-state solve, set with _steady
+    steady_sigma_ratio: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.sectors = tuple(_sector(self.apply, self.dim, parity) for parity in (0, 1))
@@ -158,7 +195,8 @@ def steady_state(liou: Liouvillian) -> np.ndarray:
     smallest singular value below ``_NULL_TOL`` = 1e-8 times the largest means a
     degenerate null space; none at all leaves a large residual.  Measured
     sigma_min/sigma_max of the stacked matrix is >= 1.8e-5 at f = 1 for dim
-    12-44, delta in {0, 1.8, 3} and gamma_tilde in {0.05, 0.1, 1}.
+    12-44, delta in {0, 1.8, 3} and gamma_tilde in {0.05, 0.1, 1}; each solve
+    keeps its ratio as ``liou.steady_sigma_ratio``.
     """
     if liou.gamma_tilde <= 0:
         raise ValueError("steady state requires gamma_tilde > 0")
@@ -183,6 +221,7 @@ def steady_state(liou: Liouvillian) -> np.ndarray:
     if resid > 1e-10 * scale:
         raise RuntimeError(f"steady-state residual {resid:.3g} too large")
     liou._steady = rho
+    liou.steady_sigma_ratio = float(sv[-1] / sv[0])
     return rho
 
 

@@ -10,11 +10,12 @@ every matrix product and solve of the flow runs on NumPy's BLAS:
 ``scipy.linalg.expm`` runs on scipy's own copy of OpenBLAS, and calls that
 alternate between the two copies leave their thread pools contending for the
 same cores (with two threads each, the radiation experiment took 1.5 to 2
-times as long).  The first 128 states are stepped one matrix-vector product at
-a time; every later block of 128 states is one matrix product of the block
-before it with P^128.  The stepping hands out these blocks in turn and keeps
-only the last one; ``_SteppingFlow.fock_rows`` writes them into the Fock
-arrays of ``evolve_master`` and the correlators.
+times as long).  The first 128 states are filled by doubling: states k to
+2k - 1 are states 0 to k - 1 times P^k, and P^k is squared as it goes; every
+later block of 128 states is one matrix product of the block before it with
+P^128, the square after the last.  The stepping hands out these blocks in turn
+and keeps only the last one; ``_SteppingFlow.fock_rows`` writes them into the
+Fock arrays of ``evolve_master`` and the correlators.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
 Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
@@ -162,12 +163,11 @@ class _SteppingFlow:
         self.sectors = liou.sectors
         self._props = {}
 
-    def _prop(self, s: int, power: int = 1) -> np.ndarray:
-        """P^power of sector s, built once per flow."""
-        if (s, power) not in self._props:
-            self._props[s, power] = (expm(self.sectors[s].block * self.dt) if power == 1
-                                     else np.linalg.matrix_power(self._prop(s), power))
-        return self._props[s, power]
+    def _prop(self, s: int) -> np.ndarray:
+        """P of sector s, built once per flow."""
+        if s not in self._props:
+            self._props[s] = expm(self.sectors[s].block * self.dt)
+        return self._props[s]
 
     def states(self, s: int, x: np.ndarray, adjoint: bool = False):
         """Blocks (start, rows) of the rows exp(L_s t) x, or x^T exp(L_s t) if adjoint.
@@ -178,20 +178,28 @@ class _SteppingFlow:
         stepped together.  Each block is computed from the one before, the
         only one kept, so callers must not write to a block.
         """
-        # rows advance as rows[k] = rows[k - 1] @ M with M = P (adjoint) or P^T
+        # rows advance as rows[k + j] = rows[j] @ M^k with M = P (adjoint) or
+        # P^T: the first block doubles from rows[0], squaring M as it goes,
+        # and the square after the last is the jump M^_BLOCK to the next block
+        m = x.shape[-1]
         block = np.empty((min(self.n_t, _BLOCK),) + x.shape)
         block[0] = x
-        if self.n_t > 1:
-            step = self._prop(s) if adjoint else self._prop(s).T
-            for k in range(1, len(block)):
-                np.matmul(block[k - 1], step, out=block[k])
+        k, power = 1, None
+        while k < len(block):
+            if power is None:
+                power = self._prop(s) if adjoint else self._prop(s).T
+            else:
+                power = power @ power
+            n = min(k, len(block) - k)
+            np.matmul(block[:n].reshape(-1, m), power, out=block[k:k + n].reshape(-1, m))
+            k *= 2
         yield 0, block
         if self.n_t > _BLOCK:
-            jump = self._prop(s, _BLOCK) if adjoint else self._prop(s, _BLOCK).T
+            jump = power @ power
         for start in range(_BLOCK, self.n_t, _BLOCK):
             n = min(_BLOCK, self.n_t - start)
             # the r rows of each time are consecutive rows of one matrix
-            block = (block[:n].reshape(-1, x.shape[-1]) @ jump).reshape((n,) + x.shape)
+            block = (block[:n].reshape(-1, m) @ jump).reshape((n,) + x.shape)
             yield start, block
 
     def complex_blocks(self, s: int, y: np.ndarray, adjoint: bool = False):

@@ -324,6 +324,8 @@ def test_radiation_manifest_records_horizon_weight(tmp_path):
     # 4.5e-5 is below the run's 1e-4, so nothing is truncated and nothing warns
     assert res["horizon_weight"] < cli.RADIATION_REL_TOL
     assert manifest["warnings"] == []
+    # sigma_min/sigma_max of the steady-state solve, which raises below 1e-8
+    assert 1e-8 <= res["steady_sigma_ratio"] <= 1.0
     # the spectra's stepping: stepping_steps steps of stepping_dt span [0, T_max]
     assert res["stepping_steps"] * res["stepping_dt"] == pytest.approx(
         TINY["radiation"]["T_max"], rel=1e-12)

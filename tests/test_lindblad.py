@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from helpers import (check_density_matrix, dense_generator, expectation_number,
-                     trace_preservation_residual)
+                     per_basis_block, trace_preservation_residual)
+from parosc import lindblad
 from parosc.fock import FockSpace
-from parosc.lindblad import build_liouvillian, state_decay_rate, steady_state
-from parosc.radiation import evolve_master
+from parosc.lindblad import Gather, build_liouvillian, state_decay_rate, steady_state
+from parosc.radiation import _odd_operators, evolve_master
 from parosc.rwa import RwaSystem
 from parosc.spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
 
@@ -124,6 +125,92 @@ class TestHermitianBasis:
         ref = np.linalg.eigvals(lmat)
         rows, cols = linear_sum_assignment(np.abs(mu[:, None] - ref[None, :]))
         assert np.max(np.abs(mu[rows] - ref[cols])) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+
+class TestColoredSectors:
+    """The blocks from 50 colored generator calls against one call per basis matrix."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0),
+           gt=st.floats(0.0, 1.0), dim=st.integers(2, 16))
+    def test_blocks_equal_per_basis_build(self, delta, f, gt, dim):
+        liou = make_liouvillian(dim, delta, f, gt)
+        for parity, sector in enumerate(liou.sectors):
+            assert np.array_equal(sector.block, per_basis_block(liou, parity))
+
+    @pytest.mark.parametrize("dim", [24, 34, 44])
+    def test_blocks_equal_per_basis_build_at_run_sizes(self, dim):
+        liou = make_liouvillian(dim, 1.8, 1.0, 0.1)
+        for parity, sector in enumerate(liou.sectors):
+            assert np.array_equal(sector.block, per_basis_block(liou, parity))
+
+    def test_generator_sees_at_most_50_matrices_per_sector(self, monkeypatch):
+        # one matrix per coordinate would be d^2/2 = 578 at d = 34
+        counts = []
+        generator = lindblad._generator
+
+        def counting(diag, off2, gamma_tilde, rho):
+            counts.append(int(np.prod(rho.shape[:-2])))
+            return generator(diag, off2, gamma_tilde, rho)
+
+        monkeypatch.setattr(lindblad, "_generator", counting)
+        make_liouvillian(34, 1.8, 1.0, 0.1)
+        assert len(counts) == 2
+        assert max(counts) <= 50
+
+
+def term_sum(gather, v):
+    """The terms coef[i, j] v[..., pos[i, j]] summed over j, and the sum of their moduli."""
+    terms = v[..., gather.pos] * gather.coef
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+# largest |Gather(v) - term sum| allowed, in units of eps sum_j |coef v|
+GATHER_TOL = 4
+
+
+class TestGather:
+    """The CSR product of a Gather against its explicit term sum."""
+
+    @staticmethod
+    def assert_matches_terms(gather, v):
+        out = gather(v)
+        ref, scale = term_sum(gather, v)
+        assert out.shape == v.shape[:-1] + (len(gather.pos),)
+        assert out.dtype == ref.dtype
+        assert np.all(np.abs(out - ref) <= GATHER_TOL * np.finfo(float).eps * scale)
+
+    @staticmethod
+    def vectors(rng, shape, complex_input):
+        v = rng.normal(size=shape)
+        return v + 1j * rng.normal(size=shape) if complex_input else v
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 30), m=st.integers(1, 30), k=st.integers(1, 4),
+           shape=st.sampled_from([(), (3,), (2, 5)]), complex_input=st.booleans(),
+           complex_coef=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_terms(self, n, m, k, shape, complex_input, complex_coef, seed):
+        # repeated positions and zero coefficients among the terms
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, m, size=(n, k))
+        coef = self.vectors(rng, (n, k), complex_coef) * (rng.random((n, k)) > 0.2)
+        self.assert_matches_terms(Gather(pos, coef),
+                                  self.vectors(rng, shape + (m,), complex_input))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_sector_maps_and_seed_map(self, shape, complex_input):
+        # to_herm and to_fock read a diagonal entry twice (pos = (k, k)); the
+        # seed map is composed by `after` and has zero terms in the last column
+        liou = make_liouvillian(9, 1.8, 1.0, 0.1)
+        even, odd = liou.sectors
+        _, seed = _odd_operators(liou)
+        assert np.any(even.to_herm.pos[:, 0] == even.to_herm.pos[:, 1])
+        assert np.any(seed.coef == 0)
+        rng = np.random.default_rng(11)
+        for gather, m in ((even.to_herm, even.idx.size), (even.to_fock, even.idx.size),
+                          (odd.to_herm, odd.idx.size), (seed, even.idx.size)):
+            self.assert_matches_terms(gather, self.vectors(rng, shape + (m,), complex_input))
 
 
 class TestEvolve:

@@ -430,24 +430,45 @@ class TestPropagation:
                 m = (props[j - i] @ seed).reshape(d, d)
                 assert abs(corr[i, j] - np.trace(a @ m)) < 1e-9
 
-    def test_blocked_stepping_matches_single_steps(self):
-        # longer than one block and not a multiple of it, so the P^B products
-        # and a partial last block both run
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 127, 128, 129, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    def test_blocked_stepping_matches_single_steps(self, n_t, adjoint, n_rows, monkeypatch):
+        # the first block fills by doubling; past it, the P^B products and a
+        # partial last block run.  A Hermitian matrix, as a state or as a row
+        # (conj(T^H conj x) is then real), steps as one real row per sector;
+        # any other as two stacked rows
         sp, liou, rho0 = self.coherent_case()
-        n_t = 3 * _BLOCK + 5
-        ts = np.linspace(0.0, 0.05 * (n_t - 1), n_t)
+        dt = 0.05
+        ts = dt * np.arange(n_t)
         rng = np.random.default_rng(3)
-        x0 = rho0.reshape(-1)
-        row = rng.normal(size=x0.size) + 1j * rng.normal(size=x0.size)
-        prop = expm(dense_generator(liou) * (ts[1] - ts[0]))
-        cols, rows = [x0], [row]
+        x = rho0.reshape(-1)
+        if n_rows == 2:
+            x = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+        prop = expm(dense_generator(liou) * dt)
+        refs = [x]
         for _ in range(n_t - 1):
-            cols.append(prop @ cols[-1])
-            rows.append(rows[-1] @ prop)
+            refs.append(refs[-1] @ prop if adjoint else prop @ refs[-1])
         flow = _SteppingFlow(liou, ts)
-        rhos = evolve_master(liou, rho0, ts).reshape(n_t, -1)
-        assert np.max(np.abs(rhos.T - np.stack(cols, axis=1))) < 1e-10
-        assert np.max(np.abs(flow.fock_rows(row, adjoint=True) - np.stack(rows))) < 1e-10
+        shapes, states, expms = [], flow.states, []
+
+        def recording(s, y, adjoint=False):
+            shapes.append(y.shape)
+            return states(s, y, adjoint)
+
+        def counting(a):
+            expms.append(a.shape)
+            return _expm(a)
+
+        flow.states = recording
+        monkeypatch.setattr(radiation, "expm", counting)
+        assert np.max(np.abs(flow.fock_rows(x, adjoint) - np.stack(refs))) < 1e-10
+        assert [len(shape) for shape in shapes] == [n_rows] * len(liou.sectors)
+        # P is built only if there is a step, once per sector, and is all the flow keeps
+        assert len(expms) == (0 if n_t == 1 else len(liou.sectors))
+        assert set(flow._props) == (set() if n_t == 1 else {0, 1})
+        for s, p in flow._props.items():
+            assert np.array_equal(p, _expm(liou.sectors[s].block * dt))
 
     def test_nonuniform_grid_raises(self):
         sp, liou, rho0 = self.coherent_case()
