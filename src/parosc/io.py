@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ def write_csv(path: Path | str, columns: Mapping[str, np.ndarray]) -> Path:
     if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
         raise ValueError(f"{path.name}: columns must be 1-D arrays of equal length")
     fmt = ",".join("%d" if a.dtype.kind in "iu" else "%.17e" for a in arrays) + "\n"
-    body = "".join(fmt % row for row in zip(*(a.tolist() for a in arrays)))
+    # the values run row by row, so each repeat of fmt formats one row
+    values = tuple(chain.from_iterable(zip(*(a.tolist() for a in arrays))))
+    body = fmt * len(arrays[0]) % values
     path.write_text(",".join(columns) + "\n" + body, encoding="utf-8", newline="\n")
     return path
 

@@ -8,12 +8,19 @@ Landau-Zener sweep of ``parosc.lz``) with the fourth-order commutator-free Magnu
 exponential: H splits into independent tridiagonal chains (the two parity chains
 here), each step applies two exact chain exponentials from a batched ``eigh``, and
 step doubling meets ``rel_tol`` as a global error target.  Mixed-parity initial
-states evolve on the same path.
+states evolve on the same path.  The exponentials do not depend on the state, so
+on sweeps of several blocks of steps over chains of at least _POOL_MIN_STATES
+states a thread pool computes them block by block ahead of the calling thread,
+which applies them in order; the states are bitwise those of one thread.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +80,65 @@ def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[in
 # matrix entries of the chain exponentials built in one batch: a block of steps
 # holds a few (2 steps, m, m) arrays, so its size bounds the memory of a sweep
 _BLOCK_ENTRIES = 2**14
+# blocks computed ahead of the one being applied, so at most this many are held
+_IN_FLIGHT = 4
+# chains of fewer states are swept on the calling thread.  Measured on 2 cores
+# (BENCH_20.json): with the pool, the benchmark's radiation runs, whose ramps
+# have chains of 12 and 17 states, got 2-8 % slower, while the tomography runs,
+# with 20 and 25, took 0.74x the time
+_POOL_MIN_STATES = 20
 # for H linear in t, the two Gauss-node combinations of CF4 are H at t + h/6 and t + 5h/6
 _NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The one-step propagators U_j = exp(-i h_j/2 H(taus[2j+1])) exp(-i h_j/2 H(taus[2j])).
+
+    a and b are the (diag, off) bands of one tridiagonal chain, and halves
+    holds h_j/2 twice per step.  NumPy only, on arrays it only reads, so it
+    runs on a worker thread.
+    """
+    (a_d, a_o), (b_d, b_o) = a, b
+    m = len(a_d)
+    diag, off = np.arange(m), np.arange(m - 1)
+    tau = taus[:, None]
+    mats = np.zeros((len(tau), m, m))
+    mats[:, diag, diag] = a_d + tau * b_d
+    mats[:, off, off + 1] = mats[:, off + 1, off] = a_o + tau * b_o
+    w, v = np.linalg.eigh(mats)
+    phase = np.exp(-1j * halves[:, None] * w)
+    factors = (v * phase[:, None, :]) @ v.transpose(0, 2, 1)
+    return factors[1::2] @ factors[0::2]
+
+
+def _computed_ahead(jobs: list[tuple], pooled: bool):
+    """Yield _block_steps(*job) for each job in order.
+
+    If pooled, a pool of one thread per core computes up to _IN_FLIGHT blocks
+    ahead of the one the caller is applying; the pool's threads end before the
+    last block is yielded, or when the caller closes the generator.  Otherwise
+    each block is computed on the calling thread when it is asked for.
+    """
+    if not pooled:
+        for job in jobs:
+            yield _block_steps(*job)
+        return
+    with ThreadPoolExecutor(_cores()) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(_block_steps, *job))
+            if len(pending) == _IN_FLIGHT:
+                yield pending.popleft().result()
+        blocks = [future.result() for future in pending]
+    yield from blocks
 
 
 def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -90,27 +154,25 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
     at_output = at_output.tolist()
     states = np.zeros((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
-    for r in range(k):
-        psi, out = psi0[r::k], []
-        if not np.any(psi):
-            continue        # a chain without weight stays exactly 0
-        (a_d, a_o), (b_d, b_o) = (a[0][r::k], a[1][r::k]), (b[0][r::k], b[1][r::k])
-        m = len(psi)
-        diag, off = np.arange(m), np.arange(m - 1)
-        block = max(1, _BLOCK_ENTRIES // (2 * m * m))
-        for s in range(0, h.size, block):
-            tau = taus[2 * s:2 * s + 2 * block, None]
-            mats = np.zeros((len(tau), m, m))
-            mats[:, diag, diag] = a_d + tau * b_d
-            mats[:, off, off + 1] = mats[:, off + 1, off] = a_o + tau * b_o
-            w, v = np.linalg.eigh(mats)
-            phase = np.exp(-1j * halves[2 * s:2 * s + 2 * block, None] * w)
-            factors = (v * phase[:, None, :]) @ v.transpose(0, 2, 1)
-            for j, u in enumerate(factors[1::2] @ factors[0::2], start=s):
-                psi = u.dot(psi)
-                if at_output[j]:
-                    out.append(psi)
-        states[1:, r::k] = out
+    chains = [r for r in range(k) if np.any(psi0[r::k])]   # a chain without weight stays 0
+    starts, jobs = {}, []
+    for r in chains:
+        chain_a, chain_b = (a[0][r::k], a[1][r::k]), (b[0][r::k], b[1][r::k])
+        block = max(1, _BLOCK_ENTRIES // (2 * len(chain_a[0]) ** 2))
+        starts[r] = range(0, h.size, block)
+        jobs += [(chain_a, chain_b, taus[2 * s:2 * s + 2 * block], halves[2 * s:2 * s + 2 * block])
+                 for s in starts[r]]
+    # the pool pays only with two cores, two blocks and chains long enough
+    pooled = _cores() > 1 and len(jobs) > 1 and len(psi0) >= k * _POOL_MIN_STATES
+    with closing(_computed_ahead(jobs, pooled)) as blocks:   # no pool outlives the pass
+        for r in chains:
+            psi, out = psi0[r::k], []
+            for s in starts[r]:
+                for j, u in enumerate(next(blocks), start=s):
+                    psi = u.dot(psi)
+                    if at_output[j]:
+                        out.append(psi)
+            states[1:, r::k] = out
     return states
 
 
@@ -130,6 +192,10 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     psi <- exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) psi, with each factor
     exact: one batched ``eigh`` per block of steps diagonalises every chain,
     and a chain holding no weight in psi0 is not touched (it stays exactly 0).
+    When a sweep has two or more blocks, chains of at least _POOL_MIN_STATES
+    states and two usable cores, a pool of one thread per core computes the
+    blocks' propagators, at most _IN_FLIGHT blocks ahead, and this thread
+    applies them in order; the pool ends with the sweep, also when it raises.
     Each output interval gets ceil(dt/h) equal steps, so the state is recorded
     exactly at every output time, and the norm is kept to rounding.
 

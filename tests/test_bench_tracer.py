@@ -6,11 +6,14 @@ the package would otherwise break ``bench/run.py --trace 1`` without a failing t
 
 import importlib.util
 import inspect
+import json
+import time
 from pathlib import Path
 
-from parosc import radiation
+from parosc import cli, radiation
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -54,3 +57,34 @@ def test_tracer_wraps_its_bindings_and_restores_them():
     assert [key for key, obj in before.items() if after[key] is not obj] == []
     # tests/test_cli.py counts sector steppings by patching this method
     assert inspect.isfunction(radiation._SteppingFlow.states)
+
+
+def bench_config(workload, name, tmp_path):
+    """A validated bench config: a workload's first timed one (name None) or a tiny.json one."""
+    spec = json.loads((BENCH / "configs" / f"{workload}.json").read_text(encoding="utf-8"))
+    raw = spec["timed"][0] if name is None else spec[name]
+    return cli.validate_config(dict(raw, output_dir=str(tmp_path / (name or workload))))
+
+
+def test_selfcheck_counts_match_while_ramps_run_on_the_pool(tmp_path):
+    # the ramp's worker threads call no public function, so the tracer's spans
+    # (main thread) and cProfile's counts (main thread) still agree
+    tracer_mod = load_tracer()
+    cfgs = [bench_config("tiny", name, tmp_path) for name in ("wigner", "ramp", "lz", "radiation")]
+    compared, mismatches = tracer_mod.call_count_mismatches(
+        lambda: [cli.run_experiment(cfg) for cfg in cfgs])
+    assert compared > 0
+    assert mismatches == []
+
+
+def test_traced_tomography_pass_is_accounted_for(tmp_path):
+    cfg = bench_config("tomography", None, tmp_path)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        cli.run_experiment(cfg)
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert 0.0 <= wall - tracer.self_seconds() < 0.01 * wall

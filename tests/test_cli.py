@@ -64,6 +64,17 @@ def test_write_csv_format(tmp_path):
         b"0,-0.00000000000000000e+00,1.00000000000000006e-01\n"
         b"-3,1.00000000000000003e-300,-2.50000000000000013e+300\n"
         b"7,nan,-inf\n")
+    # mixed %d and %.17e columns over many rows, against one format per row
+    rng = np.random.default_rng(7)
+    columns = {"i": rng.integers(-10**12, 10**12, 301),
+               "x": rng.normal(size=301) * 10.0 ** rng.integers(-300, 300, 301),
+               "k": np.arange(301, dtype=np.uint16), "y": rng.normal(size=301)}
+    fmt = "%d,%.17e,%d,%.17e\n"
+    rows = "".join(fmt % row for row in zip(*(c.tolist() for c in columns.values())))
+    path = write_csv(tmp_path / "mixed.csv", columns)
+    assert path.read_bytes() == ("i,x,k,y\n" + rows).encode()
+    empty = write_csv(tmp_path / "empty.csv", {"n": np.zeros(0, dtype=int), "x": np.zeros(0)})
+    assert empty.read_bytes() == b"n,x\n"
     with pytest.raises(ValueError, match="equal length"):
         write_csv(tmp_path / "bad.csv", {"a": np.zeros(2), "b": np.zeros(3)})
 

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import parosc
+from parosc import ramp
 from parosc.fock import FockSpace
 from parosc.ramp import (
     RampProtocol,
@@ -252,3 +261,172 @@ def test_vacuum_ramp_prepares_every_even_rank(k, bound):
     result = evolve_ramp(space, make_protocol(space, delta, 1.0, g_min**2 / 16))
     assert result.target_label == (1, k)
     assert 1.0 - result.final_fidelity <= bound
+
+
+# ---------------------------------------------------------------------------
+# the pool that computes the step propagators ahead of the sweep
+
+class SynchronousExecutor:
+    """Stands in for the thread pool: each block is computed when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """The thread pool, counting blocks submitted and not yet read; ``peaks`` keeps the maximum."""
+
+    peaks = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.held = 0
+        self.peaks.append(0)
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.held += 1
+        self.peaks[-1] = max(self.peaks[-1], self.held)
+        read = future.result
+
+        def result(timeout=None):
+            self.held -= 1
+            return read(timeout)
+
+        future.result = result
+        return future
+
+
+class NoExecutor:
+    def __init__(self, max_workers):
+        raise AssertionError("a pass that should run on the calling thread started a pool")
+
+
+def pool_variants(run):
+    """run() with the thread pool, with a stand-in pool of no threads and on the calling thread.
+
+    The pool is forced on (two cores, chains of any length), so it runs on
+    any machine and on the small chains of the hypothesis cases.
+    """
+    out = []
+    for patches in ({"ThreadPoolExecutor": ThreadPoolExecutor},
+                    {"ThreadPoolExecutor": SynchronousExecutor},
+                    {"ThreadPoolExecutor": NoExecutor, "_cores": lambda: 1}):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ramp, "_cores", lambda: 2)
+            mp.setattr(ramp, "_POOL_MIN_STATES", 1)
+            for name, value in patches.items():
+                mp.setattr(ramp, name, value)
+            out.append(run())
+    return out
+
+
+def assert_bitwise_equal(results):
+    for other in results[1:]:
+        for x, y in zip(results[0], other):
+            assert np.array_equal(x, y)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(linear_ramps())
+def test_pool_leaves_every_state_bitwise_unchanged(case):
+    # small blocks give each sweep many blocks, so the pool runs far ahead
+    a, b, psi0, times, _, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ramp, "_BLOCK_ENTRIES", 64)
+        assert_bitwise_equal(pool_variants(lambda: propagate_linear(a, b, psi0, times, 1e-8)))
+
+
+def test_pool_leaves_the_tomography_ramp_bitwise_unchanged():
+    # the d = 50 probe of the README wigner example: 16 and 31 blocks per sweep
+    space = FockSpace(50)
+    results = pool_variants(lambda: evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0)))
+    assert results[0].steps == 400
+    assert_bitwise_equal([(r.trajectory, r.steps, r.error_estimate) for r in results])
+
+
+def test_blocks_in_flight_stay_bounded(monkeypatch):
+    # each held block is at most _BLOCK_ENTRIES complex entries per step pair,
+    # so the bound on held blocks bounds the memory of a sweep
+    monkeypatch.setattr(ramp, "_cores", lambda: 2)
+    monkeypatch.setattr(ramp, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(CountingExecutor, "peaks", [])
+    space = FockSpace(40)
+    evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0))
+    assert len(CountingExecutor.peaks) == 2                 # two sweeps
+    assert max(CountingExecutor.peaks) == ramp._IN_FLIGHT   # 10 and 20 blocks
+
+
+def tridiagonal_pass(m, blocks):
+    """_cf4_pass over one chain of m states, with the given number of blocks."""
+    a = (np.zeros(m), np.ones(m - 1))
+    b = (np.linspace(-1.0, 1.0, m), np.zeros(m - 1))
+    psi0 = np.zeros(m)
+    psi0[0] = 1.0
+    steps = blocks * max(1, ramp._BLOCK_ENTRIES // (2 * m * m))
+    return _cf4_pass(a, b, psi0, np.array([0.0, 1.0]), np.array([steps]))
+
+
+@pytest.mark.parametrize("m, blocks, cores", [
+    (2, 3, 2),                          # a Landau-Zener chain: 2,048 steps a block
+    (ramp._POOL_MIN_STATES - 1, 8, 2),  # chains too short for the pool to pay
+    (ramp._POOL_MIN_STATES, 1, 2),      # one block: nothing to compute ahead
+    (ramp._POOL_MIN_STATES, 8, 1),      # one core
+])
+def test_calling_thread_passes_start_no_pool(monkeypatch, m, blocks, cores):
+    monkeypatch.setattr(ramp, "_cores", lambda: cores)
+    monkeypatch.setattr(ramp, "ThreadPoolExecutor", NoExecutor)
+    assert np.isclose(np.linalg.norm(tridiagonal_pass(m, blocks)[-1]), 1.0)
+
+
+def test_long_chains_on_two_cores_use_the_pool(monkeypatch):
+    monkeypatch.setattr(ramp, "_cores", lambda: 2)
+    monkeypatch.setattr(ramp, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(CountingExecutor, "peaks", [])
+    tridiagonal_pass(ramp._POOL_MIN_STATES, 8)
+    assert CountingExecutor.peaks == [ramp._IN_FLIGHT]
+
+
+def test_a_pass_that_raises_leaves_no_worker_thread(monkeypatch):
+    # the caller fails on the third block while the pool holds blocks ahead;
+    # the traceback keeps the pass's frame, and still no worker outlives it
+    computed_ahead = ramp._computed_ahead
+
+    def failing_on_third(jobs, pooled):
+        assert pooled
+        with closing(computed_ahead(jobs, pooled)) as blocks:
+            yield next(blocks)
+            yield next(blocks)
+            yield np.zeros((1, 3, 3))   # u.dot(psi) raises on this block
+
+    monkeypatch.setattr(ramp, "_cores", lambda: 2)
+    monkeypatch.setattr(ramp, "_computed_ahead", failing_on_third)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError) as raised:
+        tridiagonal_pass(ramp._POOL_MIN_STATES, 12)
+    assert raised.traceback
+    assert set(threading.enumerate()) == before
+
+
+def test_import_starts_no_thread_and_sweeps_leave_none():
+    src = str(Path(parosc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import threading, parosc, parosc.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
+    before = set(threading.enumerate())
+    space = FockSpace(40)
+    evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0))
+    assert set(threading.enumerate()) == before
