@@ -5,10 +5,10 @@ eigenfrequency, in the frame rotating at half the drive frequency: spectral
 flows and degeneracies, adiabatic preparation of quasienergy states, the
 half-line Landau-Zener problem, Wigner tomography, zero-temperature Lindblad
 dissipation (the generator and its steady state in ``lindblad``), and, on one
-exact flow of that generator in ``radiation``, four functions: the density
-matrix rho(t) (``evolve_master``), the two-time correlator array
-(``two_time_correlator``), the transient and stationary emission spectra as two
-arrays on the caller's frequency grid (``emission_spectra``) and their sum rule
+exact flow of that generator in ``radiation``: the density matrix rho(t)
+(``evolve_master``), the two-time correlator array (``two_time_correlator``),
+and the emission spectra on the caller's frequency grid with the time side of
+their sum rule (``emission_spectra``); its frequency side is one linear solve
 (``sum_rule_check``).
 
 Units: hbar = 1; energies and rates in units of the Kerr nonlinearity V, time

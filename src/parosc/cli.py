@@ -166,7 +166,7 @@ def validate_config(raw: dict) -> dict:
                               for v in (value if typ is list else [value])):
             raise ConfigError(f"key {key} must be {domain[0]} {domain[1]}, got {value}")
         cfg[key] = value
-    # the comparison of radiation._time_grid, which keeps it for library callers
+    # the comparison of radiation.spectrum_time_grid, which keeps it for library callers
     if name == "radiation" and cfg["T_max"] < 10.0 / cfg["gamma_tilde"]:
         raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
                           f"need >= 10/gamma_tilde = {10.0 / cfg['gamma_tilde']}")
@@ -341,7 +341,7 @@ def _run_decay_rates(cfg):
 
 
 def _radiation_run(dim, cfg, xs):
-    """Both spectra at truncation dim, and the Liouvillian, rho0 and ramp behind them."""
+    """``emission_spectra`` at truncation dim, and the Liouvillian, rho0 and ramp behind it."""
     space, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
     rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
@@ -351,16 +351,16 @@ def _radiation_run(dim, cfg, xs):
 
 def _run_radiation(cfg):
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["x_points"])
-    e_rad, q_st, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
-    lhs, rhs, rate = sum_rule_check(liou, rho0, cfg["T_max"])
+    e_rad, q_st, rhs, liou, rho0, ramp = _radiation_run(cfg["dim"], cfg, xs)
+    lhs, rate = sum_rule_check(liou, rho0)
     tables = {"transient_spectrum.csv": {"x": xs, "E_rad": e_rad},
               "steady_spectrum.csv": {"x": xs, "Q_st": q_st}}
-    # the share of the slowest weighted correlator mode left past the horizon
+    # the share of the slowest odd mode left past the horizon
     horizon = math.exp(-rate * cfg["T_max"])
     if horizon > RADIATION_REL_TOL:
         warnings.warn(f"spectra truncated at the horizon: T_max = {cfg['T_max']:g} keeps "
                       f"horizon_weight = {horizon:.3g} > {RADIATION_REL_TOL:g} of the "
-                      f"slowest weighted odd mode (slowest_odd_rate = {rate:.4g})",
+                      f"slowest odd mode (slowest_odd_rate = {rate:.4g})",
                       RuntimeWarning, stacklevel=2)
     ts = spectrum_time_grid(liou, cfg["T_max"], xs)
     results = {"sum_rule_lhs": lhs, "sum_rule_rhs": rhs, "slowest_odd_rate": rate,

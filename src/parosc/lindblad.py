@@ -183,6 +183,13 @@ def build_liouvillian(space: FockSpace, sys: RwaSystem, gamma_tilde: float) -> L
     return Liouvillian(space=space, sys=sys, gamma_tilde=gamma_tilde)
 
 
+def even_trace_stack(liou: Liouvillian) -> np.ndarray:
+    """The real even block with the trace row under it: the matrix of y -> (L y, Tr y)."""
+    even = liou.sectors[0]
+    tr_row = even.to_herm(np.eye(liou.dim).reshape(-1)[even.idx]).real
+    return np.vstack([even.block, tr_row])
+
+
 def steady_state(liou: Liouvillian) -> np.ndarray:
     """Stationary density matrix: null vector of L under the trace constraint.
 
@@ -204,11 +211,9 @@ def steady_state(liou: Liouvillian) -> np.ndarray:
         return liou._steady
     dim = liou.dim
     even = liou.sectors[0]
-    tr_row = even.to_herm(np.eye(dim).reshape(-1)[even.idx]).real
-    a_mat = np.vstack([even.block, tr_row])
     b = np.zeros(len(even.idx) + 1)
     b[-1] = 1.0
-    y_even, _, _, sv = np.linalg.lstsq(a_mat, b, rcond=None)
+    y_even, _, _, sv = np.linalg.lstsq(even_trace_stack(liou), b, rcond=None)
     if sv[-1] < _NULL_TOL * sv[0]:
         raise RuntimeError(f"degenerate null space: smallest singular value "
                            f"{sv[-1]:.3g} below {_NULL_TOL:.3g} x {sv[0]:.3g}")

@@ -1,8 +1,8 @@
 """Dissipative flow of the driven oscillator: rho(t), correlators and emission spectra.
 
-Everything here is one propagation: exact stepping on a uniform time grid with
-the matrix exponential P = expm(L_s dt) of each (m + n)-parity sector block L_s
-of the Liouvillian.  No eigendecomposition of the non-normal generator is
+Everything stepped here is one propagation: exact stepping on a uniform time
+grid with the matrix exponential P = expm(L_s dt) of each (m + n)-parity sector
+block L_s of the Liouvillian.  No eigenvector of the non-normal generator is
 involved, so the flow stays accurate near exceptional points, where
 eigenvectors coalesce (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  P comes
 from the [13/13] Pade scaling-and-squaring method written in NumPy, so that
@@ -62,9 +62,9 @@ uses the same grid.  The spectra, sums 2 Re sum_j u_j e^{i x t_j} of trapezoid-
 weighted time signals u, are the only Fourier sums; frequency grids must be
 uniform, and the sums run for all x at once by the chirp-z transform (Rabiner,
 Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
-``sum_rule_check`` integrates E_rad over a band |x| <= X in closed form,
-(1/2 pi) Int_{-X}^{X} 2 Re u_j e^{i x t_j} dx = (2X/pi) Re u_j sinc(X t_j/pi),
-and steps at X dt = 1, which keeps the band free of aliasing (X dt < pi).
+The sum rule ties two methods: its time side Int_0^T dt (<n>(t) - <n>_st), the
+third value of ``emission_spectra``, against its frequency side from one linear
+solve in ``sum_rule_check``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .fock import ladder_operators
-from .lindblad import Gather, Liouvillian, steady_state
+from .lindblad import Gather, Liouvillian, even_trace_stack, steady_state
 
 _BLOCK = 128        # states per matrix product in the blocked stepping
 # [13/13] Pade numerator coefficients b_0..b_13 over b_0, and the largest 1-norm
@@ -89,7 +89,6 @@ _THETA13 = 5.371920351148152
 _RELAX_TOL = 1e-4   # largest |rho(T_max) - rho_st| entry before the relaxation warning
 _HERMITIAN_TOL = 1e-14      # largest |Im y| / max|y| of coordinates stepped as one real row
 _SPECTRUM_PHASE = 0.2       # largest x dt of the spectra: each x resolved
-_SUM_RULE_PHASE = 1.0       # largest x dt of the sum-rule band: a third of the alias limit pi
 
 
 def _uniform_step(grid: np.ndarray, name: str) -> float:
@@ -321,42 +320,47 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
 # ---------------------------------------------------------------------------
 # spectra
 
-def _time_grid(liou: Liouvillian, T_max: float, x_max: float, phase: float) -> np.ndarray:
-    """Uniform grid on [0, T_max] with x_max dt <= phase, validated before any propagation."""
+def spectrum_time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray) -> np.ndarray:
+    """The uniform grid on [0, T_max] on which ``emission_spectra`` steps for omega_grid.
+
+    Its step is min(0.05/gamma_tilde, 0.2/max|x|); raises ValueError for a
+    non-uniform omega_grid, gamma_tilde <= 0 or T_max < 10/gamma_tilde.
+    """
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    _uniform_step(omega_grid, "omega_grid")
     gt = liou.gamma_tilde
     if gt <= 0:
         raise ValueError("emission spectra need gamma_tilde > 0")
     if T_max < 10.0 / gt:
         raise ValueError(f"T_max = {T_max} too short; need >= {10.0 / gt}")
-    dt = min(0.05 / gt, phase / x_max) if x_max > 0 else 0.05 / gt
+    x_max = float(np.max(np.abs(omega_grid), initial=0.0))
+    dt = min(0.05 / gt, _SPECTRUM_PHASE / x_max) if x_max > 0 else 0.05 / gt
     return np.linspace(0.0, T_max, int(np.ceil(T_max / dt)) + 1)
 
 
-def spectrum_time_grid(liou: Liouvillian, T_max: float, omega_grid: np.ndarray) -> np.ndarray:
-    """The uniform grid on [0, T_max] on which ``emission_spectra`` steps for omega_grid.
-
-    Its step is min(0.05/gamma_tilde, 0.2/max|x|); raises as ``emission_spectra`` does.
-    """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    _uniform_step(omega_grid, "omega_grid")
-    x_max = float(np.max(np.abs(omega_grid), initial=0.0))
-    return _time_grid(liou, T_max, x_max, _SPECTRUM_PHASE)
-
-
 def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
-                     omega_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E_rad, Q_st) at every x of the uniform omega_grid, from one odd-sector stepping.
+                     omega_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(E_rad, Q_st, n_excess) on the uniform omega_grid, all from one stepping on one grid.
 
     E_rad is the excess emitted energy per unit frequency after preparing rho0;
     it may be negative, since the prepared state can emit less at a frequency
     than the steady state does.  Q_st is the stationary emitted power per unit
-    frequency, windowed at T_max like E_rad.  Requires T_max >= 10/gamma_tilde
-    and warns if rho(T_max) has not relaxed to the steady state.
+    frequency, windowed at T_max like E_rad.  n_excess is the trapezoid sum of
+    Int_0^T_max dt (<n>(t) - <n>_st) on the same grid, the time side of
+    ``sum_rule_check``.  Requires T_max >= 10/gamma_tilde and warns if
+    rho(T_max) has not relaxed to the steady state.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     ts = spectrum_time_grid(liou, T_max, omega_grid)
-    u_s, u_c, _ = _transient(liou, rho0, ts)
-    return _fourier_quadrature(omega_grid, ts, u_s), _fourier_quadrature(omega_grid, ts, u_c)
+    u_s, u_c, n_excess = _transient(liou, rho0, ts)
+    return (_fourier_quadrature(omega_grid, ts, u_s), _fourier_quadrature(omega_grid, ts, u_c),
+            n_excess)
+
+
+def _number_row(liou: Liouvillian) -> np.ndarray:
+    """Row n_row with <n> = Tr[n M] = n_row . y_even, real: the even sector holds the diagonal."""
+    even = liou.sectors[0]
+    return even.to_herm(np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]).real
 
 
 def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
@@ -377,8 +381,8 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     # enters the relaxation check alone.
     rho_st = steady_state(liou).reshape(-1)
     dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
-    # the sum rule's Int dt (<n>(t) - <n>_st); the even sector holds the real diagonal n
-    n_row = even.to_herm(np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]).real
+    # the sum rule's Int dt (<n>(t) - <n>_st)
+    n_row = _number_row(liou)
     excess = np.empty(n_t)
     # each block of the deviation becomes its part of the trapezoid prefix over
     # t': B[r] = Int_0^{t_r} dev dt' = c[r] + c[r-1] - h[0] with h = dev dt/2
@@ -424,39 +428,20 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     return w * s_tau, w * c_st, float(np.sum(w * excess))
 
 
-def sum_rule_check(liou: Liouvillian, rho0: np.ndarray,
-                   T_max: float) -> tuple[float, float, float]:
-    """Frequency-integral consistency check of the transient spectrum.
+def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:
+    """(lhs, slowest_odd_rate): the sum rule's frequency side, and the slowest odd decay rate.
 
-    Returns (lhs, rhs, slowest_odd_rate).  lhs = (1/2 pi) Int dx E_rad(x) over
-    a wide band |x| <= X, in closed form; rhs = Int dt (<n>(t) - <n>_st).
-    The band covers every odd-sector oscillation frequency that carries weight
-    for rho0, plus a margin of 100 gamma_tilde.  The two must agree because
-    integrating the phase factor over all x collapses the double time integral
-    onto its diagonal.  Both come from one propagation: the excess occupation
-    is read off the deviation that the transient spectrum steps, on a grid
-    with X dt = 1 that keeps the band free of aliasing.  slowest_odd_rate is
-    the smallest decay rate -Re mu among those weighted odd modes (inf if none
-    carries weight): the correlators keep exp(-rate T_max) of their weight
-    past the horizon.
+    lhs = (1/2 pi) Int dx E_rad(x) over all x at T -> infinity.  Integrating
+    the phase factor over every x collapses the double time integral onto its
+    diagonal, so lhs = Tr[n Y] with Y = Int_0^inf (rho(t) - rho_st) dt, which
+    solves L Y = -(rho0 - rho_st), Tr Y = 0: one least-squares solve, nothing
+    stepped.  It matches the n_excess of ``emission_spectra`` once rho(T_max)
+    has relaxed.  slowest_odd_rate is min -Re mu over the eigenvalues mu of
+    the odd block: the correlators keep about exp(-rate T_max) past T_max.
     """
-    # Lorentzian tails beyond the margin cost ~ 2*gt/(pi*margin).  The trace
-    # against a only sees the odd sector, so its modes suffice.
     even, odd = liou.sectors
-    mu, r = np.linalg.eig(odd.block)
-    cond = np.linalg.cond(r)
-    # cond*eps bounds the relative error of the mode weights
-    if cond > 1e13:
-        raise ValueError(f"sum rule needs the odd-sector eigenbasis: condition "
-                         f"number {cond:.2e} too large")
-    tr_a, seed = _odd_operators(liou)
     dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)[even.idx]
-    w = np.abs((tr_a @ r) * np.linalg.solve(r, seed(even.to_herm(dev0))))
-    active = w > 1e-12 * max(float(w.max()), 1e-300)
-    x_max = (float(np.max(np.abs(mu[active].imag))) if np.any(active) else 0.0) \
-        + 100.0 * liou.gamma_tilde
-    slowest = float(np.min(-mu[active].real)) if np.any(active) else np.inf
-    ts = _time_grid(liou, T_max, x_max, _SUM_RULE_PHASE)
-    u_s, _, rhs = _transient(liou, rho0, ts)
-    lhs = 2.0 * x_max / np.pi * float(np.sum(u_s.real * np.sinc(x_max / np.pi * ts)))
-    return lhs, rhs, slowest
+    # L maps real coordinates to real ones, so the real part of Y carries Re <n>
+    b = np.append(-even.to_herm(dev0).real, 0.0)
+    y = np.linalg.lstsq(even_trace_stack(liou), b, rcond=None)[0]
+    return float(_number_row(liou) @ y), float(np.min(-np.linalg.eigvals(odd.block).real))

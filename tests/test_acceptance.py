@@ -249,7 +249,7 @@ def test_c11_radiation_spectra(fig8_strong_drive):
     liou, rho0, gap = fig8_strong_drive
     xs = np.linspace(-6.0, 6.0, 601)
     dx = xs[1] - xs[0]
-    spec, qst = emission_spectra(liou, rho0, 120.0, xs)
+    spec, qst, _ = emission_spectra(liou, rho0, 120.0, xs)
     peak_ok = abs(xs[np.argmax(spec)] - gap) <= 2 * dx
     window = np.abs(xs + gap) <= 0.4
     j_dip = np.where(window)[0][np.argmin(spec[window])]
@@ -261,7 +261,7 @@ def test_c11_radiation_spectra(fig8_strong_drive):
     rho_w = np.outer(res_w.final_state, res_w.final_state.conj())
     liou_w = build_liouvillian(space_w, RwaSystem(delta=delta, f=0.1), gt)
     xs_w = np.linspace(-3.0, 3.0, 601)
-    spec_w, _ = emission_spectra(liou_w, rho_w, 120.0, xs_w)
+    spec_w, _, _ = emission_spectra(liou_w, rho_w, 120.0, xs_w)
     # the undriven 1 -> 0 line sits at x = 1 - delta below half the drive
     weak_ok = abs(xs_w[np.argmin(spec_w)] - (1 - delta)) <= 0.05
 
@@ -275,16 +275,22 @@ def test_c11_radiation_spectra(fig8_strong_drive):
 
 
 def test_c12_sum_rule(fig8_strong_drive):
+    # lhs = (1/2 pi) Int E_rad dx over all x at T -> infinity, from one linear
+    # solve; rhs = Int_0^T (<n>(t) - <n>_st) dt, read off the stepping of the
+    # spectra on c11's grid (dt = 1/30)
+    xs = np.linspace(-6.0, 6.0, 601)
     space = FockSpace(10)
     gt = 0.1
     liou0 = build_liouvillian(space, RwaSystem(delta=1.0, f=0.0), gt)
     rho1 = np.outer(space.basis_state(1), space.basis_state(1))
-    lhs0, rhs0, _ = sum_rule_check(liou0, rho1, 150.0)
+    lhs0, _ = sum_rule_check(liou0, rho1)
+    rhs0 = emission_spectra(liou0, rho1, 150.0, xs)[2]
     analytic_ok = (abs(lhs0 - 1 / (2 * gt)) <= 0.02 * (1 / (2 * gt))
                    and abs(lhs0 - rhs0) <= 0.02 * abs(rhs0))
 
     liou, rho0, _ = fig8_strong_drive
-    lhs, rhs, _ = sum_rule_check(liou, rho0, 120.0)
+    lhs, _ = sum_rule_check(liou, rho0)
+    rhs = emission_spectra(liou, rho0, 120.0, xs)[2]
     driven_ok = abs(lhs - rhs) <= 0.02 * abs(rhs)
     ok = analytic_ok and driven_ok
     assert report(12, ok, f"single-decay lhs={lhs0:.4f} (target 5), "
