@@ -146,7 +146,8 @@ def reduced_rwa_equations(p: LabFrameParams) -> tuple[np.ndarray, np.ndarray]:
 
 def quasienergy_from_rwa(energy: float, parity: int, omegaF: float) -> float:
     """Map a rotating-frame energy and parity to the quasienergy in [0, omegaF)."""
-    return float((energy + (1 - parity) * omegaF / 4.0) % omegaF)
+    q = float((energy + (1 - parity) * omegaF / 4.0) % omegaF)
+    return q if q < omegaF else 0.0     # a tiny negative sum folds to omegaF in rounding
 
 
 def _circular_distance(a: float, b: float, period: float) -> float:

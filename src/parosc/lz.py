@@ -12,8 +12,9 @@ probability falls off as a power law (Delta^2/s)^{-2} rather than the
 exponential of the standard problem.
 
 Trajectories, ``parosc run lz`` included, come from ``parosc.ramp.propagate_linear``
-(commutator-free Magnus steps, each an exact 2x2 exponential); the exact solution
-below is the oracle the tests check them against.
+(commutator-free Magnus steps, each a product of two exact 2x2 exponentials
+from the Rabi formula, applied a block of steps at a time through their prefix
+products); the exact solution below is the oracle the tests check them against.
 
 Exact solution: each C satisfies a Weber equation in z = sqrt(2s) e^{+-i pi/4} t,
 solved by parabolic cylinder functions D_nu with pure imaginary order

@@ -64,7 +64,11 @@ uniform, and the sums run for all x at once by the chirp-z transform (Rabiner,
 Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969); Bluestein 1970).
 The sum rule ties two methods: its time side Int_0^T dt (<n>(t) - <n>_st), the
 third value of ``emission_spectra``, against its frequency side from one linear
-solve in ``sum_rule_check``.
+solve in ``sum_rule_check``.  The time side is the trapezoid on the spectra's
+grid with its Euler-Maclaurin end correction -dt^2/12 [d<n>/dt]_0^T, where
+d<n>/dt comes from the even block on the first and last stepped rows: the
+trapezoid's dt^2 error grows with the relaxation rate, to 1.1 % of the
+integral at gamma_tilde = 2.
 """
 
 from __future__ import annotations
@@ -346,9 +350,10 @@ def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     it may be negative, since the prepared state can emit less at a frequency
     than the steady state does.  Q_st is the stationary emitted power per unit
     frequency, windowed at T_max like E_rad.  n_excess is the trapezoid sum of
-    Int_0^T_max dt (<n>(t) - <n>_st) on the same grid, the time side of
-    ``sum_rule_check``.  Requires T_max >= 10/gamma_tilde and warns if
-    rho(T_max) has not relaxed to the steady state.
+    Int_0^T_max dt (<n>(t) - <n>_st) on the same grid with its end correction
+    -dt^2/12 [d<n>/dt]_0^T_max, the time side of ``sum_rule_check``.
+    Requires T_max >= 10/gamma_tilde and warns if rho(T_max) has not relaxed
+    to the steady state.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     ts = spectrum_time_grid(liou, T_max, omega_grid)
@@ -381,8 +386,9 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     # enters the relaxation check alone.
     rho_st = steady_state(liou).reshape(-1)
     dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
-    # the sum rule's Int dt (<n>(t) - <n>_st)
+    # the sum rule's Int dt (<n>(t) - <n>_st); d<n>/dt = n_rate . dev for its end term
     n_row = _number_row(liou)
+    n_rate = n_row @ even.block
     excess = np.empty(n_t)
     # each block of the deviation becomes its part of the trapezoid prefix over
     # t': B[r] = Int_0^{t_r} dev dt' = c[r] + c[r-1] - h[0] with h = dev dt/2
@@ -393,6 +399,7 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
         if start == 0:
             prefix = np.empty((n_t, dev.shape[1]), dev.dtype)
             h0 = 0.5 * dt * dev[0]
+            rate0 = float(np.real(dev[0] @ n_rate))
         excess[start:start + len(dev)] = np.real(dev @ n_row)
         c = prefix[start:start + len(dev)]
         np.multiply(dev, 0.5 * dt, out=c)
@@ -425,7 +432,9 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
         c_st[a:b] = rows @ seed_st
     w = np.full(n_t, dt)
     w[0] = w[-1] = 0.5 * dt
-    return w * s_tau, w * c_st, float(np.sum(w * excess))
+    # Euler-Maclaurin: the trapezoid exceeds the integral by dt^2/12 [d<n>/dt]_0^T + O(dt^4)
+    end = dt**2 / 12.0 * (float(np.real(dev[-1] @ n_rate)) - rate0)
+    return w * s_tau, w * c_st, float(np.sum(w * excess)) - end
 
 
 def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:

@@ -6,10 +6,14 @@ Fock state at zero drive is carried into the eigenstate with the same
 ``propagate_linear`` integrates every linear ramp H(t) = A + t B (this one and the
 Landau-Zener sweep of ``parosc.lz``) with the fourth-order commutator-free Magnus
 exponential: H splits into independent tridiagonal chains (the two parity chains
-here), each step applies two exact chain exponentials from a batched ``eigh``, and
-step doubling meets ``rel_tol`` as a global error target.  Mixed-parity initial
-states evolve on the same path.  The exponentials do not depend on the state, so
-on sweeps of several blocks of steps over chains of at least _POOL_MIN_STATES
+here), each step applies two exact chain exponentials, and step doubling meets
+``rel_tol`` as a global error target.  Mixed-parity initial states evolve on the
+same path.  The kernel goes by chain length: chains of two states (the
+Landau-Zener sweep) build their exponentials from the Rabi formula as
+whole-array expressions and apply a block of steps through its prefix products,
+formed by a scan; longer chains take theirs from a batched ``eigh`` and apply
+them one step at a time.  The exponentials do not depend on the state, so on
+sweeps of several blocks of steps over chains of at least _POOL_MIN_STATES
 states a thread pool computes them block by block ahead of the calling thread,
 which applies them in order; the states are bitwise those of one thread.
 """
@@ -82,7 +86,8 @@ def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[in
 _BLOCK_ENTRIES = 2**14
 # blocks computed ahead of the one being applied, so at most this many are held
 _IN_FLIGHT = 4
-# chains of fewer states are swept on the calling thread.  Measured on 2 cores
+# chains of fewer states, the two-state chains of the Landau-Zener sweep
+# included, are swept on the calling thread.  Measured on 2 cores
 # (BENCH_20.json): with the pool, the benchmark's radiation runs, whose ramps
 # have chains of 12 and 17 states, got 2-8 % slower, while the tomography runs,
 # with 20 and 25, took 0.74x the time
@@ -103,11 +108,27 @@ def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """The one-step propagators U_j = exp(-i h_j/2 H(taus[2j+1])) exp(-i h_j/2 H(taus[2j])).
 
     a and b are the (diag, off) bands of one tridiagonal chain, and halves
-    holds h_j/2 twice per step.  NumPy only, on arrays it only reads, so it
-    runs on a worker thread.
+    holds h_j/2 twice per step; the result has shape (steps, m, m).  A chain
+    of two states takes its factors from the Rabi formula and multiplies them
+    entry by entry; a longer one diagonalises every H(tau) in one batched
+    ``eigh``.  NumPy only, on arrays it only reads, so it runs on a worker
+    thread.
     """
     (a_d, a_o), (b_d, b_o) = a, b
     m = len(a_d)
+    if m == 2:
+        # Rabi formula: exp(-i th H) = exp(-i th mu) [cos(th r) - i th sinc(th r) (d sz + q sx)]
+        # with mu, d the mean and half-difference of the diagonal, q the coupling
+        # and r = hypot(d, q); np.sinc, sin(pi x)/(pi x), is 1 at r = 0
+        top, bottom, q = a_d[0] + taus * b_d[0], a_d[1] + taus * b_d[1], a_o[0] + taus * b_o[0]
+        mu, d = 0.5 * (top + bottom), 0.5 * (top - bottom)
+        theta_r = halves * np.hypot(d, q)
+        phase = np.exp(-1j * halves * mu)
+        cos, sin = phase * np.cos(theta_r), -1j * phase * halves * np.sinc(theta_r / np.pi)
+        factors = np.empty((len(taus), 2, 2), dtype=complex)
+        factors[:, 0, 0], factors[:, 1, 1] = cos + sin * d, cos - sin * d
+        factors[:, 0, 1] = factors[:, 1, 0] = sin * q
+        return _product2(factors[1::2], factors[0::2])
     diag, off = np.arange(m), np.arange(m - 1)
     tau = taus[:, None]
     mats = np.zeros((len(tau), m, m))
@@ -117,6 +138,28 @@ def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
     phase = np.exp(-1j * halves[:, None] * w)
     factors = (v * phase[:, None, :]) @ v.transpose(0, 2, 1)
     return factors[1::2] @ factors[0::2]
+
+
+def _product2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of 2 x 2 matrices, entry by entry."""
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            out[:, i, j] = x[:, i, 0] * y[:, 0, j] + x[:, i, 1] * y[:, 1, j]
+    return out
+
+
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """P_j = U_j ... U_1 U_0 for a stack of 2 x 2 step propagators U_j.
+
+    A Hillis-Steele scan (Hillis & Steele, CACM 29, 1170 (1986)): after the
+    pass at shift s, P_j holds the product of the 2s steps up to j.
+    """
+    prefix, shift = steps, 1
+    while shift < len(prefix):
+        prefix = np.concatenate([prefix[:shift], _product2(prefix[shift:], prefix[:-shift])])
+        shift *= 2
+    return prefix
 
 
 def _computed_ahead(jobs: list[tuple], pooled: bool):
@@ -151,7 +194,7 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
     halves = np.repeat(0.5 * h, 2)
     at_output = np.zeros(h.size, dtype=bool)
     at_output[np.cumsum(counts) - 1] = True
-    at_output = at_output.tolist()
+    flags = at_output.tolist()
     states = np.zeros((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
     chains = [r for r in range(k) if np.any(psi0[r::k])]   # a chain without weight stays 0
@@ -167,10 +210,17 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
     with closing(_computed_ahead(jobs, pooled)) as blocks:   # no pool outlives the pass
         for r in chains:
             psi, out = psi0[r::k], []
+            if len(psi) == 2:   # a block's states are its prefix products times psi
+                for s in starts[r]:
+                    prefix = _prefix_products(next(blocks))
+                    out.append(prefix[at_output[s:s + len(prefix)]] @ psi)
+                    psi = prefix[-1] @ psi
+                states[1:, r::k] = np.concatenate(out)
+                continue
             for s in starts[r]:
                 for j, u in enumerate(next(blocks), start=s):
                     psi = u.dot(psi)
-                    if at_output[j]:
+                    if flags[j]:
                         out.append(psi)
             states[1:, r::k] = out
     return states
@@ -190,8 +240,12 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     Integrator: the fourth-order commutator-free Magnus exponential (Blanes &
     Moan 2006; Alvermann & Fehske 2011).  A step of size h from t is
     psi <- exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) psi, with each factor
-    exact: one batched ``eigh`` per block of steps diagonalises every chain,
-    and a chain holding no weight in psi0 is not touched (it stays exactly 0).
+    exact, and a chain holding no weight in psi0 is not touched (it stays
+    exactly 0).  A chain of two states gets its factors from the Rabi formula
+    and takes a block of steps at once: a scan forms the block's prefix
+    products, and one batched product reads its output states.  A longer
+    chain gets them from one batched ``eigh`` per block of steps and applies
+    them one step at a time.
     When a sweep has two or more blocks, chains of at least _POOL_MIN_STATES
     states and two usable cores, a pool of one thread per core computes the
     blocks' propagators, at most _IN_FLIGHT blocks ahead, and this thread

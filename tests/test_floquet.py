@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parosc.floquet import (
     LabFrameParams,
+    _circular_distance,
     build_floquet_matrix,
     floquet_vs_rwa,
     oscillator_levels,
@@ -125,6 +128,38 @@ def test_quasienergy_mapping():
     e = 0.123
     d = abs(quasienergy_from_rwa(e, 1, omegaF) - quasienergy_from_rwa(e, -1, omegaF))
     assert min(d, omegaF - d) == pytest.approx(omegaF / 2)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(energy=st.floats(-1e4, 1e4), omegaF=st.floats(1e-2, 1e3), k=st.integers(-50, 50))
+@example(energy=-1e-20, omegaF=1.0, k=0)      # E % omegaF rounds up to omegaF
+def test_quasienergy_map_is_modular(energy, omegaF, k):
+    # RWA energies fold onto the quasienergy circle [0, omegaF): the map is
+    # periodic in E, and odd parity sits half a drive quantum above even.
+    # Both hold to the rounding of E + k omegaF and of the fold: over 10^5
+    # random draws the largest distances were 0.98 eps (|E| + |k| omegaF) and
+    # 1.12 eps (|E| + omegaF)
+    q = {parity: quasienergy_from_rwa(energy, parity, omegaF) for parity in (1, -1)}
+    assert all(0.0 <= value < omegaF for value in q.values())
+    shifted = quasienergy_from_rwa(energy + k * omegaF, 1, omegaF)
+    assert _circular_distance(shifted, q[1], omegaF) <= 2 * EPS * (abs(energy) + abs(k) * omegaF)
+    half_up = (q[1] + omegaF / 2) % omegaF
+    assert _circular_distance(q[-1], half_up, omegaF) <= 2 * EPS * (abs(energy) + omegaF)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=st.integers(-2**30, 2**30), b=st.integers(-2**30, 2**30),
+       period=st.integers(1, 2**20), k=st.integers(-50, 50))
+def test_circular_distance(a, b, period, k):
+    # multiples of 2^-10, so a + k period is exact and equal mod period exactly
+    a, b, period = a / 1024, b / 1024, period / 1024
+    d = _circular_distance(a, b, period)
+    assert d == _circular_distance(b, a, period)
+    assert 0.0 <= d <= period / 2
+    assert _circular_distance(a, a + k * period, period) == 0.0
 
 
 def test_fourier_vs_rwa_tracked_states():

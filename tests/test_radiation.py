@@ -552,7 +552,8 @@ def n_excess(liou, rho0, T_max):
 class TestSumRule:
     def test_single_decay_analytic(self):
         # f=0, rho0=|1><1|: total excess emission = 1/(2 gt); the solve has no
-        # step, and the trapezoid at dt = 0.05 is off by (2 gt dt)^2/12 = 8e-6
+        # step, and the end correction takes the trapezoid's (2 gt dt)^2/12 = 8e-6
+        # at dt = 0.05 out of the time side, which is then off by 1.4e-11
         dim, gt = 8, 0.1
         sp = FockSpace(dim)
         liou = make_liouvillian(dim, 1.0, 0.0, gt)
@@ -564,6 +565,17 @@ class TestSumRule:
         assert lhs == pytest.approx(1 / (2 * gt), rel=1e-12)
         # the slowest odd modes are the coherences |1><0| and |0><1|, which decay at gt
         assert rate == pytest.approx(gt, rel=1e-12)
+
+    def test_end_correction_at_strong_damping(self):
+        # at gt = 2, <n> relaxes in 10 steps of the grid's dt = 0.025, and the
+        # plain trapezoid was 1.1 % off the solve; with the Euler-Maclaurin end
+        # term -dt^2/12 [d<n>/dt]_0^T the measured gap is 1.3e-6 of rhs
+        dim, delta, f, gt = 24, 1.8, 1.0, 2.0
+        rho0 = prepared_state(dim, delta, f)
+        liou = make_liouvillian(dim, delta, f, gt)
+        lhs, _ = sum_rule_check(liou, rho0)
+        rhs = emission_spectra(liou, rho0, 20.0, np.linspace(-8.0, 8.0, 201))[2]
+        assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
     def test_steady_seed_both_zero(self):
         liou = make_liouvillian(8, 0.5, 0.4, 0.3)
