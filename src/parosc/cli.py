@@ -42,7 +42,7 @@ from .wigner import wigner_transform
 # A domain (op, bound) holds every value of the key (each entry of a list) to
 # ``value op bound``; each is the library check that the run would otherwise
 # fail at.  No ramp or spectrum can run at dim <= 4: the truncation-edge checks
-# take the top max(4, dim // 8) levels.
+# take the top fock.edge_levels(dim) = max(4, dim // 8) levels.
 POSITIVE, NON_NEGATIVE, DIM = (">", 0), (">=", 0), (">=", 5)
 EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
     "zero_drive": {

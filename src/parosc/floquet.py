@@ -119,15 +119,8 @@ def reduced_resonant_set(p: LabFrameParams, base_k: int, base_n: int) -> np.ndar
     The chain holds the amplitudes u_{base_k + j, base_n + 2j} for j >= -base_n//2;
     keeping only these is the rotating-wave approximation in the Fourier picture.
     """
-    j_min = -(base_n // 2)
-    ns, ks = [], []
-    j = j_min
-    while base_n + 2 * j < p.n_cut:
-        ns.append(base_n + 2 * j)
-        ks.append(base_k + j)
-        j += 1
-    ns = np.array(ns)
-    ks = np.array(ks)
+    j = np.arange(-(base_n // 2), (p.n_cut - base_n + 1) // 2)     # base_n + 2j < n_cut
+    ns, ks = base_n + 2 * j, base_k + j
     diag = oscillator_levels(p, ns) - ks * p.omegaF
     # exact q^2 elements <n|q^2|n+2>, times F/4
     off = 0.25 * p.F * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / (2.0 * p.omega0)
@@ -144,10 +137,15 @@ def reduced_rwa_equations(p: LabFrameParams) -> tuple[np.ndarray, np.ndarray]:
     return reduced_resonant_set(p, 0, 0), reduced_resonant_set(p, 0, 1)
 
 
+def _fold(x: float, period: float) -> float:
+    """x reduced into [0, period)."""
+    q = float(x % period)
+    return q if q < period else 0.0     # a tiny negative x folds to period in rounding
+
+
 def quasienergy_from_rwa(energy: float, parity: int, omegaF: float) -> float:
     """Map a rotating-frame energy and parity to the quasienergy in [0, omegaF)."""
-    q = float((energy + (1 - parity) * omegaF / 4.0) % omegaF)
-    return q if q < omegaF else 0.0     # a tiny negative sum folds to omegaF in rounding
+    return _fold(energy + (1 - parity) * omegaF / 4.0, omegaF)
 
 
 def _circular_distance(a: float, b: float, period: float) -> float:
@@ -192,7 +190,7 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6) -> dict[str, np.ndarray]
         rows, w, vecs = blocks[parity]
         overlaps = np.abs(vecs.T @ embedded[rows])
         j = int(np.argmax(overlaps))
-        eps_fourier = float(w[j] % p.omegaF)
+        eps_fourier = _fold(w[j], p.omegaF)
         eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)
         row = (parity, rank, eps_fourier, eps_rwa, float(overlaps[j]),
                _circular_distance(eps_fourier, eps_rwa, p.omegaF))

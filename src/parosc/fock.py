@@ -82,10 +82,18 @@ def check_state(psi: np.ndarray) -> None:
         raise ValueError(f"state norm {nrm} deviates from 1 by more than {_NORM_TOL}")
 
 
+EDGE_TOL = 1e-8     # largest population the top edge_levels(dim) levels of a converged state hold
+
+
+def edge_levels(dim: int) -> int:
+    """Number of top Fock levels that the truncation-edge checks hold to EDGE_TOL."""
+    return max(4, dim // 8)
+
+
 def tail_population(state_or_rho: np.ndarray, tail_levels: int) -> float:
     """Total population in the top ``tail_levels`` Fock levels.
 
-    Callers treat > 1e-8 as a sign the truncation has not converged.
+    Above EDGE_TOL in the top edge_levels(dim), the truncation has not converged.
     """
     dim = state_or_rho.shape[0]
     if not 0 < tail_levels < dim:

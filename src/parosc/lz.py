@@ -21,14 +21,16 @@ solved by parabolic cylinder functions D_nu with pure imaginary order
 nu = +-i p, p = Delta^2 / (2 s).  Along those 45-degree rays both fundamental
 solutions are oscillatory (|exp(+-z^2/4)| = 1), so evaluating D_nu by
 integrating its defining ODE (complex state, DOP853) outward from z = 0 is well
-conditioned.  The gamma factors of the solution separately over- or underflow
-near Delta^2/s = 600 while their products stay of order one.  So the ODE
-integrates D_nu(z)/D_nu(0), started from the log-derivative D'_nu(0)/D_nu(0)
-(D_nu(0) itself holds 1/Gamma((1 - nu)/2) ~ exp(pi p/4) and overflows near
-Delta^2/s = 1800), and the limiting amplitudes take their modulus in closed
-form and their phases from ``scipy.special.loggamma``.  For p >= 50 the phase
-of the Gamma(z)/Gamma(z + 1/2) ratio comes from its series in 1/p, so the
-small |alpha_down| is not the difference of two rounded p log p phases.
+conditioned, and D_nu(z)* = D_{nu*}(z*) makes the pair behind C_- the conjugate
+of the pair behind C_+: two of the four ODEs are integrated.  The gamma factors
+of the solution separately over- or underflow near Delta^2/s = 600 while their
+products stay of order one.  So the ODE integrates D_nu(z)/D_nu(0), started
+from the log-derivative D'_nu(0)/D_nu(0) (D_nu(0) itself holds
+1/Gamma((1 - nu)/2) ~ exp(pi p/4) and overflows near Delta^2/s = 1800), and the
+limiting amplitudes take their modulus in closed form and their phases from
+``scipy.special.loggamma``.  For p >= 50 the phase of the Gamma(z)/Gamma(z + 1/2)
+ratio comes from its series in 1/p, so the small |alpha_down| is not the
+difference of two rounded p log p phases.
 """
 
 from __future__ import annotations
@@ -152,41 +154,32 @@ def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
 
     C_+- = A_+- D_{+-ip-1}(-+ i z_+-) + B_+- D_{-+ip}(z_+-) with
     z_+- = sqrt(2s) e^{+-i pi/4} t; A, B fixed by C_+-(0) = 1/sqrt(2) and
-    i C'_+-(0) = Delta C_-+(0).  Warns if the evaluation loses more than six
-    digits of the conserved norm.
+    i C'_+-(0) = Delta C_-+(0).  As D_nu(z)* = D_{nu*}(z*) and z_- = z_+*, the two
+    functions behind C_- are the conjugates of the two integrated for C_+, to
+    the bit (DOP853 commutes with conjugation).  Warns if the evaluation loses
+    more than six digits of the conserved norm.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("t_grid must be >= 0")
-    Delta, s = prob.Delta, prob.s
-    p = prob.p
+    Delta, s, p = prob.Delta, prob.s, prob.p
     if p == 0:
         # Delta = 0: the +- states are exact eigenstates at all times
         phase = np.exp(-1j * s * t_grid ** 2 / 2.0)
-        c_plus = phase / math.sqrt(2.0)
-        c_minus = np.conj(phase) / math.sqrt(2.0)
-        c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, t_grid)
-        return LzSolution(t_grid=t_grid, c_plus=c_plus, c_minus=c_minus,
-                          c_up=c_up, c_down=c_down)
-
-    c = math.sqrt(2.0 * s)
-    k_pos = c * cmath.exp(1j * math.pi / 4.0)
-    k_neg = c * cmath.exp(-1j * math.pi / 4.0)
-    components = {}
-    for sign in (+1, -1):
-        nu1 = sign * 1j * p - 1.0          # order of D(.) with argument -+ i z_+-
-        nu2 = -sign * 1j * p               # order of D(z_+-)
-        k1 = k_neg if sign > 0 else k_pos
-        k2 = k_pos if sign > 0 else k_neg
-        # coefficients of the normalised solutions D(k t)/D(0)
-        m = np.array([[1.0, 1.0], [k1 * _pcf_slope(nu1), k2 * _pcf_slope(nu2)]])
+        c_plus, c_minus = phase / math.sqrt(2.0), np.conj(phase) / math.sqrt(2.0)
+    else:
+        # D_{ip-1}(-i z_+) on the ray k_- = conj(k_+) and D_{-ip}(z_+) on k_+, each over
+        # its value at 0; C_-'s functions and matrix are their conjugates
+        k_pos = math.sqrt(2.0 * s) * cmath.exp(1j * math.pi / 4.0)
+        nu1, nu2, k1 = 1j * p - 1.0, -1j * p, k_pos.conjugate()
+        m_plus = np.array([[1.0, 1.0], [k1 * _pcf_slope(nu1), k_pos * _pcf_slope(nu2)]])
         rhs = np.array([1.0 / math.sqrt(2.0), -1j * Delta / math.sqrt(2.0)])
-        a_coef, b_coef = np.linalg.solve(m, rhs)
+        a_plus, b_plus = np.linalg.solve(m_plus, rhs)
+        a_minus, b_minus = np.linalg.solve(m_plus.conj(), rhs)
         g1 = parabolic_cylinder_on_ray(nu1, k1, t_grid)
-        g2 = parabolic_cylinder_on_ray(nu2, k2, t_grid)
-        components[sign] = a_coef * g1 + b_coef * g2
-
-    c_plus, c_minus = components[+1], components[-1]
+        g2 = parabolic_cylinder_on_ray(nu2, k_pos, t_grid)
+        c_plus = a_plus * g1 + b_plus * g2
+        c_minus = a_minus * g1.conj() + b_minus * g2.conj()
     norm_drift = np.max(np.abs(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2 - 1.0))
     if norm_drift > 1e-6:
         warnings.warn(
@@ -194,7 +187,7 @@ def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
             RuntimeWarning, stacklevel=2,
         )
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, t_grid)
-    au, ad = lz_asymptotic_alphas(prob)
+    au, ad = lz_asymptotic_alphas(prob) if p else (None, None)
     return LzSolution(t_grid=t_grid, c_plus=c_plus, c_minus=c_minus,
                       c_up=c_up, c_down=c_down, alpha_up=au, alpha_down=ad)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  kept bound: bench/tracer.py wraps ramp.solve_ivp
 
-from .fock import ConvergenceError, FockSpace, check_state, tail_population
+from .fock import EDGE_TOL, ConvergenceError, FockSpace, check_state, edge_levels, tail_population
 from .rwa import RwaSystem, h_rwa_bands, parity_eigh
 from .spectrum import eigenstate_by_label
 
@@ -305,7 +305,7 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
     dim = space.dim
     label = initial_label(space, protocol.delta, protocol.initial_state)
     _, target = eigenstate_by_label(space, protocol.delta, protocol.f_final, *label)
-    if tail_population(target, max(4, dim // 8)) > 1e-8:
+    if tail_population(target, edge_levels(dim)) > EDGE_TOL:
         raise ConvergenceError("target eigenstate leans on the truncation edge; increase dim")
 
     # bands at unit drive: H(t) = diag + (s_tilde*t) * off2 on the |n>, |n+2> pairs

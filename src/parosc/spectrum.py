@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ConvergenceError, FockSpace
+from .fock import EDGE_TOL, ConvergenceError, FockSpace, edge_levels
 from .rwa import RwaSystem, parity_eigh, zero_drive_levels
 
-_TAIL_TOL = 1e-8            # largest top-level population of a tracked eigenvector
 _DEGENERACY_TOL = 1e-8      # largest gap that find_degeneracy_points calls a coincidence
 _DEGENERACY_LEVELS = 6      # lowest levels per parity that it scans
 
@@ -107,14 +106,13 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
 def _check_tracked_tails(idx, v, dim):
     """Truncation check at the largest drive: the tracked eigenvectors (columns
     of v over Fock indices idx) must not lean on the top Fock levels."""
-    tail = max(4, dim // 8)
-    pops = np.sum(np.abs(v[idx >= dim - tail]) ** 2, axis=0)
-    bad = np.flatnonzero(pops > _TAIL_TOL)
+    pops = np.sum(np.abs(v[idx >= dim - edge_levels(dim)]) ** 2, axis=0)
+    bad = np.flatnonzero(pops > EDGE_TOL)
     if bad.size:
         r = bad[0]
         raise ConvergenceError(
             f"tracked level rank {r} has tail population "
-            f"{pops[r]:.3g} > {_TAIL_TOL:.3g}; increase dim"
+            f"{pops[r]:.3g} > {EDGE_TOL:.3g}; increase dim"
         )
 
 

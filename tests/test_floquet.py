@@ -186,6 +186,23 @@ def test_quasienergy_set_type():
     assert abs(shifted) < 0.1 * p.omegaF
 
 
+def test_fourier_quasienergy_a_hair_below_zero_folds_to_zero(monkeypatch):
+    # NumPy's % rounds -1e-20 % omegaF up to omegaF, outside [0, omegaF)
+    from parosc.floquet import floquet_quasienergies
+
+    eigh = np.linalg.eigh
+
+    def eigh_at_minus_tiny(a):
+        w, v = eigh(a)
+        return np.full_like(w, -1e-20), v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_at_minus_tiny)
+    p = make_params(0.3, 0.8)
+    eps = floquet_vs_rwa(p, n_track=6)["eps_fourier"]
+    assert np.all((eps >= 0) & (eps < p.omegaF))
+    assert floquet_quasienergies(p, n_track=6).values.tolist() == [0.0] * 6
+
+
 def test_rwa_error_decreases_with_nonlinearity():
     worst = [worst_discrepancy(LabFrameParams.from_reduced(OM0, v, 0.3, 0.8))
              for v in (1e-3, 5e-4, 2.5e-4)]

@@ -4,11 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import asymptote_estimate
+from parosc import lz
 from parosc.lz import (
     LzProblem,
+    _pcf_slope,
     dynamical_phase,
     lz_asymptotic_alphas,
     lz_evolve_numeric,
@@ -183,8 +187,36 @@ class TestParabolicCylinderOnRay:
             want = np.array([complex(mpmath.pcfd(nu, k * t) / d0) for t in ts])
             assert np.max(np.abs(got - want) / np.abs(want)) < 2e-11
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(log_p=st.floats(-3.0, 4.0), s=st.floats(0.25, 4.0), t_max=st.floats(0.1, 2.0),
+           n=st.integers(2, 40))
+    def test_conjugate_order_and_ray_give_the_conjugate_bit_for_bit(self, log_p, s, t_max, n):
+        # D_nu(z)* = D_{nu*}(z*), and DOP853 and the log-gamma slope commute with
+        # conjugation: weber_solution builds C_- from conj of C_+'s two integrations
+        p = 10.0 ** log_p
+        k_pos = math.sqrt(2.0 * s) * cmath.exp(0.25j * math.pi)
+        ts = np.linspace(0.0, t_max, n)
+        for nu, k in ((1j * p - 1.0, k_pos.conjugate()), (-1j * p, k_pos)):
+            assert _pcf_slope(nu.conjugate()) == _pcf_slope(nu).conjugate()
+            conj = parabolic_cylinder_on_ray(nu.conjugate(), k.conjugate(), ts)
+            assert np.array_equal(conj, np.conj(parabolic_cylinder_on_ray(nu, k, ts)))
+
 
 class TestWeberSolution:
+    def test_integrates_two_parabolic_cylinder_odes(self, monkeypatch):
+        calls, solve_ivp = [], lz.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(lz, "solve_ivp", counted)
+        weber_solution(LzProblem(Delta=0.5, s=1.0), np.linspace(0.0, 2.0, 21))
+        assert len(calls) == 2
+        calls.clear()
+        weber_solution(LzProblem(Delta=0.0, s=1.0), np.linspace(0.0, 2.0, 21))
+        assert calls == []
+
     @pytest.mark.parametrize("d2s", FIG5_SET)
     def test_agrees_with_numeric(self, d2s):
         prob = LzProblem(Delta=math.sqrt(d2s), s=1.0)
