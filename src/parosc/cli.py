@@ -178,6 +178,15 @@ def validate_config(raw: dict) -> dict:
     if name == "floquet_check" and cfg["n_track"] > cfg["n_cut"]:
         raise ConfigError(f"key n_track = {cfg['n_track']} must be <= key n_cut = "
                           f"{cfg['n_cut']}, the number of RWA states at n_cut")
+    # the two bounds of floquet.LabFrameParams, in its own arithmetic
+    if name == "floquet_check":
+        omega0, v = cfg["omega0"], cfg["V"]
+        if v >= 0.05 * omega0:
+            raise ConfigError(f"key V = {v} must be < 0.05 key omega0 = {0.05 * omega0}")
+        if abs(2.0 * (omega0 + cfg["delta"] * v) - 2.0 * omega0) >= 0.2 * omega0:
+            raise ConfigError(f"key delta = {cfg['delta']} with key V = {v} detunes the drive "
+                              f"by 2|delta| V = {2.0 * abs(cfg['delta']) * v}, which must be "
+                              f"< 0.2 key omega0 = {0.2 * omega0}")
     return cfg
 
 

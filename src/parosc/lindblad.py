@@ -3,17 +3,17 @@
 d rho/dt = -i [H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n)
 
 with the single lowering-operator dissipator (bath temperature far below the
-oscillator quantum).  The generator is written once, as its action on d x d
-matrices through the two bands of H (``rwa.h_rwa_bands``).
+oscillator quantum).  The generator is written once, as a sparse matrix on the
+row-stacked vec(rho) built by index arithmetic on the two bands of H
+(``rwa.h_rwa_bands``): it moves each Fock index by at most 2, so each row has
+at most six entries.
 
 H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
 dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
 is solved on the even block, and ``radiation`` steps rho(t), the correlators and
-the spectra block by block.  The generator moves each Fock index by at most 2,
-so a block is read off the generator applied to 50 sums of basis matrices, one
-per color of coordinates that never share an output entry (see ``_sector``).
+the spectra block by block.
 
 A Lindblad generator preserves Hermiticity, L(rho^dag) = L(rho)^dag (Alicki &
 Lendi, Lect. Notes Phys. 286 (1987)), and each sector is closed under the
@@ -27,7 +27,7 @@ coordinates; this module is the only one that knows either coordinate system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -75,10 +75,10 @@ class Sector(NamedTuple):
     sector's Fock vector is x = vec(rho)[idx].  The columns of the unitary T
     are the Hermitian basis, and y = T^H x are the coordinates, real for a
     Hermitian rho: ``to_herm`` applies T^H and ``to_fock`` applies T, two
-    terms per entry each, and ``block`` is the real matrix T^H L_s T, built
-    from the generator applied to sums of basis matrices (``_sector``).
-    Coordinate k belongs to entry idx[k]: E_mm on the diagonal, the symmetric
-    element of the pair (m, n) above it and the antisymmetric one below it.
+    terms per entry each, and ``block`` is the real matrix T^H L_s T, with L_s
+    the generator's rows and columns at idx.  Coordinate k belongs to entry
+    idx[k]: E_mm on the diagonal, the symmetric element of the pair (m, n)
+    above it and the antisymmetric one below it.
     """
 
     idx: np.ndarray
@@ -87,39 +87,37 @@ class Sector(NamedTuple):
     to_fock: Gather
 
 
-def _generator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float,
-               rho: np.ndarray) -> np.ndarray:
-    """L[rho] on the last two axes of rho, for H with bands (diag, off2) of ``h_rwa_bands``."""
-    n = np.arange(len(diag))
-    out = (-1j * (diag[:, None] - diag) - gamma_tilde * (n[:, None] + n)) * rho
-    # -i[H, rho] off the diagonal: <k|H|k+2> = <k+2|H|k> = off2[k]
-    i_off2 = 1j * off2
-    out[..., 2:, :] -= i_off2[:, None] * rho[..., :-2, :]
-    out[..., :-2, :] -= i_off2[:, None] * rho[..., 2:, :]
-    out[..., :, 2:] += rho[..., :, :-2] * i_off2
-    out[..., :, :-2] += rho[..., :, 2:] * i_off2
-    # 2 gamma_tilde (a rho a_dag)[m, n] = sqrt(2 gamma_tilde (m+1) (n+1)) rho[m+1, n+1]
-    root = np.sqrt(2.0 * gamma_tilde * n[1:])
-    out[..., :-1, :-1] += np.outer(root, root) * rho[..., 1:, 1:]
-    return out
+def _superoperator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float) -> csr_array:
+    """L on the row-stacked vec(rho), index m*d + n, for H with bands (diag, off2) of ``h_rwa_bands``.
 
-
-def _sector(apply: Callable[[np.ndarray], np.ndarray], dim: int, parity: int) -> Sector:
-    """The sector of the given (m + n) parity of the generator ``apply`` on d x d stacks.
-
-    L[rho][i, j] reads rho only within two steps of (i, j) along each index,
-    so block entry (k', k) can be nonzero only if the sorted Fock pair
-    (lo, hi) of coordinate k, or its transpose, lies in the 5 x 5 box
-    lo' +- 2, hi' +- 2 around the sorted pair of k'; and if (hi, lo) lies in
-    that box, so does (lo, hi).  The box holds one pair of each residue pair
-    (lo mod 5, hi mod 5), so of each color (lo mod 5, hi mod 5, symmetric or
-    antisymmetric) one coordinate at most reaches row k', and the coordinates
-    of a color have disjoint supports.  The block is therefore read off the
-    generator applied to the sum of each color's basis matrices, 50 matrices
-    at most whatever the dimension (Curtis, Powell & Reid, J. Inst. Math.
-    Appl. 13, 117 (1974)).  Each entry comes from the same arithmetic on the
-    same operands as in T^H L[T e_k], so the block is the same to the bit.
+    Row (m, n) reads rho[m + dm, n + dn] for the six shifts below, so the
+    matrix has at most six entries per row.
     """
+    d = len(diag)
+    m, n = np.divmod(np.arange(d * d), d)
+    # <k|H|k+2> = <k+2|H|k> = off2[k]: up[k] = <k|H|k+2>, down[k] = <k|H|k-2>
+    up, down = np.concatenate([off2, [0.0, 0.0]]), np.concatenate([[0.0, 0.0], off2])
+    root = np.sqrt(2.0 * gamma_tilde * (np.arange(d) + 1.0))    # sqrt(2 gamma_tilde (k+1))
+    terms = (
+        (0, 0, -1j * (diag[m] - diag[n]) - gamma_tilde * (m + n)),
+        # -i[H, rho] off the diagonal
+        (-2, 0, -1j * down[m]), (2, 0, -1j * up[m]),
+        (0, -2, 1j * down[n]), (0, 2, 1j * up[n]),
+        # 2 gamma_tilde (a rho a_dag)[m, n] = root[m] root[n] rho[m+1, n+1]
+        (1, 1, root[m] * root[n]),
+    )
+    rows, cols, vals = [], [], []
+    for dm, dn, coef in terms:
+        ok = (m + dm >= 0) & (m + dm < d) & (n + dn >= 0) & (n + dn < d)
+        rows.append(np.flatnonzero(ok))
+        cols.append(((m + dm) * d + n + dn)[ok])
+        vals.append(coef[ok])
+    return csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(d * d, d * d))
+
+
+def _sector(matrix: csr_array, dim: int, parity: int) -> Sector:
+    """The sector of the given (m + n) parity of the generator ``matrix`` on vec(rho)."""
     m, n = np.divmod(np.arange(dim * dim), dim)
     idx = np.flatnonzero((m + n) % 2 == parity)
     local = np.zeros(dim * dim, dtype=np.intp)
@@ -131,24 +129,7 @@ def _sector(apply: Callable[[np.ndarray], np.ndarray], dim: int, parity: int) ->
     herm = np.where(upper, [r, r], np.where(lower, [1j * r, -1j * r], [0.5, 0.5]))
     fock = np.where(upper, [r, 1j * r], np.where(lower, [-1j * r, r], [0.5, 0.5]))
     to_herm, to_fock = Gather(pos, herm), Gather(pos, fock)
-
-    lo, hi, anti = np.minimum(m, n), np.maximum(m, n), lower[:, 0]
-    colors, color = np.unique((lo % 5 * 5 + hi % 5) * 2 + anti, return_inverse=True)
-    # T applied to the indicator of color c is the sum of its basis matrices T e_k
-    probes = np.zeros((colors.size, dim * dim), dtype=complex)
-    probes[:, idx] = to_fock(np.arange(colors.size)[:, None] == color)
-    ls_t = to_herm(apply(probes.reshape(-1, dim, dim)).reshape(colors.size, -1)[:, idx])
-    # the owner of row k' in color c: the pair of c's residues in the box around k'
-    col = colors[:, None]
-    c_lo, c_hi, c_anti = col // 10, col // 2 % 5, col % 2 == 1
-    own_lo = lo - 2 + (c_lo - lo + 2) % 5
-    own_hi = hi - 2 + (c_hi - hi + 2) % 5
-    owned = ((own_lo >= 0) & (own_hi < dim) & ((own_lo + own_hi) % 2 == parity)
-             & np.where(c_anti, own_lo < own_hi, own_lo <= own_hi))
-    entry = np.where(c_anti, own_hi * dim + own_lo, own_lo * dim + own_hi)
-    c, row = np.nonzero(owned)
-    block = np.zeros((idx.size, idx.size))
-    block[row, local[entry[c, row]]] = ls_t[c, row].real
+    block = (to_herm.matrix @ matrix[idx][:, idx] @ to_fock.matrix).real.toarray()
     return Sector(idx, block, to_herm, to_fock)
 
 
@@ -159,13 +140,15 @@ class Liouvillian:
     space: FockSpace
     sys: RwaSystem
     gamma_tilde: float
+    matrix: csr_array = field(init=False, repr=False)    # L on the row-stacked vec(rho)
     sectors: tuple[Sector, Sector] = field(init=False, repr=False)
-    _steady: np.ndarray | None = field(default=None, repr=False)
+    _steady: np.ndarray | None = field(default=None, init=False, repr=False)
     # sigma_min/sigma_max of the steady-state solve, set with _steady
     steady_sigma_ratio: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.sectors = tuple(_sector(self.apply, self.dim, parity) for parity in (0, 1))
+        self.matrix = _superoperator(*h_rwa_bands(self.dim, self.sys), self.gamma_tilde)
+        self.sectors = tuple(_sector(self.matrix, self.dim, parity) for parity in (0, 1))
 
     @property
     def dim(self) -> int:
@@ -173,7 +156,9 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L[rho] for one d x d matrix or a stack of them on the last two axes."""
-        return _generator(*h_rwa_bands(self.dim, self.sys), self.gamma_tilde, rho)
+        rho = np.asarray(rho)
+        rows = rho.reshape(-1, self.dim * self.dim)
+        return (self.matrix @ rows.T).T.reshape(rho.shape)
 
 
 def build_liouvillian(space: FockSpace, sys: RwaSystem, gamma_tilde: float) -> Liouvillian:

@@ -72,16 +72,3 @@ def asymptote_estimate(prob: LzProblem, rel_tol: float = 1e-10) -> float:
     period = 2.0 * math.pi / (prob.s * t_max)
     mask = sol.t_grid > t_max - 5.0 * period
     return float(np.mean(np.abs(sol.c_up[mask]) ** 2))
-
-
-def per_basis_block(liou: Liouvillian, parity: int) -> np.ndarray:
-    """The real block T^H L_s T of one sector, column k from L applied to the basis matrix T e_k.
-
-    The oracle for the colored build of ``lindblad._sector``: one generator
-    application per coordinate, d^2/2 of them.
-    """
-    d, sector = liou.dim, liou.sectors[parity]
-    basis = np.zeros((sector.idx.size, d * d), dtype=complex)
-    basis[:, sector.idx] = sector.to_fock(np.eye(sector.idx.size))  # row k of T^T is T e_k
-    ls_t = liou.apply(basis.reshape(-1, d, d)).reshape(sector.idx.size, -1)[:, sector.idx]
-    return np.ascontiguousarray(sector.to_herm(ls_t).T.real)

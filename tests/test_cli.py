@@ -141,6 +141,16 @@ def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, k
                                override, *(f"key {k}" for k in key.split(",")))
 
 
+@pytest.mark.parametrize("payload, override, keys", [
+    ({"delta": 0.0, "f": 1}, "delta=200", ("delta", "V", "omega0")),   # 2|delta| V >= 0.2 omega0
+    ({"delta": 0.1, "f": 1}, "V=0.06", ("V", "omega0")),               # V >= 0.05 omega0
+])
+def test_floquet_check_lab_frame_domain(tmp_path, capsys, payload, override, keys):
+    # LabFrameParams rejects both, but only once the run has started
+    assert_rejected_before_run(tmp_path, capsys, {"experiment": "floquet_check", **payload},
+                               override, *(f"key {k}" for k in keys))
+
+
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 

@@ -8,7 +8,8 @@ Exit status 0 means the failing tests are exactly ``test_c02``, ``test_c07``
 and ``test_c10`` of ``tests/test_acceptance.py`` (their targets do not match
 what the model gives; README "Acceptance suite").  Otherwise each failure
 outside that set and each member of it that passed is named, and the status
-is 1.
+is 1.  The suite's wall time and its five slowest test cases are printed
+from the same report's ``time`` attributes.
 """
 
 from __future__ import annotations
@@ -25,11 +26,22 @@ RED_SET = ("test_c02", "test_c07", "test_c10")
 RED_MODULE = "tests.test_acceptance"
 
 
-def failing_tests(report: Path) -> list[str]:
+def case_id(case: ET.Element) -> str:
+    return f"{case.get('classname')}::{case.get('name')}"
+
+
+def failing_tests(report: ET.Element) -> list[str]:
     """Ids (classname::name) of the test cases with a failure or error in a JUnit report."""
-    return [f"{case.get('classname')}::{case.get('name')}"
-            for case in ET.parse(report).iter("testcase")
+    return [case_id(case) for case in report.iter("testcase")
             if case.find("failure") is not None or case.find("error") is not None]
+
+
+def timing(report: ET.Element, n_slowest: int = 5) -> tuple[float, list[tuple[float, str]]]:
+    """The suite's wall time and its ``n_slowest`` slowest cases, (seconds, id), from ``time``."""
+    wall = sum(float(suite.get("time", 0.0)) for suite in report.iter("testsuite"))
+    cases = sorted(((float(case.get("time", 0.0)), case_id(case))
+                    for case in report.iter("testcase")), reverse=True)
+    return wall, cases[:n_slowest]
 
 
 def red_member(test_id: str) -> str | None:
@@ -53,7 +65,12 @@ def main() -> int:
         if not report.exists():
             print(f"tier1_verdict: pytest exited {code} without a report", file=sys.stderr)
             return 1
-        failed = failing_tests(report)
+        junit = ET.parse(report).getroot()
+    failed = failing_tests(junit)
+    wall, slowest = timing(junit)
+    print(f"tier1_verdict: suite wall time {wall:.1f} s; slowest cases:")
+    for seconds, test_id in slowest:
+        print(f"  {seconds:6.2f} s  {test_id}")
     added = [t for t in failed if red_member(t) is None]
     missing = sorted(set(RED_SET) - {red_member(t) for t in failed})
     for test_id in added:
