@@ -80,7 +80,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .fock import ladder_operators
-from .lindblad import Gather, Liouvillian, even_trace_stack, steady_state
+from .lindblad import Gather, Liouvillian, steady_state
 
 _BLOCK = 128        # states per matrix product in the blocked stepping
 # [13/13] Pade numerator coefficients b_0..b_13 over b_0, and the largest 1-norm
@@ -362,10 +362,10 @@ def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
             n_excess)
 
 
-def _number_row(liou: Liouvillian) -> np.ndarray:
-    """Row n_row with <n> = Tr[n M] = n_row . y_even, real: the even sector holds the diagonal."""
+def _diagonal_row(liou: Liouvillian, w) -> np.ndarray:
+    """Row r with Tr[diag(w) M] = r . y_even, real: the even sector holds the diagonal."""
     even = liou.sectors[0]
-    return even.to_herm(np.diag(np.arange(liou.dim)).reshape(-1)[even.idx]).real
+    return even.to_herm(np.diag(np.broadcast_to(w, liou.dim)).reshape(-1)[even.idx]).real
 
 
 def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
@@ -387,7 +387,7 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     rho_st = steady_state(liou).reshape(-1)
     dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
     # the sum rule's Int dt (<n>(t) - <n>_st); d<n>/dt = n_rate . dev for its end term
-    n_row = _number_row(liou)
+    n_row = _diagonal_row(liou, np.arange(liou.dim))
     n_rate = n_row @ even.block
     excess = np.empty(n_t)
     # each block of the deviation becomes its part of the trapezoid prefix over
@@ -443,14 +443,23 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:
     lhs = (1/2 pi) Int dx E_rad(x) over all x at T -> infinity.  Integrating
     the phase factor over every x collapses the double time integral onto its
     diagonal, so lhs = Tr[n Y] with Y = Int_0^inf (rho(t) - rho_st) dt, which
-    solves L Y = -(rho0 - rho_st), Tr Y = 0: one least-squares solve, nothing
-    stepped.  It matches the n_excess of ``emission_spectra`` once rho(T_max)
-    has relaxed.  slowest_odd_rate is min -Re mu over the eigenvalues mu of
-    the odd block: the correlators keep about exp(-rate T_max) past T_max.
+    solves L Y = -(rho0 - rho_st), Tr Y = 0: nothing is stepped.  The even
+    block elimination of ``Liouvillian.even_solve`` gives a solution y with
+    rho_00 = 0, and Y = y - (Tr y) rho_st.  The row it leaves out, s = 0, is
+    the solvability condition Tr(rho0 - rho_st) = 0, so rho0 must have unit
+    trace (to 1e-10), or ``ValueError``.  lhs matches the n_excess of
+    ``emission_spectra`` once rho(T_max) has relaxed.  slowest_odd_rate is
+    min -Re mu over the eigenvalues mu of the odd block: the correlators keep
+    about exp(-rate T_max) past T_max.
     """
+    rho0 = np.asarray(rho0, complex)
+    trace = complex(np.trace(rho0))
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"sum rule needs a unit-trace rho0: Tr rho0 = {trace:.12g}")
     even, odd = liou.sectors
-    dev0 = (np.asarray(rho0, complex) - steady_state(liou)).reshape(-1)[even.idx]
+    rho_st = steady_state(liou).reshape(-1)[even.idx]
     # L maps real coordinates to real ones, so the real part of Y carries Re <n>
-    b = np.append(-even.to_herm(dev0).real, 0.0)
-    y = np.linalg.lstsq(even_trace_stack(liou), b, rcond=None)[0]
-    return float(_number_row(liou) @ y), float(np.min(-np.linalg.eigvals(odd.block).real))
+    y = liou.even_solve(-even.to_herm(rho0.reshape(-1)[even.idx] - rho_st).real, 0.0)
+    y -= (_diagonal_row(liou, 1.0) @ y) * even.to_herm(rho_st).real     # Y, with Tr Y = 0
+    return (float(_diagonal_row(liou, np.arange(liou.dim)) @ y),
+            float(np.min(-np.linalg.eigvals(odd.block).real)))

@@ -221,6 +221,15 @@ def test_zero_drive_reproduces_degeneracies(tmp_path):
     assert manifest["experiment"] == "zero_drive"
 
 
+def test_zero_drive_report_checks_the_shipped_levels(tmp_path):
+    # the table holds E_n by Fock index n; at delta = 15 these are not the
+    # n_max + 1 lowest levels, which the report once compared (rel_diff 0.067)
+    manifest = run_experiment(validate_config({"experiment": "zero_drive", "delta": 15.0,
+                                               "n_max": 5, "output_dir": str(tmp_path)}))
+    assert manifest["convergence"]["converged"]
+    assert manifest["convergence"]["rel_diff"] < 1e-15
+
+
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     base = {"experiment": "spectrum", "delta": 2.0, "f_max": 1.0,
@@ -357,7 +366,8 @@ def test_radiation_manifest_records_horizon_weight(tmp_path):
     # 4.5e-5 is below the run's 1e-4, so nothing is truncated and nothing warns
     assert res["horizon_weight"] < cli.RADIATION_REL_TOL
     assert manifest["warnings"] == []
-    # sigma_min/sigma_max of the steady-state solve, which raises below 1e-8
+    # the smallest sigma_min/sigma_max of the steady-state elimination's Schur
+    # blocks; the solve raises below 1e-8
     assert 1e-8 <= res["steady_sigma_ratio"] <= 1.0
     # the spectra's stepping: stepping_steps steps of stepping_dt span [0, T_max]
     assert res["stepping_steps"] * res["stepping_dt"] == pytest.approx(

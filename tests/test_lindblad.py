@@ -87,6 +87,18 @@ class TestParitySectors:
         rho_st = steady_state(liou)
         assert np.all(rho_st.reshape(-1)[parity == 1] == 0.0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 2.0),
+           gt=st.floats(0.01, 2.0), dim=st.integers(3, 20))
+    def test_blocks_are_block_tridiagonal_in_m_plus_n(self, delta, f, gt, dim):
+        # row s = m + n reads only s - 2, s and s + 2: the even elimination
+        # relies on it, and an odd-sector resolvent would too
+        liou = make_liouvillian(dim, delta, f, gt)
+        for sector in liou.sectors:
+            s = np.sum(np.divmod(sector.idx, dim), axis=0)
+            far = np.abs(s[:, None] - s[None, :]) > 2
+            assert np.all(sector.block[far] == 0.0)
+
 
 class TestHermitianBasis:
     """Each sector block is the real matrix T^H L_s T in the Hermitian basis."""
@@ -273,6 +285,65 @@ class TestSteadyState:
         liou.sectors = tuple(s._replace(block=np.zeros_like(s.block)) for s in liou.sectors)
         with pytest.raises(RuntimeError, match="degenerate null space"):
             steady_state(liou)
+
+    def test_one_singular_schur_block_raises(self):
+        # a zero row and column at the top coordinate (d-1, d-1) leaves the rest
+        # of the even block physical, but makes its 1 x 1 Schur block S_{2d-2} zero
+        dim = 8
+        liou = make_liouvillian(dim, 1.8, 1.0, 0.1)
+        even = liou.sectors[0]
+        block = even.block.copy()
+        top = int(np.flatnonzero(even.idx == dim * dim - 1)[0])
+        block[top, :] = block[:, top] = 0.0
+        liou.sectors = (even._replace(block=block), liou.sectors[1])
+        with pytest.raises(RuntimeError, match="degenerate null space"):
+            steady_state(liou)
+
+    def test_sigma_ratio_at_the_bench_config(self):
+        # bench/configs/dissipation.json; the smallest Schur-block ratio measured
+        # there is 1.1e-2 (the stacked matrix of a least-squares solve had 2.9e-4)
+        liou = make_liouvillian(24, 1.8, 1.0, 0.1)
+        assert liou.steady_sigma_ratio is None
+        steady_state(liou)
+        assert 1e-8 <= liou.steady_sigma_ratio <= 1.0
+
+
+class TestEvenElimination:
+    @staticmethod
+    def dense_solve(liou, b, trace):
+        """Least-squares y of the even block stacked with the trace row: L y = b, Tr y = trace."""
+        even = liou.sectors[0]
+        tr_row = even.to_herm(np.eye(liou.dim).reshape(-1)[even.idx]).real
+        return tr_row, np.linalg.lstsq(np.vstack([even.block, tr_row]), np.append(b, trace),
+                                       rcond=None)[0]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.integers(4, 24), delta=st.floats(-2.0, 3.0), f=st.floats(0.0, 1.5),
+           gt=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    @example(dim=24, delta=1.8, f=1.0, gt=0.01, seed=0)
+    def test_matches_dense_least_squares(self, dim, delta, f, gt, seed):
+        # the steady state and Y = Int_0^inf (rho(t) - rho_st) dt, the two even
+        # solves, against the stacked least-squares system; over these cases
+        # the largest difference measured was 3.0e-12 of max|y| (d = 24,
+        # gt = 0.01) and the largest residual 8.7e-17
+        liou = make_liouvillian(dim, delta, f, gt)
+        even = liou.sectors[0]
+        scale = np.max(np.abs(even.block))
+        rho_st = steady_state(liou).reshape(-1)[even.idx]
+        y_st = even.to_herm(rho_st).real
+        tr_row, ref_st = self.dense_solve(liou, np.zeros(len(even.idx)), 1.0)
+        assert np.max(np.abs(y_st - ref_st)) <= 1e-10 * np.max(np.abs(ref_st))
+        assert np.max(np.abs(even.block @ y_st)) <= 1e-12 * scale * np.max(np.abs(y_st))
+
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = m @ m.conj().T
+        b = -even.to_herm((rho0 / np.trace(rho0).real).reshape(-1)[even.idx] - rho_st).real
+        y = liou.even_solve(b, 0.0)
+        y -= (tr_row @ y) * y_st
+        ref = self.dense_solve(liou, b, 0.0)[1]
+        assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(even.block @ y - b)) <= 1e-12 * scale * np.max(np.abs(y))
 
 
 class TestDecayRate:

@@ -583,6 +583,16 @@ class TestSumRule:
         lhs, _ = sum_rule_check(liou, rho_st)
         assert abs(lhs) < 1e-8 and abs(n_excess(liou, rho_st, 40.0)) < 1e-8
 
+    def test_rho0_without_unit_trace_raises(self):
+        # L Y = -(rho0 - rho_st) has a solution only for Tr rho0 = 1; a
+        # least-squares solve gave -2.344 for the vacuum and -6.816 for twice it
+        dim = 12
+        liou = make_liouvillian(dim, 1.8, 1.0, 0.5)
+        vacuum = np.outer(FockSpace(dim).vacuum(), FockSpace(dim).vacuum())
+        assert np.isfinite(sum_rule_check(liou, vacuum)[0])
+        with pytest.raises(ValueError, match="Tr rho0 = 2"):
+            sum_rule_check(liou, 2.0 * vacuum)
+
     def test_driven_configuration(self):
         dim, delta, f, gt = 20, 1.8, 1.0, 0.1
         rho0 = prepared_state(dim, delta, f)
