@@ -111,8 +111,12 @@ def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
     holds h_j/2 twice per step; the result has shape (steps, m, m).  A chain
     of two states takes its factors from the Rabi formula and multiplies them
     entry by entry; a longer one diagonalises every H(tau) in one batched
-    ``eigh``.  NumPy only, on arrays it only reads, so it runs on a worker
-    thread.
+    ``eigh`` and builds each factor V exp(-i h/2 w) V^T in real arithmetic:
+    two real products, V cos(h/2 w) V^T and -V sin(h/2 w) V^T, fill the real
+    and imaginary parts of one complex array.  One complex product would add
+    only products with zero to these, at twice the multiplications and with
+    a complex copy of V^T.  NumPy only, on arrays it only reads, so it runs on
+    a worker thread.
     """
     (a_d, a_o), (b_d, b_o) = a, b
     m = len(a_d)
@@ -136,7 +140,9 @@ def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
     mats[:, off, off + 1] = mats[:, off + 1, off] = a_o + tau * b_o
     w, v = np.linalg.eigh(mats)
     phase = np.exp(-1j * halves[:, None] * w)
-    factors = (v * phase[:, None, :]) @ v.transpose(0, 2, 1)
+    factors, vt = np.empty(v.shape, dtype=complex), v.transpose(0, 2, 1)
+    factors.real = (v * phase.real[:, None, :]) @ vt
+    factors.imag = (v * phase.imag[:, None, :]) @ vt
     return factors[1::2] @ factors[0::2]
 
 

@@ -24,7 +24,10 @@ started from g_0k = g_00/sqrt(k!), g_00 = e^(-r2/2)/(pi*lam).  The phase is put
 back by one Horner pass over the diagonals on the full grid, k = d-1 down to 0:
 acc <- acc * 2a/sqrt(k+1) + sqrt(k!) D_k.  The factor 1/sqrt(k!) rides in the
 Horner step, so no e^(-r2/2)/sqrt(k!) underflows at large d.  Each diagonal is
-summed and gathered to the grid before the next one is built.
+summed and gathered to the grid before the next one is built, and a diagonal
+whose coefficients are all zero is neither summed nor gathered: a parity
+eigenstate, such as every state a ramp prepares from a Fock state, has
+rho_m,m+k = 0 for odd k, so half of the diagonals cost one multiply each.
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
                      p_axis: np.ndarray) -> WignerGrid:
     """Wigner function of a Fock-basis density matrix on a rectangular grid.
 
-    Raises if an axis is not uniform and ascending, or if the grid is too
-    small for the state (boundary mass check).
+    A diagonal rho_m,m+k with no nonzero entry (for a parity state, every odd
+    k) is left out of the sum, in which its term is exactly zero.  Raises if
+    an axis is not uniform and ascending, or if the grid is too small for the
+    state (boundary mass check).
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -88,7 +93,9 @@ def wigner_transform(rho: np.ndarray, lam: float, q_axis: np.ndarray,
     for k in range(dim - 1, -1, -1):
         # acc becomes sqrt(k!) sum_{j>=k} (2a)^(j-k) D_j, so W = Re acc after k = 0
         acc *= two_a / math.sqrt(k + 1)
-        acc += _diagonal_sum(np.diagonal(weight, k), radii, gauss, k)[inverse]
+        c = np.diagonal(weight, k)
+        if c.any():     # D_k = 0 on a diagonal without weight
+            acc += _diagonal_sum(c, radii, gauss, k)[inverse]
 
     grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=acc.real, lam=lam)
     grid.boundary_mass = _check_boundary(grid)

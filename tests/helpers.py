@@ -10,6 +10,7 @@ from parosc.fock import ladder_operators, number_operator
 from parosc.lindblad import Liouvillian
 from parosc.lz import LzProblem, lz_evolve_numeric
 from parosc.rwa import build_h_rwa
+from parosc.wigner import _diagonal_sum
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
@@ -72,3 +73,24 @@ def asymptote_estimate(prob: LzProblem, rel_tol: float = 1e-10) -> float:
     period = 2.0 * math.pi / (prob.s * t_max)
     mask = sol.t_grid > t_max - 5.0 * period
     return float(np.mean(np.abs(sol.c_up[mask]) ** 2))
+
+
+def wigner_every_diagonal(rho: np.ndarray, lam: float, q_axis: np.ndarray,
+                          p_axis: np.ndarray) -> np.ndarray:
+    """W on the grid from the Horner pass over every diagonal, zero ones included.
+
+    The oracle for ``wigner_transform``, which leaves out the diagonals
+    without weight: the same arithmetic, line for line, with no diagonal skipped.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
+    two_a = np.sqrt(2.0 / lam) * (P - 1j * Q)
+    radii, inverse = np.unique((2.0 / lam) * (Q * Q + P * P), return_inverse=True)
+    inverse = inverse.reshape(two_a.shape)
+    weight = 2.0 * np.triu(rho, 1) + np.diag(rho.diagonal().real)
+    gauss = np.exp(-0.5 * radii) / (np.pi * lam)
+    acc = np.zeros_like(two_a)
+    for k in range(rho.shape[0] - 1, -1, -1):
+        acc *= two_a / math.sqrt(k + 1)
+        acc += _diagonal_sum(np.diagonal(weight, k), radii, gauss, k)[inverse]
+    return acc.real

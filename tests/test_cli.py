@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parosc import cli, radiation
+from parosc import cli, io, radiation
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
 from parosc.fock import FockSpace
 from parosc.io import write_csv
@@ -73,6 +73,28 @@ def test_write_csv_format(tmp_path):
     rows = "".join(fmt % row for row in zip(*(c.tolist() for c in columns.values())))
     path = write_csv(tmp_path / "mixed.csv", columns)
     assert path.read_bytes() == ("i,x,k,y\n" + rows).encode()
+    # repeated values, each formatted once: a long-format grid, signed zeros,
+    # NaN payloads, infinities, repeated integers, and a column with exactly
+    # half its values distinct (the most that is still formatted once)
+    axis = np.linspace(-2.5, 2.5, 41)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(float)
+    specials = np.concatenate([nans, [np.inf, -np.inf, 0.0, -0.0, 5e-324]])
+    half = np.repeat(rng.normal(size=len(axis) ** 2 // 2), 2)
+    columns = {"Q": np.repeat(axis, len(axis)), "P": np.tile(axis, len(axis)),
+               "W": rng.normal(size=len(axis) ** 2),
+               "z": np.tile([0.0, -0.0], len(axis) ** 2 // 2 + 1)[:len(axis) ** 2],
+               "s": rng.choice(specials, len(axis) ** 2),
+               "i": rng.integers(-3, 3, len(axis) ** 2),
+               "u": rng.integers(0, 2**16, len(axis) ** 2).astype(np.uint16) // 4096,
+               "h": np.concatenate([half, [half[0]]]), "g": np.concatenate([half, [1.5]])}
+    assert [io._cells(c)[0] for c in columns.values()] == (
+        ["%s", "%s", "%.17e", "%s", "%s", "%s", "%s", "%s", "%.17e"])
+    fmt = "%.17e,%.17e,%.17e,%.17e,%.17e,%d,%d,%.17e,%.17e\n"
+    rows = "".join(fmt % row for row in zip(*(c.tolist() for c in columns.values())))
+    path = write_csv(tmp_path / "repeated.csv", columns)
+    assert path.read_bytes() == ("Q,P,W,z,s,i,u,h,g\n" + rows).encode()
+    assert b"-0.00000000000000000e+00,nan" in path.read_bytes()
     empty = write_csv(tmp_path / "empty.csv", {"n": np.zeros(0, dtype=int), "x": np.zeros(0)})
     assert empty.read_bytes() == b"n,x\n"
     with pytest.raises(ValueError, match="equal length"):
@@ -239,6 +261,19 @@ def test_byte_identical_reruns(tmp_path):
     assert main(["run", "--config", cfg1]) == 0
     assert main(["run", "--config", cfg2]) == 0
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+    # a wigner table: its Q and P columns repeat each value, so the writer
+    # formats each once; the rows are still those of the %.17e format
+    wigner = {"experiment": "wigner", "delta": 0.0, "f_final": 1.0, "s_tilde": 2.0, "dim": 16,
+              "q_max": 3.0, "p_max": 3.0, "q_points": 21, "p_points": 17}
+    for out in (out1, out2):
+        assert main(["run", "--config", write_config(tmp_path, wigner | {"output_dir": str(out)},
+                                                     "w.json")]) == 0
+    body = (out1 / "wigner.csv").read_bytes()
+    assert body == (out2 / "wigner.csv").read_bytes()
+    q, p = np.linspace(-3.0, 3.0, 21), np.linspace(-3.0, 3.0, 17)
+    rows = body.decode().splitlines()[1:]
+    assert [r.rsplit(",", 1)[0] for r in rows] == (
+        ["%.17e,%.17e" % qp for qp in zip(np.repeat(q, 17).tolist(), np.tile(p, 21).tolist())])
 
 
 def test_set_override(tmp_path):

@@ -281,6 +281,55 @@ def test_two_state_blocks_are_applied_as_single_steps(monkeypatch):
     assert np.max(np.abs(states - np.array(expected))) <= 1e-13
 
 
+def complex_chain_steps(a, b, taus, halves):
+    """The chain kernel's step propagators with each factor V exp(-i th w) V^T one complex product."""
+    (a_d, a_o), (b_d, b_o) = a, b
+    m = len(a_d)
+    diag, off = np.arange(m), np.arange(m - 1)
+    tau = taus[:, None]
+    mats = np.zeros((len(tau), m, m))
+    mats[:, diag, diag] = a_d + tau * b_d
+    mats[:, off, off + 1] = mats[:, off + 1, off] = a_o + tau * b_o
+    w, v = np.linalg.eigh(mats)
+    phase = np.exp(-1j * halves[:, None] * w)
+    factors = (v * phase[:, None, :]) @ v.transpose(0, 2, 1)
+    return factors[1::2] @ factors[0::2]
+
+
+@pytest.mark.parametrize("m", range(3, 26))
+def test_chain_factors_equal_the_complex_product(m):
+    # the factors are built from two real products; the complex product they
+    # replace only adds products with zero, so the bits agree
+    rng = np.random.default_rng(m)
+    a = (rng.uniform(-m, m, m), rng.uniform(-1, 1, m - 1))
+    b = (rng.uniform(-1, 1, m), rng.uniform(-1, 1, m - 1))
+    steps = max(1, ramp._BLOCK_ENTRIES // (2 * m * m))
+    taus, halves = rng.uniform(0, 10, 2 * steps), np.repeat(rng.uniform(0, 0.1, steps), 2)
+    assert (ramp._block_steps(a, b, taus, halves).tobytes()
+            == complex_chain_steps(a, b, taus, halves).tobytes())
+
+
+@pytest.mark.parametrize("dim, delta, f_final, s_tilde", [
+    (24, 1.8, 1.0, 0.06), (34, 1.8, 1.0, 0.06),     # radiation: run and its dim + 10 probe
+    (40, 1.8, 1.0, 0.06), (50, 1.8, 1.0, 0.06),     # ramp
+    (40, 0.0, 5.0, 1.0), (50, 0.0, 5.0, 1.0),       # wigner
+])
+def test_chain_factors_of_the_bench_ramps_equal_the_complex_product(monkeypatch, dim, delta,
+                                                                    f_final, s_tilde):
+    # every block of both sweeps of the vacuum ramps that bench/configs run
+    block_steps, equal = ramp._block_steps, []
+
+    def compared(a, b, taus, halves):
+        steps = block_steps(a, b, taus, halves)
+        equal.append(steps.tobytes() == complex_chain_steps(a, b, taus, halves).tobytes())
+        return steps
+
+    monkeypatch.setattr(ramp, "_block_steps", compared)
+    space = FockSpace(dim)
+    evolve_ramp(space, make_protocol(space, delta, f_final, s_tilde))
+    assert len(equal) > 2 and all(equal)
+
+
 def test_rounding_floor_stops_with_warning():
     # a rel_tol no double-precision sweep can meet: the doubling stops once the
     # estimate no longer falls and sits within dim * eps * steps, and warns

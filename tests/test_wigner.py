@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import wigner_every_diagonal
 from parosc import wigner
 from parosc.fock import FockSpace
 from parosc.wigner import wigner_transform
@@ -243,8 +246,9 @@ def test_high_fock_coherences_match_mpmath(m, n, boundary_tol):
 
 
 def test_transform_holds_less_than_one_complex_grid_per_fock_index(boundary_tol):
-    # the CLI's 101 x 101 grid at d = 50: the radial factors live on the 2,809
-    # distinct radii, and only one diagonal is summed at a time
+    # the CLI's 101 x 101 grid at d = 50: the radial factors live on the 2,683
+    # distinct radii of this grid at lam = 0.1, and only one diagonal is summed
+    # at a time
     boundary_tol(np.inf)
     import tracemalloc
 
@@ -258,3 +262,56 @@ def test_transform_holds_less_than_one_complex_grid_per_fock_index(boundary_tol)
     finally:
         tracemalloc.stop()
     assert peak < dim * axis.size ** 2 * np.dtype(complex).itemsize
+
+
+def summed_diagonals(rho, lam, qs, ps):
+    """(W, the diagonals k that wigner_transform sums), with no edge-mass check."""
+    summed = []
+
+    def spy(c, radii, gauss, k):
+        summed.append(k)
+        return diagonal_sum(c, radii, gauss, k)
+
+    diagonal_sum = wigner._diagonal_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "_diagonal_sum", spy)
+        mp.setattr(wigner, "_BOUNDARY_TOL", np.inf)
+        values = wigner_transform(rho, lam, qs, ps).values
+    return values, summed
+
+
+def parity_rho(rng, dim, kind):
+    """A random density matrix: even or odd parity, a mixture of both, or no parity."""
+    z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    if kind in ("even", "odd"):
+        z[(1 if kind == "even" else 0)::2] = 0.0
+    rho = z @ z.conj().T
+    if kind == "both parities":     # no coherence between the two parities
+        rho[(np.add.outer(np.arange(dim), np.arange(dim)) % 2) == 1] = 0.0
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 40),
+       kind=st.sampled_from(["even", "odd", "both parities", "no parity"]),
+       lam=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_skipped_diagonals_leave_every_bit(dim, kind, lam, seed):
+    # a parity state has rho_m,m+k = 0 for odd k: those diagonals are not
+    # summed, and W equals the pass over every diagonal to the bit
+    rho = parity_rho(np.random.default_rng(seed), dim, kind)
+    qs, ps = np.linspace(-2.0, 2.0, 23), np.linspace(-1.7, 2.3, 19)
+    values, summed = summed_diagonals(rho, lam, qs, ps)
+    assert values.tobytes() == wigner_every_diagonal(rho, lam, qs, ps).tobytes()
+    assert sorted(summed) == [k for k in range(dim) if np.diagonal(rho, k).any()]
+    if kind != "no parity":
+        assert all(k % 2 == 0 for k in summed)
+
+
+def test_tiny_odd_coherence_is_summed():
+    # an even state whose one odd coherence is 1e-300: nonzero, so k = 1 is summed
+    rho = parity_rho(np.random.default_rng(1), 12, "even")
+    rho[0, 1], rho[1, 0] = 1e-300, 1e-300
+    qs = np.linspace(-2.0, 2.0, 21)
+    values, summed = summed_diagonals(rho, 0.3, qs, qs)
+    assert values.tobytes() == wigner_every_diagonal(rho, 0.3, qs, qs).tobytes()
+    assert sorted(summed) == [0, 1, 2, 4, 6, 8, 10]

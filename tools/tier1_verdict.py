@@ -8,8 +8,10 @@ Exit status 0 means the failing tests are exactly ``test_c02``, ``test_c07``
 and ``test_c10`` of ``tests/test_acceptance.py`` (their targets do not match
 what the model gives; README "Acceptance suite").  Otherwise each failure
 outside that set and each member of it that passed is named, and the status
-is 1.  The suite's wall time and its five slowest test cases are printed
-from the same report's ``time`` attributes.
+is 1.  The suite's wall time, its five slowest test cases and the summed
+time of each test module are printed from the same report's ``time``
+attributes.  One tree's wall time spreads by seconds between runs on a shared
+machine; a module's sum lets a change quote the cost of the tests it touched.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +45,17 @@ def timing(report: ET.Element, n_slowest: int = 5) -> tuple[float, list[tuple[fl
     cases = sorted(((float(case.get("time", 0.0)), case_id(case))
                     for case in report.iter("testcase")), reverse=True)
     return wall, cases[:n_slowest]
+
+
+def module_times(report: ET.Element) -> list[tuple[float, str]]:
+    """The summed ``time`` of each test module's cases, (seconds, module), slowest first."""
+    totals = defaultdict(float)
+    for case in report.iter("testcase"):
+        parts = case.get("classname", "").split(".")
+        # the module is the classname up to its test_*.py part, without a test class
+        end = next((i for i, part in enumerate(parts) if part.startswith("test_")), len(parts) - 1)
+        totals[".".join(parts[:end + 1])] += float(case.get("time", 0.0))
+    return sorted(((seconds, module) for module, seconds in totals.items()), reverse=True)
 
 
 def red_member(test_id: str) -> str | None:
@@ -71,6 +85,9 @@ def main() -> int:
     print(f"tier1_verdict: suite wall time {wall:.1f} s; slowest cases:")
     for seconds, test_id in slowest:
         print(f"  {seconds:6.2f} s  {test_id}")
+    print("tier1_verdict: summed case time per module:")
+    for seconds, module in module_times(junit):
+        print(f"  {seconds:6.2f} s  {module}")
     added = [t for t in failed if red_member(t) is None]
     missing = sorted(set(RED_SET) - {red_member(t) for t in failed})
     for test_id in added:
