@@ -34,8 +34,8 @@ from .lindblad import build_liouvillian, state_decay_rate
 from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric
 from .radiation import emission_spectra, spectrum_time_grid, sum_rule_check
 from .ramp import RampProtocol, evolve_ramp, instantaneous_fidelity
-from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
-from .spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
+from .rwa import RwaSystem, h_rwa_bands, parity_eigh, zero_drive_levels
+from .spectrum import _check_tracked_tails, spectrum_vs_drive
 from .wigner import wigner_transform
 
 # experiment name -> {key: (type, default, domain)}; None default means required.
@@ -324,10 +324,13 @@ def _run_lz(cfg):
 
 
 def _decay_gap_data(dim, delta, gamma_tildes, f_grid):
-    """Rates Gamma_E of the (+1, 0) state, shape (len(gamma_tildes), len(f_grid)), and its gaps."""
-    space = FockSpace(dim)
-    gaps = same_parity_gap(spectrum_vs_drive(space, delta, f_grid, n_levels=3), 1, 0)
-    phis = [eigenstate_by_label(space, delta, f, 1, 0)[1] for f in f_grid]
+    """Rates Gamma_E of the (+1, 0) state, shape (len(gamma_tildes), len(f_grid)), and its gaps
+    to (+1, 1), from one even-chain solve per drive; both states are edge-checked at the last."""
+    gaps, phis = np.empty(len(f_grid)), np.zeros((len(f_grid), dim))
+    for i, f in enumerate(f_grid):
+        idx, w, v = parity_eigh(dim, RwaSystem(delta=delta, f=f), 1)
+        gaps[i], phis[i, idx] = w[1] - w[0], v[:, 0]
+    _check_tracked_tails(idx, v[:, :2], dim)
     rates = np.array([[state_decay_rate(phi, gt) for phi in phis] for gt in gamma_tildes])
     return rates, gaps
 

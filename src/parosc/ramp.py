@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  kept bound: bench/tracer.py wraps ramp.solve_ivp
 
 from .fock import EDGE_TOL, ConvergenceError, FockSpace, check_state, edge_levels, tail_population
-from .rwa import RwaSystem, h_rwa_bands, parity_eigh
+from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import eigenstate_by_label
 
 
@@ -73,12 +73,14 @@ class RampResult:
 
 
 def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[int, int]:
-    """(parity, rank) of the zero-drive eigenstate best overlapping ``state``."""
+    """(parity, rank) of the zero-drive eigenstate best overlapping ``state``.
+
+    Those are Fock states: the largest amplitude of the parity's levels in rank order.
+    """
     state = np.asarray(state, dtype=complex)
-    parity = 1 if float(np.sum(np.abs(state[0::2]) ** 2)) > 0.5 else -1
-    idx, _, v = parity_eigh(space.dim, RwaSystem(delta=delta, f=0.0), parity)
-    overlaps = np.abs(v.T @ state[idx])
-    return parity, int(np.argmax(overlaps))
+    p = 0 if float(np.sum(np.abs(state[0::2]) ** 2)) > 0.5 else 1
+    order = np.argsort(zero_drive_levels(delta, space.dim - 1)[p::2], kind="stable")
+    return (-1) ** p, int(np.argmax(np.abs(state[p::2][order])))
 
 
 # matrix entries of the chain exponentials built in one batch: a block of steps

@@ -108,6 +108,17 @@ def zero_drive_levels(delta: float, n_max: int) -> np.ndarray:
     return ebar - ebar[0]
 
 
+def level_label_at_zero_drive(delta: float, n: int) -> tuple[int, int]:
+    """(parity, rank) label of the Fock state |n> within its parity block at f = 0.
+
+    A same-parity level |m> lies at or below |n> iff |m + 1/2 - delta| <=
+    |n + 1/2 - delta|, so every such m is at most n + 2|n + 1/2 - delta|.
+    """
+    top = int(n + 2 * abs(n + 0.5 - delta)) + 2
+    order = np.argsort(zero_drive_levels(delta, top)[n % 2::2], kind="stable")
+    return (-1) ** n, int(np.flatnonzero(order == n // 2)[0])
+
+
 def _ebar(delta: float, n: int) -> float:
     return 0.5 * (n + 0.5 - delta) ** 2
 
@@ -179,8 +190,6 @@ def exact_level_shift(space: FockSpace, delta: float, f: float, n: int) -> float
     is preserved because same-parity levels repel.  Used as the oracle against
     which ``perturbative_shift`` is checked.
     """
-    from .spectrum import level_label_at_zero_drive
-
     parity, rank = level_label_at_zero_drive(delta, n)
     _, levels, _ = parity_eigh(space.dim, RwaSystem(delta=delta, f=f), parity)
     # diagonal of H at f=0 equals Ebar_n - Ebar_0, i.e. the zero-drive levels
@@ -194,6 +203,7 @@ __all__ = [
     "build_h_rwa",
     "parity_eigh",
     "zero_drive_levels",
+    "level_label_at_zero_drive",
     "perturbative_shift",
     "classical_hamiltonian_function",
     "semiclassics",

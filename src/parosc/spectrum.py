@@ -15,24 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import EDGE_TOL, ConvergenceError, FockSpace, edge_levels
-from .rwa import RwaSystem, parity_eigh, zero_drive_levels
+from .rwa import RwaSystem, level_label_at_zero_drive, parity_eigh  # noqa: F401  re-exported
 
 _DEGENERACY_TOL = 1e-8      # largest gap that find_degeneracy_points calls a coincidence
 _DEGENERACY_LEVELS = 6      # lowest levels per parity that it scans
-
-
-def level_label_at_zero_drive(delta: float, n: int) -> tuple[int, int]:
-    """(parity, rank) label of the Fock state |n> within its parity block at f = 0.
-
-    A same-parity level |m> lies at or below |n> iff |m + 1/2 - delta| <=
-    |n + 1/2 - delta|, so every such m is at most n + 2|n + 1/2 - delta|.
-    """
-    parity = 1 if n % 2 == 0 else -1
-    same = np.arange(n % 2, int(n + 2 * abs(n + 0.5 - delta)) + 3, 2)
-    levels = zero_drive_levels(delta, int(same[-1]))[same]
-    order = np.argsort(levels, kind="stable")
-    rank = int(np.where(same[order] == n)[0][0])
-    return parity, rank
 
 
 def eigenstate_by_label(space: FockSpace, delta: float, f: float,
@@ -109,11 +95,8 @@ def _check_tracked_tails(idx, v, dim):
     pops = np.sum(np.abs(v[idx >= dim - edge_levels(dim)]) ** 2, axis=0)
     bad = np.flatnonzero(pops > EDGE_TOL)
     if bad.size:
-        r = bad[0]
-        raise ConvergenceError(
-            f"tracked level rank {r} has tail population "
-            f"{pops[r]:.3g} > {EDGE_TOL:.3g}; increase dim"
-        )
+        raise ConvergenceError(f"tracked level rank {bad[0]} has tail population "
+                               f"{pops[bad[0]]:.3g} > {EDGE_TOL:.3g}; increase dim")
 
 
 def same_parity_gap(series: SpectrumSeries, parity: int, rank: int) -> np.ndarray:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from parosc.fock import ladder_operators, number_operator
+from parosc.fock import FockSpace, ladder_operators, number_operator
 from parosc.lindblad import Liouvillian
 from parosc.lz import LzProblem, lz_evolve_numeric
-from parosc.rwa import build_h_rwa
+from parosc import rwa
+from parosc.rwa import RwaSystem, build_h_rwa, parity_eigh
 from parosc.wigner import _diagonal_sum
 
 
@@ -94,3 +96,30 @@ def wigner_every_diagonal(rho: np.ndarray, lam: float, q_axis: np.ndarray,
         acc *= two_a / math.sqrt(k + 1)
         acc += _diagonal_sum(np.diagonal(weight, k), radii, gauss, k)[inverse]
     return acc.real
+
+
+def initial_label_by_eigensolve(space: FockSpace, delta: float,
+                                state: np.ndarray) -> tuple[int, int]:
+    """(parity, rank) of the f = 0 eigenvector of the parity chain best overlapping ``state``.
+
+    The oracle for ``ramp.initial_label``, which reads the rank off the
+    zero-drive levels without an eigensolve.
+    """
+    state = np.asarray(state, dtype=complex)
+    parity = 1 if float(np.sum(np.abs(state[0::2]) ** 2)) > 0.5 else -1
+    idx, _, v = parity_eigh(space.dim, RwaSystem(delta=delta, f=0.0), parity)
+    return parity, int(np.argmax(np.abs(v.T @ state[idx])))
+
+
+def record_parity_eigh(monkeypatch) -> list[tuple[float, int]]:
+    """Record (f, parity) of each ``rwa.parity_eigh`` call, from every parosc module binding it."""
+    calls, solve = [], rwa.parity_eigh
+
+    def recording(dim, system, parity):
+        calls.append((system.f, parity))
+        return solve(dim, system, parity)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parosc") and getattr(module, "parity_eigh", None) is solve:
+            monkeypatch.setattr(module, "parity_eigh", recording)
+    return calls

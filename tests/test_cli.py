@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import record_parity_eigh
 from parosc import cli, io, radiation
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
-from parosc.fock import FockSpace
+from parosc.fock import ConvergenceError, FockSpace
 from parosc.io import write_csv
+from parosc.lindblad import state_decay_rate
 from parosc.lz import LzProblem, lz_evolve_numeric, weber_solution
 from parosc.ramp import RampProtocol, evolve_ramp
+from parosc.spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
 
 EPS = np.finfo(float).eps
 
@@ -204,23 +207,34 @@ def test_lz_run_rejects_sweep_outside_domain(tmp_path, capsys, override, key):
 
 
 def test_decay_rates_builds_each_eigenstate_once(tmp_path, monkeypatch):
-    calls = []
-    eigenstate = cli.eigenstate_by_label
-
-    def counting(*args):
-        calls.append(args)
-        return eigenstate(*args)
-
-    monkeypatch.setattr(cli, "eigenstate_by_label", counting)
+    # one even-chain solve per drive gives both the gap and the (+1, 0) state,
+    # to the bit the spectrum module's gap and labelled eigenstate
     cfg = validate_config({"experiment": "decay_rates", **TINY["decay_rates"],
                            "gamma_tildes": [0.5, 1.0, 2.0], "output_dir": str(tmp_path)})
+    space, f_grid = FockSpace(cfg["dim"]), np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_points"])
+    gaps = same_parity_gap(spectrum_vs_drive(space, cfg["delta"], f_grid, 3), 1, 0)
+    rates = [state_decay_rate(eigenstate_by_label(space, cfg["delta"], f, 1, 0)[1], 0.5)
+             for f in f_grid]
+    calls = record_parity_eigh(monkeypatch)
     run_experiment(cfg)
-    assert len(calls) == cfg["f_points"] + 1     # one per drive, one for the probe
+    # even-chain solves only, one per drive and one for the probe
+    assert [parity for _, parity in calls] == [1] * (cfg["f_points"] + 1)
     data = np.loadtxt(tmp_path / "decay_rates.csv", delimiter=",", skiprows=1, ndmin=2)
     assert data.shape == (3 * cfg["f_points"], 4)
     assert np.array_equal(data[:, 0], np.repeat([0.5, 1.0, 2.0], cfg["f_points"]))
+    assert np.array_equal(data[:3, 2], rates) and np.array_equal(data[:3, 3], gaps)
     # Gamma_E = 2 gamma_tilde <n> is linear in gamma_tilde at each drive
     assert np.allclose(data[6:, 2], 4.0 * data[:3, 2], rtol=1e-14, atol=0.0)
+
+
+def test_decay_rates_edge_check_covers_the_gap_partner(tmp_path):
+    # at d = 12, f = 0.5 the top 4 levels hold 1.2e-9 of the (+1, 0) state and
+    # 2.8e-7 of the (+1, 1) state, whose level sets the shipped gap
+    cfg = validate_config({"experiment": "decay_rates", "delta": 0.0, "dim": 12,
+                           "f_max": 0.5, "f_points": 3, "output_dir": str(tmp_path)})
+    with pytest.raises(ConvergenceError, match="rank 1 "):
+        run_experiment(cfg)
+    assert not (tmp_path / "decay_rates.csv").exists()
 
 
 def test_unknown_experiment():

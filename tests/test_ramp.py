@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import parosc
+from helpers import initial_label_by_eigensolve, record_parity_eigh
 from parosc import ramp
 from parosc.fock import FockSpace
 from parosc.ramp import (
@@ -59,6 +60,49 @@ def test_initial_label():
     assert initial_label(sp, 0.0, sp.vacuum()) == (1, 0)
     assert initial_label(sp, 1.8, sp.vacuum()) == (1, 1)
     assert initial_label(sp, 1.8, sp.basis_state(1)) == (-1, 0)
+
+
+def test_evolve_ramp_solves_only_the_target_chain(monkeypatch):
+    # the initial label comes from the zero-drive levels, not from an f = 0 eigensolve
+    solves = record_parity_eigh(monkeypatch)
+    sp = FockSpace(16)
+    evolve_ramp(sp, make_protocol(sp, 1.8, 0.5, 0.5))
+    assert solves == [(0.5, 1)]
+
+
+@st.composite
+def labelled_states(draw):
+    """(dim, delta, state): a Fock state, an equal-weight pair (|n> + c|n+2>)/sqrt 2 or a
+    random state; delta on the half-integer grid, where same-parity zero-drive
+    levels tie, or anywhere in [-5, 45]."""
+    dim = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        delta = draw(st.integers(-10, 90)) / 2.0
+    else:
+        delta = draw(st.floats(-5.0, 45.0, allow_nan=False))
+    kind = draw(st.sampled_from(["fock", "pair", "random"]))
+    state = np.zeros(dim, dtype=complex)
+    if kind == "fock":
+        state[draw(st.integers(0, dim - 1))] = 1.0
+    elif kind == "pair" and dim > 2:
+        n = draw(st.integers(0, dim - 3))
+        state[n], state[n + 2] = 1.0, draw(st.sampled_from([1.0, -1.0, 1j]))   # C+, C- and more
+        state /= np.linalg.norm(state)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+    return dim, delta, state
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(labelled_states())
+@example((6, 1.5, np.array([1, 0, 1, 0, 0, 0]) / np.sqrt(2.0)))   # C+ at a tie of |0> and |2>
+@example((12, 3.0, np.array([1, 0, 1] + [0] * 9) / np.sqrt(2.0)))   # |2> lies below |0>
+def test_initial_label_equals_the_zero_drive_eigensolve(case):
+    dim, delta, state = case
+    space = FockSpace(dim)
+    assert initial_label(space, delta, state) == initial_label_by_eigensolve(space, delta, state)
 
 
 def test_adiabatic_limit_fidelity_one():
