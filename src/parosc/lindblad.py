@@ -29,7 +29,8 @@ adjoint.  In the Hermitian basis E_mm, (E_mn + E_nm)/sqrt(2),
 i(E_mn - E_nm)/sqrt(2) (m < n) every sector block is therefore a real matrix,
 and a Hermitian rho has real coordinates.  Each ``Sector`` keeps only that real
 block, with the two gathers between its Fock entries and its Hermitian-basis
-coordinates; this module is the only one that knows either coordinate system.
+coordinates.  ``radiation`` relies on that layout: it reads vec(rho) at
+``Sector.idx`` (entries m*dim + n) and composes the gathers with its own maps.
 """
 
 from __future__ import annotations

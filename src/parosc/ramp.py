@@ -12,10 +12,12 @@ same path.  The kernel goes by chain length: chains of two states (the
 Landau-Zener sweep) build their exponentials from the Rabi formula as
 whole-array expressions and apply a block of steps through its prefix products,
 formed by a scan; longer chains take theirs from a batched ``eigh`` and apply
-them one step at a time.  The exponentials do not depend on the state, so on
-sweeps of several blocks of steps over chains of at least _POOL_MIN_STATES
-states a thread pool computes them block by block ahead of the calling thread,
-which applies them in order; the states are bitwise those of one thread.
+them one step at a time.  The exponentials do not depend on the state, so a
+thread pool computes them block by block ahead of the calling thread, which
+applies them in order; the states are bitwise those of one thread.  It runs
+where batched ``eigh`` is serial: on two or more cores, for sweeps of two or
+more blocks whose longest chain holding weight has 3 to _SMLSIZ states.
+Longer chains get their parallelism from the threaded BLAS inside ``eigh``.
 """
 
 from __future__ import annotations
@@ -88,22 +90,16 @@ def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[in
 _BLOCK_ENTRIES = 2**14
 # blocks computed ahead of the one being applied, so at most this many are held
 _IN_FLIGHT = 4
-# chains of fewer states, the two-state chains of the Landau-Zener sweep
-# included, are swept on the calling thread.  Measured on 2 cores
-# (BENCH_20.json): with the pool, the benchmark's radiation runs, whose ramps
-# have chains of 12 and 17 states, got 2-8 % slower, while the tomography runs,
-# with 20 and 25, took 0.74x the time
-_POOL_MIN_STATES = 20
+# LAPACK's SMLSIZ: dsyevd's dstedc solves a tridiagonal matrix of at most this
+# order with dsteqr, which runs no threaded BLAS; above it, divide and conquer does
+_SMLSIZ = 25
 # for H linear in t, the two Gauss-node combinations of CF4 are H at t + h/6 and t + 5h/6
 _NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
 
 
 def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+    """Cores this process may run on (every core where the platform has no affinity call)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _block_steps(a, b, taus: np.ndarray, halves: np.ndarray) -> np.ndarray:
@@ -176,7 +172,9 @@ def _computed_ahead(jobs: list[tuple], pooled: bool):
     If pooled, a pool of one thread per core computes up to _IN_FLIGHT blocks
     ahead of the one the caller is applying; the pool's threads end before the
     last block is yielded, or when the caller closes the generator.  Otherwise
-    each block is computed on the calling thread when it is asked for.
+    each block is computed on the calling thread when it is asked for.  Only
+    passes whose batched ``eigh`` is serial (3 to _SMLSIZ states) pool: above
+    that, eigh's threaded BLAS already holds the cores the workers would use.
     """
     if not pooled:
         for job in jobs:
@@ -213,8 +211,8 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
         starts[r] = range(0, h.size, block)
         jobs += [(chain_a, chain_b, taus[2 * s:2 * s + 2 * block], halves[2 * s:2 * s + 2 * block])
                  for s in starts[r]]
-    # the pool pays only with two cores, two blocks and chains long enough
-    pooled = _cores() > 1 and len(jobs) > 1 and len(psi0) >= k * _POOL_MIN_STATES
+    # the pool pays with two cores, two blocks and a serial eigh (two-state chains have none)
+    pooled = _cores() > 1 and len(jobs) > 1 and 3 <= max(len(psi0[r::k]) for r in chains) <= _SMLSIZ
     with closing(_computed_ahead(jobs, pooled)) as blocks:   # no pool outlives the pass
         for r in chains:
             psi, out = psi0[r::k], []
@@ -254,10 +252,11 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     products, and one batched product reads its output states.  A longer
     chain gets them from one batched ``eigh`` per block of steps and applies
     them one step at a time.
-    When a sweep has two or more blocks, chains of at least _POOL_MIN_STATES
-    states and two usable cores, a pool of one thread per core computes the
-    blocks' propagators, at most _IN_FLIGHT blocks ahead, and this thread
-    applies them in order; the pool ends with the sweep, also when it raises.
+    When a sweep has two or more blocks, two usable cores and a longest
+    weighted chain of 3 to _SMLSIZ states, whose batched ``eigh`` is serial,
+    a pool of one thread per core computes the blocks' propagators, at most
+    _IN_FLIGHT blocks ahead, and this thread applies them in order; the pool
+    ends with the sweep, also when it raises.
     Each output interval gets ceil(dt/h) equal steps, so the state is recorded
     exactly at every output time, and the norm is kept to rounding.
 

@@ -486,18 +486,17 @@ class NoExecutor:
 def pool_variants(run):
     """run() with the thread pool, with a stand-in pool of no threads and on the calling thread.
 
-    The pool is forced on (two cores, chains of any length), so it runs on
-    any machine and on the small chains of the hypothesis cases.
+    Every pass is forced onto the pool of two threads, or off it, whatever its
+    chains, so the pool runs on any machine and on chains of every length.
     """
-    out = []
-    for patches in ({"ThreadPoolExecutor": ThreadPoolExecutor},
-                    {"ThreadPoolExecutor": SynchronousExecutor},
-                    {"ThreadPoolExecutor": NoExecutor, "_cores": lambda: 1}):
+    computed_ahead, out = ramp._computed_ahead, []
+    for pooled, executor in ((True, ThreadPoolExecutor), (True, SynchronousExecutor),
+                             (False, NoExecutor)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ramp, "_cores", lambda: 2)
-            mp.setattr(ramp, "_POOL_MIN_STATES", 1)
-            for name, value in patches.items():
-                mp.setattr(ramp, name, value)
+            mp.setattr(ramp, "ThreadPoolExecutor", executor)
+            mp.setattr(ramp, "_computed_ahead",
+                       lambda jobs, _, pooled=pooled: computed_ahead(jobs, pooled))
             out.append(run())
     return out
 
@@ -540,33 +539,45 @@ def test_blocks_in_flight_stay_bounded(monkeypatch):
     assert max(CountingExecutor.peaks) == ramp._IN_FLIGHT   # 10 and 20 blocks
 
 
-def tridiagonal_pass(m, blocks):
-    """_cf4_pass over one chain of m states, with the given number of blocks."""
-    a = (np.zeros(m), np.ones(m - 1))
-    b = (np.linspace(-1.0, 1.0, m), np.zeros(m - 1))
-    psi0 = np.zeros(m)
-    psi0[0] = 1.0
+def tridiagonal_pass(n, blocks, k=1, empty=None):
+    """_cf4_pass over n states in the k chains r::k, with ``blocks`` blocks on the longest chain.
+
+    psi0 spreads over the first state of each chain but ``empty``.
+    """
+    a = (np.zeros(n), np.ones(n - k))
+    b = (np.linspace(-1.0, 1.0, n), np.zeros(n - k))
+    psi0 = np.zeros(n)
+    psi0[[r for r in range(k) if r != empty]] = 1.0
+    m = (n + k - 1) // k                # states of the longest chain, 0::k
     steps = blocks * max(1, ramp._BLOCK_ENTRIES // (2 * m * m))
-    return _cf4_pass(a, b, psi0, np.array([0.0, 1.0]), np.array([steps]))
+    return _cf4_pass(a, b, psi0 / np.linalg.norm(psi0), np.array([0.0, 1.0]), np.array([steps]))
 
 
-@pytest.mark.parametrize("m, blocks, cores", [
-    (2, 3, 2),                          # a Landau-Zener chain: 2,048 steps a block
-    (ramp._POOL_MIN_STATES - 1, 8, 2),  # chains too short for the pool to pay
-    (ramp._POOL_MIN_STATES, 1, 2),      # one block: nothing to compute ahead
-    (ramp._POOL_MIN_STATES, 8, 1),      # one core
+# the pool runs where batched eigh is serial: LAPACK solves chains of 3 to 25
+# states without threaded BLAS, and from 26 on by divide and conquer
+@pytest.mark.parametrize("n, k, blocks, cores", [
+    pytest.param(2, 1, 3, 2, id="2-3-2"),       # a Landau-Zener chain: 2,048 steps a block
+    pytest.param(26, 1, 8, 2, id="26-8-2"),     # eigh runs threaded BLAS
+    pytest.param(51, 2, 8, 2, id="26+25-8-2"),  # mixed parity, the longest chain decides
+    pytest.param(20, 1, 1, 2, id="20-1-2"),     # one block: nothing to compute ahead
+    pytest.param(20, 1, 8, 1, id="20-8-1"),     # one core
 ])
-def test_calling_thread_passes_start_no_pool(monkeypatch, m, blocks, cores):
+def test_calling_thread_passes_start_no_pool(monkeypatch, n, k, blocks, cores):
     monkeypatch.setattr(ramp, "_cores", lambda: cores)
     monkeypatch.setattr(ramp, "ThreadPoolExecutor", NoExecutor)
-    assert np.isclose(np.linalg.norm(tridiagonal_pass(m, blocks)[-1]), 1.0)
+    assert np.isclose(np.linalg.norm(tridiagonal_pass(n, blocks, k)[-1]), 1.0)
 
 
-def test_long_chains_on_two_cores_use_the_pool(monkeypatch):
+@pytest.mark.parametrize("n, k, empty", [
+    (3, 1, None),
+    (25, 1, None),
+    (51, 2, 0),     # the 26-state chain holds no weight, so the 25-state one decides
+])
+def test_chains_with_a_serial_eigh_use_the_pool(monkeypatch, n, k, empty):
     monkeypatch.setattr(ramp, "_cores", lambda: 2)
     monkeypatch.setattr(ramp, "ThreadPoolExecutor", CountingExecutor)
     monkeypatch.setattr(CountingExecutor, "peaks", [])
-    tridiagonal_pass(ramp._POOL_MIN_STATES, 8)
+    tridiagonal_pass(n, 8, k, empty)
     assert CountingExecutor.peaks == [ramp._IN_FLIGHT]
 
 
@@ -586,7 +597,7 @@ def test_a_pass_that_raises_leaves_no_worker_thread(monkeypatch):
     monkeypatch.setattr(ramp, "_computed_ahead", failing_on_third)
     before = set(threading.enumerate())
     with pytest.raises(ValueError) as raised:
-        tridiagonal_pass(ramp._POOL_MIN_STATES, 12)
+        tridiagonal_pass(20, 12)
     assert raised.traceback
     assert set(threading.enumerate()) == before
 
