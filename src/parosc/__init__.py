@@ -5,11 +5,12 @@ eigenfrequency, in the frame rotating at half the drive frequency: spectral
 flows and degeneracies, adiabatic preparation of quasienergy states, the
 half-line Landau-Zener problem, Wigner tomography, zero-temperature Lindblad
 dissipation (the generator and its steady state in ``lindblad``), and, on one
-exact flow of that generator in ``radiation``: the density matrix rho(t)
-(``evolve_master``), the two-time correlator array (``two_time_correlator``),
-and the emission spectra on the caller's frequency grid with the time side of
-their sum rule (``emission_spectra``); its frequency side is one linear solve
-(``sum_rule_check``).
+exact flow of that generator in ``radiation``, the emission spectra on the
+caller's frequency grid with the time side of their sum rule
+(``emission_spectra``); its frequency side is one linear solve
+(``sum_rule_check``).  The package is what the ``parosc run`` experiments
+compute, plus a few closed forms of the paper that each module docstring names;
+the reference implementations the tests compare against live with the tests.
 
 Units: hbar = 1; energies and rates in units of the Kerr nonlinearity V, time
 in units of 1/V.
@@ -22,16 +23,12 @@ from .fock import (
     FockSpace,
     convergence_report,
     ladder_operators,
-    number_operator,
-    parity_operator,
     tail_population,
 )
 from .rwa import (
     RwaSystem,
     SemiclassicalSummary,
-    build_h_rwa,
     classical_hamiltonian_function,
-    coherent_eigen_residual,
     h_rwa_bands,
     parity_eigh,
     perturbative_shift,
@@ -42,17 +39,13 @@ from .spectrum import (
     SpectrumSeries,
     eigenstate_by_label,
     find_degeneracy_points,
-    same_parity_gap,
     spectrum_vs_drive,
 )
 from .floquet import (
     LabFrameParams,
-    QuasienergySet,
     build_floquet_matrix,
-    floquet_quasienergies,
     floquet_vs_rwa,
     quasienergy_from_rwa,
-    reduced_rwa_equations,
 )
 from .ramp import RampProtocol, RampResult, evolve_ramp, instantaneous_fidelity
 from .wigner import WignerGrid, wigner_transform
@@ -62,7 +55,6 @@ from .lz import (
     dynamical_phase,
     lz_asymptotic_alphas,
     lz_evolve_numeric,
-    weber_solution,
 )
 from .lindblad import Liouvillian, build_liouvillian, state_decay_rate, steady_state
-from .radiation import emission_spectra, evolve_master, sum_rule_check, two_time_correlator
+from .radiation import emission_spectra, sum_rule_check

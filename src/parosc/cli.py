@@ -63,7 +63,7 @@ EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
         "s_tilde": (float, None, POSITIVE),
         "dim": (int, 40, DIM),
         "rel_tol": (float, 1e-8, POSITIVE),
-        "n_out": (int, 101, (">=", 1)),
+        "n_out": (int, 101, (">=", 2)),      # the ramp writes t = 0 and t_end at least
     },
     "wigner": {
         "delta": (float, None, None),

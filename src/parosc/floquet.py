@@ -4,6 +4,8 @@ Serves as an independent oracle for the rotating-frame treatment: quasienergies
 computed from the full Fourier matrix must agree with the RWA energies mapped
 through the parity-dependent modular relation, with the residual shrinking as
 the nonlinearity becomes small compared to the oscillator frequency.
+``floquet_vs_rwa`` makes that comparison state by state, and its table is what
+``parosc run floquet_check`` ships.
 
 Lab-frame quantities (omega0, omegaF, F) appear only in this module; everything
 else in the package works in units of the nonlinearity V.
@@ -16,19 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rwa import RwaSystem, parity_eigh
-
-
-@dataclass
-class QuasienergySet:
-    """Tracked quasienergies reduced into [0, omegaF), with parity labels."""
-
-    omegaF: float
-    values: np.ndarray
-    parities: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values < 0) or np.any(self.values >= self.omegaF):
-            raise ValueError("quasienergies must be reduced into [0, omegaF)")
 
 
 @dataclass(frozen=True)
@@ -113,30 +102,6 @@ def build_floquet_matrix(p: LabFrameParams) -> np.ndarray:
     return m
 
 
-def reduced_resonant_set(p: LabFrameParams, base_k: int, base_n: int) -> np.ndarray:
-    """Tridiagonal system over the resonantly coupled chain through (base_k, base_n).
-
-    The chain holds the amplitudes u_{base_k + j, base_n + 2j} for j >= -base_n//2;
-    keeping only these is the rotating-wave approximation in the Fourier picture.
-    """
-    j = np.arange(-(base_n // 2), (p.n_cut - base_n + 1) // 2)     # base_n + 2j < n_cut
-    ns, ks = base_n + 2 * j, base_k + j
-    diag = oscillator_levels(p, ns) - ks * p.omegaF
-    # exact q^2 elements <n|q^2|n+2>, times F/4
-    off = 0.25 * p.F * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0)) / (2.0 * p.omega0)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def reduced_rwa_equations(p: LabFrameParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two canonical resonant chains (even through (0,0), odd through (0,1)).
-
-    Their spectra reproduce the rotating-frame energies exactly: the even chain
-    gives E, the odd chain gives E + omegaF/2, matching the parity-dependent
-    quasienergy mapping.
-    """
-    return reduced_resonant_set(p, 0, 0), reduced_resonant_set(p, 0, 1)
-
-
 def _fold(x: float, period: float) -> float:
     """x reduced into [0, period)."""
     q = float(x % period)
@@ -197,15 +162,3 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6) -> dict[str, np.ndarray]
         for column, value in zip(table.values(), row):
             column.append(value)
     return {key: np.array(column) for key, column in table.items()}
-
-
-def floquet_quasienergies(p: LabFrameParams, n_track: int = 6) -> QuasienergySet:
-    """Tracked low-lying quasienergies of the Fourier matrix, parity-labeled."""
-    table = floquet_vs_rwa(p, n_track=n_track)
-    return QuasienergySet(omegaF=p.omegaF, values=table["eps_fourier"],
-                          parities=table["parity"].astype(int))
-
-
-def worst_discrepancy(p: LabFrameParams, n_track: int = 6) -> float:
-    """Largest quasienergy mismatch over the tracked states, in units of V."""
-    return float(np.max(floquet_vs_rwa(p, n_track=n_track)["discrepancy"])) / p.V

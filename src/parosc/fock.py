@@ -1,7 +1,10 @@
-"""Truncated Fock space: ladder operators, parity, states, and convergence checks.
+"""Truncated Fock space: ladder operators, states, and convergence checks.
 
 All operators are dense complex matrices; the truncation sizes needed here
 (dim of order tens) make sparse machinery pointless.
+
+``FockSpace.coherent_state`` is library API that no experiment runs: the
+coherent states that are exact eigenstates of the paper's Hamiltonian at delta = 1.
 """
 
 from __future__ import annotations
@@ -64,15 +67,6 @@ def ladder_operators(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Return (a, a_dag) with a|n> = sqrt(n)|n-1>; top row/column truncated."""
     a = np.diag(np.sqrt(np.arange(1, space.dim)), k=1).astype(complex)
     return a, a.conj().T
-
-
-def number_operator(space: FockSpace) -> np.ndarray:
-    return np.diag(np.arange(space.dim)).astype(complex)
-
-
-def parity_operator(space: FockSpace) -> np.ndarray:
-    """Occupation-number parity, diagonal with entries (-1)^n."""
-    return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
 
 
 def check_state(psi: np.ndarray) -> None:

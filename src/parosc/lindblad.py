@@ -12,8 +12,8 @@ H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
 with odd m + n.  Each Liouvillian carries these two parity sectors as separate
 dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
-is solved on the even block, and ``radiation`` steps rho(t), the correlators and
-the spectra block by block.
+is solved on the even block, and ``radiation`` steps the spectra block by
+block.
 
 Within a sector, H moves rho_mn to rho_{m+-2,n} and rho_{m,n+-2}, and the jump
 term feeds rho_{m+1,n+1} into rho_mn, so row s = m + n reads only s - 2, s and

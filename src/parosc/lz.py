@@ -14,34 +14,32 @@ exponential of the standard problem.
 Trajectories, ``parosc run lz`` included, come from ``parosc.ramp.propagate_linear``
 (commutator-free Magnus steps, each a product of two exact 2x2 exponentials
 from the Rabi formula, applied a block of steps at a time through their prefix
-products); the exact solution below is the oracle the tests check them against.
+products).  The exact solution, parabolic cylinder functions D_nu of pure
+imaginary order nu = +-i p with p = Delta^2 / (2 s), is the oracle the tests
+check them against.
 
-Exact solution: each C satisfies a Weber equation in z = sqrt(2s) e^{+-i pi/4} t,
-solved by parabolic cylinder functions D_nu with pure imaginary order
-nu = +-i p, p = Delta^2 / (2 s).  Along those 45-degree rays both fundamental
-solutions are oscillatory (|exp(+-z^2/4)| = 1), so evaluating D_nu by
-integrating its defining ODE (complex state, DOP853) outward from z = 0 is well
-conditioned, and D_nu(z)* = D_{nu*}(z*) makes the pair behind C_- the conjugate
-of the pair behind C_+: two of the four ODEs are integrated.  The gamma factors
-of the solution separately over- or underflow near Delta^2/s = 600 while their
-products stay of order one.  So the ODE integrates D_nu(z)/D_nu(0), started
-from the log-derivative D'_nu(0)/D_nu(0) (D_nu(0) itself holds
-1/Gamma((1 - nu)/2) ~ exp(pi p/4) and overflows near Delta^2/s = 1800), and the
-limiting amplitudes take their modulus in closed form and their phases from
-``scipy.special.loggamma``.  For p >= 50 the phase of the Gamma(z)/Gamma(z + 1/2)
-ratio comes from its series in 1/p, so the small |alpha_down| is not the
-difference of two rounded p log p phases.
+The limiting amplitudes come from the large-argument expansion of that
+solution.  The gamma factors separately over- or underflow near
+Delta^2/s = 600 while their products stay of order one, so the amplitudes take
+their modulus in closed form and their phases from ``scipy.special.loggamma``.
+For p >= 50 the phase of the Gamma(z)/Gamma(z + 1/2) ratio comes from its
+series in 1/p, so the small |alpha_down| is not the difference of two rounded
+p log p phases.
+
+``dynamical_phase`` is library API that no experiment runs: the paper's
+large-time phase of the adiabatic branches, a closed form that the tests
+check against the numeric sweep rather than an oracle for other code.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# kept bound for bench/tracer.py, which wraps lz.solve_ivp; ROADMAP item 3 retires it
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import loggamma
 
 from .ramp import propagate_linear
@@ -115,81 +113,6 @@ def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, ts)
     return LzSolution(t_grid=ts, c_plus=c_plus, c_minus=c_minus, c_up=c_up, c_down=c_down,
                       steps=steps, error_estimate=estimate)
-
-
-# ---------------------------------------------------------------------------
-# exact solution via parabolic cylinder functions
-
-def _pcf_slope(nu: complex) -> complex:
-    """r(nu) = D'_nu(0) / D_nu(0) = -sqrt(2) Gamma((1 - nu)/2) / Gamma(-nu/2).
-
-    Formed from log-gamma: D_nu(0) alone holds 1/Gamma((1 - nu)/2), which
-    overflows for large |Im nu| while the ratio stays of order sqrt(|nu|).
-    """
-    return -math.sqrt(2.0) * cmath.exp(loggamma((1.0 - nu) / 2.0) - loggamma(-nu / 2.0))
-
-
-def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray) -> np.ndarray:
-    """D_nu(k*t) / D_nu(0) for t on a nonnegative real grid, along the fixed ray arg(k).
-
-    Integrates w'' + (nu + 1/2 - z^2/4) w = 0 in the ray parameter t from
-    w(0) = 1 and dw/dt(0) = k r(nu), the normalised values at the origin.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    k2 = k * k
-
-    def rhs(t, y):
-        return np.array([y[1], k2 * (k2 * t * t / 4.0 - nu - 0.5) * y[0]])
-
-    y0 = np.array([1.0, k * _pcf_slope(nu)], dtype=complex)
-    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
-                    method="DOP853", rtol=1e-12, atol=1e-13)
-    if not sol.success:
-        raise RuntimeError(f"parabolic cylinder integration failed: {sol.message}")
-    return sol.y[0]
-
-
-def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
-    """Exact C_+-(t) as combinations of parabolic cylinder functions.
-
-    C_+- = A_+- D_{+-ip-1}(-+ i z_+-) + B_+- D_{-+ip}(z_+-) with
-    z_+- = sqrt(2s) e^{+-i pi/4} t; A, B fixed by C_+-(0) = 1/sqrt(2) and
-    i C'_+-(0) = Delta C_-+(0).  As D_nu(z)* = D_{nu*}(z*) and z_- = z_+*, the two
-    functions behind C_- are the conjugates of the two integrated for C_+, to
-    the bit (DOP853 commutes with conjugation).  Warns if the evaluation loses
-    more than six digits of the conserved norm.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid must be >= 0")
-    Delta, s, p = prob.Delta, prob.s, prob.p
-    if p == 0:
-        # Delta = 0: the +- states are exact eigenstates at all times
-        phase = np.exp(-1j * s * t_grid ** 2 / 2.0)
-        c_plus, c_minus = phase / math.sqrt(2.0), np.conj(phase) / math.sqrt(2.0)
-    else:
-        # D_{ip-1}(-i z_+) on the ray k_- = conj(k_+) and D_{-ip}(z_+) on k_+, each over
-        # its value at 0; C_-'s functions and matrix are their conjugates
-        k_pos = math.sqrt(2.0 * s) * cmath.exp(1j * math.pi / 4.0)
-        nu1, nu2, k1 = 1j * p - 1.0, -1j * p, k_pos.conjugate()
-        m_plus = np.array([[1.0, 1.0], [k1 * _pcf_slope(nu1), k_pos * _pcf_slope(nu2)]])
-        rhs = np.array([1.0 / math.sqrt(2.0), -1j * Delta / math.sqrt(2.0)])
-        a_plus, b_plus = np.linalg.solve(m_plus, rhs)
-        a_minus, b_minus = np.linalg.solve(m_plus.conj(), rhs)
-        g1 = parabolic_cylinder_on_ray(nu1, k1, t_grid)
-        g2 = parabolic_cylinder_on_ray(nu2, k_pos, t_grid)
-        c_plus = a_plus * g1 + b_plus * g2
-        c_minus = a_minus * g1.conj() + b_minus * g2.conj()
-    norm_drift = np.max(np.abs(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2 - 1.0))
-    if norm_drift > 1e-6:
-        warnings.warn(
-            f"parabolic cylinder evaluation lost accuracy: norm drift {norm_drift:.2e}",
-            RuntimeWarning, stacklevel=2,
-        )
-    c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, t_grid)
-    au, ad = lz_asymptotic_alphas(prob) if p else (None, None)
-    return LzSolution(t_grid=t_grid, c_plus=c_plus, c_minus=c_minus,
-                      c_up=c_up, c_down=c_down, alpha_up=au, alpha_down=ad)
 
 
 # above this p the ratio Gamma(-ip/2) / Gamma((1 - ip)/2) comes from its large-|z| expansion

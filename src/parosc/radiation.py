@@ -1,4 +1,4 @@
-"""Dissipative flow of the driven oscillator: rho(t), correlators and emission spectra.
+"""Dissipative flow of the driven oscillator: emission spectra and their sum rule.
 
 Everything stepped here is one propagation: exact stepping on a uniform time
 grid with the matrix exponential P = expm(L_s dt) of each (m + n)-parity sector
@@ -14,21 +14,13 @@ times as long).  The first 128 states are filled by doubling: states k to
 2k - 1 are states 0 to k - 1 times P^k, and P^k is squared as it goes; every
 later block of 128 states is one matrix product of the block before it with
 P^128, the square after the last.  The stepping hands out these blocks in turn
-and keeps only the last one; ``_SteppingFlow.fock_rows`` writes them into the
-Fock arrays of ``evolve_master`` and the correlators.
+and keeps only the last one.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
 Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
 are real.  A Hermitian state (rho0 - rho_st, say) is one real row; any other
 vector, such as the seeds rho a_dag or the row of Tr[a .], is two real rows,
-its real and imaginary coordinates.  The rows of ``evolve_master`` and the
-correlators enter and leave Fock coordinates through ``fock_rows``.
-
-``evolve_master`` returns rho(t) = exp(L t) rho0 on such a grid.
-``two_time_correlator`` returns <a_dag(t1) a(t2)> by the quantum regression
-rule on full d^2 vectors, the reference for the spectra: propagate rho to t1,
-deform it by a_dag on the right, propagate the deformation for tau = t2 - t1,
-and trace against a.
+its real and imaginary coordinates.
 
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
@@ -155,9 +147,7 @@ class _SteppingFlow:
     """Exact flow on a uniform grid ts, stepped by the real P = expm(L_s dt) per parity sector.
 
     Sector states are rows of Hermitian-basis coordinates: row k is the sector
-    vector at ts[k].  Full vectors are row-stacked d^2 vectors in Fock
-    coordinates; only the sectors they occupy are stepped, the others stay
-    exactly zero along the flow.
+    vector at ts[k].
     """
 
     def __init__(self, liou: Liouvillian, ts: np.ndarray):
@@ -219,37 +209,6 @@ class _SteppingFlow:
         for start, rows in self.states(s, np.stack([y.real, y.imag]), adjoint):
             yield start, rows[:, 0] + 1j * rows[:, 1]
 
-    def fock_rows(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """exp(L t) x for every t, or the rows x^T exp(L t) if adjoint; shape (len(ts), d^2).
-
-        x and the result are in Fock coordinates.  A row pairs with T y as
-        (T^T row) . y, and T^T = conj(T^H), so adjoint rows enter and leave
-        conjugated.
-        """
-        flip = np.conj if adjoint else np.asarray
-        out = np.zeros((self.n_t, x.size), dtype=complex)
-        for s, sector in enumerate(self.sectors):
-            if np.any(x[sector.idx]):
-                for start, rows in self.complex_blocks(
-                        s, flip(sector.to_herm(flip(x[sector.idx]))), adjoint):
-                    out[start:start + len(rows), sector.idx] = flip(sector.to_fock(flip(rows)))
-        return out
-
-
-def evolve_master(liou: Liouvillian, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """rho(t) = exp(L t) rho0 at every t of t_grid; shape (len(t_grid), dim, dim).
-
-    Exact: each parity sector that rho0 occupies is stepped by the matrix
-    exponential of its block, so rounding is the only error.  t_grid must be
-    uniform and start at 0; any other grid raises ValueError.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must ascend from 0")
-    rows = _SteppingFlow(liou, t_grid).fock_rows(np.asarray(rho0, complex).reshape(-1))
-    return rows.reshape(len(t_grid), liou.dim, liou.dim)
-
-
 def _operators(liou: Liouvillian):
     """Row tr_a with Tr[a M] = tr_a . vec(M), and a_dag for the seeds M a_dag."""
     a, a_dag = ladder_operators(liou.space)
@@ -297,28 +256,6 @@ def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray) -> n
     kernel = np.exp(-0.5j * theta * m * m)
     conv = ifft(fft(chirped, n_fft) * fft(kernel, n_fft))[n_t - 1:n_t - 1 + n_x]
     return 2.0 * np.real(np.exp(1j * (xs * ts[0] + 0.5 * theta * k * k)) * conv)
-
-
-# ---------------------------------------------------------------------------
-# correlators
-
-def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
-                        t_grid: np.ndarray) -> np.ndarray:
-    """C[i, j] = <a_dag(t_i) a(t_j)> for j >= i by quantum regression; zero below the diagonal.
-
-    Works on full d^2 vectors (both sectors of rho0, every seed), so it is an
-    independent reference for the sector-only spectra.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    n_t = len(t_grid)
-    tr_a, a_dag = _operators(liou)
-    seeds = (evolve_master(liou, rho0, t_grid) @ a_dag).reshape(n_t, -1)
-    rows = _SteppingFlow(liou, t_grid).fock_rows(tr_a, adjoint=True)  # tr_a Lambda^{j dt}
-    full = rows @ seeds.T                                    # (tau index, t1 index)
-    values = np.zeros((n_t, n_t), dtype=complex)
-    for i in range(n_t):
-        values[i, i:] = full[: n_t - i, i]
-    return values
 
 
 # ---------------------------------------------------------------------------

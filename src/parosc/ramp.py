@@ -30,7 +30,8 @@ from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  kept bound: bench/tracer.py wraps ramp.solve_ivp
+# kept bound for bench/tracer.py, which wraps ramp.solve_ivp; ROADMAP item 3 retires it
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .fock import EDGE_TOL, ConvergenceError, FockSpace, check_state, edge_levels, tail_population
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels

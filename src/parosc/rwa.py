@@ -4,8 +4,14 @@ H = -delta*n + (n^2 + n)/2 + (f/2)(a^2 + a_dag^2) couples |n> only to |n+-2>,
 so its single encoding is a pair of bands (``h_rwa_bands``): the diagonal and
 the second off-diagonal.  Each occupation-number parity block is then an exact
 tridiagonal chain, diagonalized by ``parity_eigh``, and the Lindblad generator
-of ``lindblad`` applies H through the same bands; ``build_h_rwa`` assembles the
-dense matrix from them for dense checks such as ``coherent_eigen_residual``.
+of ``lindblad`` applies H through the same bands.
+
+Library API that no experiment runs, each a formula of the paper that checks no
+other code:
+- ``level_label_at_zero_drive``: the (parity, rank) label of |n> at zero drive;
+- ``perturbative_shift``: the second-order level shift at small drive;
+- ``classical_hamiltonian_function``: the scaled classical g(Q, P);
+- ``semiclassics`` and ``SemiclassicalSummary``: its well data and gap estimate.
 
 Unit convention (everywhere in this package): hbar = 1, energies and rates in
 units of the Kerr nonlinearity V, time in units of 1/V.  The dimensionless
@@ -19,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from .fock import FockSpace
 
 
 @dataclass(frozen=True)
@@ -74,14 +78,6 @@ def h_rwa_bands(dim: int, system: RwaSystem) -> tuple[np.ndarray, np.ndarray]:
     diag = -system.delta * n + 0.5 * (n * n + n)
     off2 = 0.5 * system.f * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
     return diag, off2
-
-
-def build_h_rwa(space: FockSpace, system: RwaSystem) -> np.ndarray:
-    """Dense rotating-frame Hamiltonian assembled from ``h_rwa_bands``; units of V."""
-    diag, off2 = h_rwa_bands(space.dim, system)
-    h = np.diag(diag).astype(complex)
-    h += np.diag(off2, 2) + np.diag(off2, -2)
-    return h
 
 
 def parity_eigh(dim: int, system: RwaSystem,
@@ -164,49 +160,14 @@ def semiclassics(system: RwaSystem) -> SemiclassicalSummary:
     )
 
 
-def coherent_eigen_residual(space: FockSpace, f: float) -> float:
-    """Residual of the exact coherent eigenstates at scaled detuning delta = 1.
-
-    At delta = 1 the Hamiltonian factorizes and the coherent states |+-alpha>
-    with alpha^2 = -f are exact degenerate eigenstates with energy -f^2/2.
-    Returns max over the two signs of ||(H - E)|alpha>||.
-    """
-    if f <= 0:
-        raise ValueError("f must be > 0")
-    alpha = 1j * np.sqrt(f)
-    h = build_h_rwa(space, RwaSystem(delta=1.0, f=f))
-    energy = -f ** 2 / 2.0
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        psi = space.coherent_state(sign * alpha, tail_tol=1e-12)
-        worst = max(worst, float(np.linalg.norm(h @ psi - energy * psi)))
-    return worst
-
-
-def exact_level_shift(space: FockSpace, delta: float, f: float, n: int) -> float:
-    """Exact-diagonalization shift of the level adiabatically connected to |n>.
-
-    The level is identified by its (parity, rank) label at zero drive, which
-    is preserved because same-parity levels repel.  Used as the oracle against
-    which ``perturbative_shift`` is checked.
-    """
-    parity, rank = level_label_at_zero_drive(delta, n)
-    _, levels, _ = parity_eigh(space.dim, RwaSystem(delta=delta, f=f), parity)
-    # diagonal of H at f=0 equals Ebar_n - Ebar_0, i.e. the zero-drive levels
-    return float(levels[rank]) - zero_drive_levels(delta, n)[n]
-
-
 __all__ = [
     "RwaSystem",
     "SemiclassicalSummary",
     "h_rwa_bands",
-    "build_h_rwa",
     "parity_eigh",
     "zero_drive_levels",
     "level_label_at_zero_drive",
     "perturbative_shift",
     "classical_hamiltonian_function",
     "semiclassics",
-    "coherent_eigen_residual",
-    "exact_level_shift",
 ]

@@ -6,16 +6,19 @@ ascending rank within the chain).  Same-parity levels repel and never cross
 as the drive grows, so the rank is a stable label along the whole flow; this
 is what makes adiabatic state preparation and the labeling used by the ramp
 and radiation modules well defined.
+
+``find_degeneracy_points`` is library API that no experiment runs: the paper's
+scan for level coincidences in the detuning, which checks no other code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import EDGE_TOL, ConvergenceError, FockSpace, edge_levels
-from .rwa import RwaSystem, level_label_at_zero_drive, parity_eigh  # noqa: F401  re-exported
+from .rwa import RwaSystem, parity_eigh
 
 _DEGENERACY_TOL = 1e-8      # largest gap that find_degeneracy_points calls a coincidence
 _DEGENERACY_LEVELS = 6      # lowest levels per parity that it scans
@@ -47,14 +50,6 @@ class SpectrumSeries:
     levels: np.ndarray          # shape (len(f_grid), n_levels)
     parities: np.ndarray        # +-1 per column
     ranks: np.ndarray           # rank within the parity block per column
-    dim: int = field(default=0)
-
-    def column(self, parity: int, rank: int) -> np.ndarray:
-        mask = (self.parities == parity) & (self.ranks == rank)
-        j = np.where(mask)[0]
-        if len(j) == 0:
-            raise ValueError(f"label (parity={parity:+d}, rank={rank}) not tracked")
-        return self.levels[:, j[0]]
 
 
 def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
@@ -86,7 +81,7 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
     ranks = np.concatenate([np.arange(n_even), np.arange(n_odd)])
     order = np.argsort(levels[0], kind="stable")
     return SpectrumSeries(delta=delta, f_grid=f_grid, levels=levels[:, order],
-                          parities=parities[order], ranks=ranks[order], dim=dim)
+                          parities=parities[order], ranks=ranks[order])
 
 
 def _check_tracked_tails(idx, v, dim):
@@ -97,19 +92,6 @@ def _check_tracked_tails(idx, v, dim):
     if bad.size:
         raise ConvergenceError(f"tracked level rank {bad[0]} has tail population "
                                f"{pops[bad[0]]:.3g} > {EDGE_TOL:.3g}; increase dim")
-
-
-def same_parity_gap(series: SpectrumSeries, parity: int, rank: int) -> np.ndarray:
-    """Distance to the nearest tracked same-parity neighbor, per drive value."""
-    target = series.column(parity, rank)
-    gaps = np.full(len(series.f_grid), np.inf)
-    for j in range(series.levels.shape[1]):
-        if series.parities[j] != parity or series.ranks[j] == rank:
-            continue
-        gaps = np.minimum(gaps, np.abs(series.levels[:, j] - target))
-    if np.any(np.isinf(gaps)):
-        raise ValueError("no same-parity neighbor tracked; increase n_levels")
-    return gaps
 
 
 def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float) -> list[dict]:

@@ -28,6 +28,9 @@ summed and gathered to the grid before the next one is built, and a diagonal
 whose coefficients are all zero is neither summed nor gathered: a parity
 eigenstate, such as every state a ramp prepares from a Fock state, has
 rho_m,m+k = 0 for odd k, so half of the diagonals cost one multiply each.
+
+``WignerGrid.marginal_q`` is library API that no experiment runs: the Q
+marginal of W, the quadrature distribution of a prepared state.
 """
 
 from __future__ import annotations

@@ -47,10 +47,12 @@ def test_tracer_wraps_its_bindings_and_restores_them():
             key = (f"parosc.{mod_name}", attr)
             assert tracer.originals[f"{mod_name}.{attr}"] is before[key]
             assert during[key] is not before[key]
-        for name in ("radiation.evolve_master", "radiation.emission_spectra",
-                     "lindblad.steady_state", "cli.run_experiment"):
+        for name in ("radiation.emission_spectra", "lindblad.steady_state",
+                     "cli.run_experiment"):
             assert name in tracer.originals
-        assert during["parosc", "evolve_master"] is during["parosc.radiation", "evolve_master"]
+        wrapped = during["parosc.radiation", "emission_spectra"]
+        assert during["parosc", "emission_spectra"] is wrapped
+        assert during["parosc.cli", "emission_spectra"] is wrapped
     finally:
         tracer.uninstall()
     after = bindings(modules)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import warnings
@@ -7,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import record_parity_eigh
+from helpers import record_parity_eigh, same_parity_gap, weber_solution
 from parosc import cli, io, radiation
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
 from parosc.fock import ConvergenceError, FockSpace
 from parosc.io import write_csv
 from parosc.lindblad import state_decay_rate
-from parosc.lz import LzProblem, lz_evolve_numeric, weber_solution
+from parosc.lz import LzProblem, lz_evolve_numeric
 from parosc.ramp import RampProtocol, evolve_ramp
-from parosc.spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
+from parosc.spectrum import eigenstate_by_label, spectrum_vs_drive
 
 EPS = np.finfo(float).eps
 
@@ -144,6 +145,7 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("radiation", "x_max=0", "x_max"),
     ("radiation", "x_max=-2", "x_max"),
     ("ramp", "n_out=0", "n_out"),
+    ("ramp", "n_out=1", "n_out"),           # used to write the start and the end
     ("ramp", "dim=1", "dim"),
     ("ramp", "s_tilde=0", "s_tilde"),
     ("spectrum", "f_points=0", "f_points"),
@@ -647,3 +649,87 @@ def test_spectrum_csv_layout(tmp_path):
     # parity and rank are integer columns
     assert {r[1] for r in rows} == {"1", "-1"}
     assert {r[2] for r in rows} == {"0", "1"}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "parosc"
+RUN_ROOTS = [("cli", "RUNNERS"), ("cli", "run_experiment"), ("cli", "main")]
+# Library API that no experiment runs: closed forms of the paper that check no
+# other code.  Reference implementations the tests compare against live in
+# tests/helpers.py instead.
+LIBRARY_API = {
+    "rwa.level_label_at_zero_drive": "the (parity, rank) label of |n> at zero drive",
+    "rwa.perturbative_shift": "the second-order level shift at small drive",
+    "rwa.classical_hamiltonian_function": "the scaled classical Hamiltonian g(Q, P)",
+    "rwa.semiclassics": "the well data and intrawell gap estimate of g(Q, P)",
+    "rwa.SemiclassicalSummary": "the record that semiclassics returns",
+    "lz.dynamical_phase": "the large-time phase of the adiabatic branches",
+    "spectrum.find_degeneracy_points": "the scan of the detuning for level coincidences",
+    "fock.FockSpace.coherent_state": "the exact eigenstates at delta = 1",
+    "wigner.WignerGrid.marginal_q": "the Q marginal of a Wigner function",
+}
+
+
+def package_definitions():
+    """Per module of src/parosc: its top-level definitions and methods (``Class.name``)
+    by name, and the (module, name) behind each of its relative imports."""
+    defs, imports = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        defs[mod], imports[mod] = {}, {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod][node.name] = node
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef):
+                        defs[mod][f"{node.name}.{sub.name}"] = sub
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defs[mod][target.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    imports[mod][alias.asname or alias.name] = (node.module, alias.name)
+    return defs, imports
+
+
+def reached_from(roots, defs, imports):
+    """(module, name) of each definition that the roots use, directly or not, and the
+    attribute names read on the way: a method counts as used where its name is read."""
+    seen, attrs, work = set(), set(), list(roots)
+    while work:
+        mod, name = work.pop()
+        if name not in defs[mod]:
+            if name in imports[mod]:
+                work.append(imports[mod][name])
+            continue
+        if (mod, name) in seen:
+            continue
+        seen.add((mod, name))
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                work.append((mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return seen, attrs
+
+
+def test_package_holds_what_the_experiments_run():
+    # every function, class and public method in src/parosc is reached from the
+    # experiments (cli.RUNNERS, run_experiment, main) or is listed library API
+    defs, imports = package_definitions()
+    api = [tuple(key.split(".", 1)) for key in LIBRARY_API]
+    run, _ = reached_from(RUN_ROOTS, defs, imports)
+    assert [key for key in api if key[1] not in defs[key[0]] or key in run] == []
+    reached, attrs = reached_from(RUN_ROOTS + api, defs, imports)
+    unreached = []
+    for mod, names in defs.items():
+        for name, node in names.items():
+            if (mod, name) in reached or not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            owner, _, method = name.rpartition(".")
+            if not owner:
+                unreached.append(f"{mod}.{name}")
+            elif (mod, owner) in reached and not method.startswith("_") and method not in attrs:
+                unreached.append(f"{mod}.{name}")
+    assert unreached == []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reduced_resonant_set, reduced_rwa_equations
 from parosc.floquet import (
     LabFrameParams,
     _circular_distance,
@@ -11,9 +12,6 @@ from parosc.floquet import (
     oscillator_levels,
     q_squared_matrix,
     quasienergy_from_rwa,
-    reduced_resonant_set,
-    reduced_rwa_equations,
-    worst_discrepancy,
 )
 from parosc.fock import FockSpace, ladder_operators
 from parosc.rwa import RwaSystem, parity_eigh
@@ -171,16 +169,15 @@ def test_fourier_vs_rwa_tracked_states():
 
 
 def test_quasienergy_set_type():
-    from parosc.floquet import floquet_quasienergies
-
     p = make_params(1.8, 0.5)
-    qset = floquet_quasienergies(p, n_track=5)
-    assert len(qset.values) == 5
-    assert np.all((qset.values >= 0) & (qset.values < p.omegaF))
-    assert set(qset.parities) <= {-1, 1}
+    table = floquet_vs_rwa(p, n_track=5)
+    values, parities = table["eps_fourier"], table["parity"]
+    assert len(values) == 5
+    assert np.all((values >= 0) & (values < p.omegaF))
+    assert set(parities) <= {-1, 1}
     # the lowest even and odd states straddle half a drive quantum
-    even = qset.values[qset.parities == 1][0]
-    odd = qset.values[qset.parities == -1][0]
+    even = values[parities == 1][0]
+    odd = values[parities == -1][0]
     d = abs(even - odd) % p.omegaF
     shifted = min(d, p.omegaF - d) - p.omegaF / 2
     assert abs(shifted) < 0.1 * p.omegaF
@@ -188,8 +185,6 @@ def test_quasienergy_set_type():
 
 def test_fourier_quasienergy_a_hair_below_zero_folds_to_zero(monkeypatch):
     # NumPy's % rounds -1e-20 % omegaF up to omegaF, outside [0, omegaF)
-    from parosc.floquet import floquet_quasienergies
-
     eigh = np.linalg.eigh
 
     def eigh_at_minus_tiny(a):
@@ -200,12 +195,14 @@ def test_fourier_quasienergy_a_hair_below_zero_folds_to_zero(monkeypatch):
     p = make_params(0.3, 0.8)
     eps = floquet_vs_rwa(p, n_track=6)["eps_fourier"]
     assert np.all((eps >= 0) & (eps < p.omegaF))
-    assert floquet_quasienergies(p, n_track=6).values.tolist() == [0.0] * 6
+    assert eps.tolist() == [0.0] * 6
 
 
 def test_rwa_error_decreases_with_nonlinearity():
-    worst = [worst_discrepancy(LabFrameParams.from_reduced(OM0, v, 0.3, 0.8))
-             for v in (1e-3, 5e-4, 2.5e-4)]
+    worst = []
+    for v in (1e-3, 5e-4, 2.5e-4):
+        table = floquet_vs_rwa(LabFrameParams.from_reduced(OM0, v, 0.3, 0.8))
+        worst.append(float(np.max(table["discrepancy"])) / v)
     assert worst[0] > worst[1] > worst[2]
 
 

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import check_density_matrix, poisson_tail
+from helpers import check_density_matrix, parity_operator, poisson_tail
 from parosc.fock import (
     ConvergenceError,
     FockSpace,
     convergence_report,
     check_state,
     ladder_operators,
-    parity_operator,
     tail_population,
 )
 

@@ -4,13 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from helpers import (check_density_matrix, dense_generator, expectation_number,
-                     trace_preservation_residual)
+from helpers import (check_density_matrix, dense_generator, evolve_master, expectation_number,
+                     same_parity_gap, trace_preservation_residual)
 from parosc.fock import FockSpace
 from parosc.lindblad import Gather, Liouvillian, build_liouvillian, state_decay_rate, steady_state
-from parosc.radiation import _odd_operators, evolve_master
+from parosc.radiation import _odd_operators
 from parosc.rwa import RwaSystem
-from parosc.spectrum import eigenstate_by_label, same_parity_gap, spectrum_vs_drive
+from parosc.spectrum import eigenstate_by_label, spectrum_vs_drive
 
 
 def make_liouvillian(dim, delta, f, gt):

@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import asymptote_estimate
-from parosc import lz
-from parosc.lz import (
-    LzProblem,
-    _pcf_slope,
-    dynamical_phase,
-    lz_asymptotic_alphas,
-    lz_evolve_numeric,
-    parabolic_cylinder_on_ray,
-    weber_solution,
-)
+import helpers
+from helpers import _pcf_slope, asymptote_estimate, parabolic_cylinder_on_ray, weber_solution
+from parosc.lz import LzProblem, dynamical_phase, lz_asymptotic_alphas, lz_evolve_numeric
 
 FIG5_SET = (1.5, 0.25, 0.05, 0.01)
 
@@ -204,13 +196,13 @@ class TestParabolicCylinderOnRay:
 
 class TestWeberSolution:
     def test_integrates_two_parabolic_cylinder_odes(self, monkeypatch):
-        calls, solve_ivp = [], lz.solve_ivp
+        calls, solve_ivp = [], helpers.solve_ivp
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(lz, "solve_ivp", counted)
+        monkeypatch.setattr(helpers, "solve_ivp", counted)
         weber_solution(LzProblem(Delta=0.5, s=1.0), np.linspace(0.0, 2.0, 21))
         assert len(calls) == 2
         calls.clear()

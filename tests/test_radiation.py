@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parosc.fock import FockSpace, ladder_operators
-from helpers import dense_generator, expectation_number
+from helpers import (dense_generator, evolve_master, expectation_number, fock_rows,
+                     two_time_correlator)
 from parosc.lindblad import build_liouvillian, steady_state
 from parosc import radiation
 from parosc.radiation import (
@@ -19,10 +20,8 @@ from parosc.radiation import (
     _fourier_quadrature,
     _SteppingFlow,
     emission_spectra,
-    evolve_master,
     spectrum_time_grid,
     sum_rule_check,
-    two_time_correlator,
 )
 from parosc.ramp import RampProtocol, evolve_ramp
 from parosc.rwa import RwaSystem
@@ -415,7 +414,7 @@ class TestPropagation:
         rows = np.stack([row @ p for p in props])
         rhos = evolve_master(liou, rho0, ts).reshape(len(ts), -1)
         assert np.max(np.abs(rhos.T - cols)) < 1e-9
-        assert np.max(np.abs(flow.fock_rows(row, adjoint=True) - rows)) < 1e-9
+        assert np.max(np.abs(fock_rows(flow, row, adjoint=True) - rows)) < 1e-9
 
     def test_correlator_matches_full_expm(self):
         sp, liou, rho0 = self.coherent_case()
@@ -464,7 +463,7 @@ class TestPropagation:
 
         flow.states = recording
         monkeypatch.setattr(radiation, "expm", counting)
-        assert np.max(np.abs(flow.fock_rows(x, adjoint) - np.stack(refs))) < 1e-10
+        assert np.max(np.abs(fock_rows(flow, x, adjoint) - np.stack(refs))) < 1e-10
         assert [len(shape) for shape in shapes] == [n_rows] * len(liou.sectors)
         # P is built only if there is a step, once per sector, and is all the flow keeps
         assert len(expms) == (0 if n_t == 1 else len(liou.sectors))

@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import parosc
-from helpers import initial_label_by_eigensolve, record_parity_eigh
+from helpers import initial_label_by_eigensolve, record_parity_eigh, same_parity_gap
 from parosc import ramp
 from parosc.fock import FockSpace
 from parosc.ramp import (
@@ -26,7 +26,7 @@ from parosc.ramp import (
     instantaneous_fidelity,
     propagate_linear,
 )
-from parosc.spectrum import same_parity_gap, spectrum_vs_drive
+from parosc.spectrum import spectrum_vs_drive
 
 
 def make_protocol(space, delta, f_final, s_tilde, **kw):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parosc.fock import FockSpace, ladder_operators, number_operator, parity_operator
+from helpers import (build_h_rwa, coherent_eigen_residual, exact_level_shift, number_operator,
+                     parity_operator)
+from parosc.fock import FockSpace, ladder_operators
 from parosc.rwa import (
     RwaSystem,
-    build_h_rwa,
     classical_hamiltonian_function,
-    coherent_eigen_residual,
-    exact_level_shift,
     h_rwa_bands,
     parity_eigh,
     perturbative_shift,

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import build_h_rwa, column, same_parity_gap
 from parosc.fock import ConvergenceError, FockSpace, tail_population
-from parosc.rwa import RwaSystem, build_h_rwa, h_rwa_bands, parity_eigh, semiclassics, zero_drive_levels
-from parosc.spectrum import (
-    eigenstate_by_label,
-    find_degeneracy_points,
-    level_label_at_zero_drive,
-    same_parity_gap,
-    spectrum_vs_drive,
-)
+from parosc.rwa import (RwaSystem, h_rwa_bands, level_label_at_zero_drive, parity_eigh,
+                        semiclassics, zero_drive_levels)
+from parosc.spectrum import eigenstate_by_label, find_degeneracy_points, spectrum_vs_drive
 
 
 def test_blocks_dim4():
@@ -58,20 +54,20 @@ def test_level_labels_at_large_detuning(delta, n):
 class TestSpectrumSeries:
     def test_delta2_lowest_pair_coincides(self):
         series = spectrum_vs_drive(FockSpace(60), 2.0, np.linspace(0, 3, 31), 3)
-        even0 = series.column(1, 0)
-        odd0 = series.column(-1, 0)
+        even0 = column(series, 1, 0)
+        odd0 = column(series, -1, 0)
         assert np.max(np.abs(even0 - odd0)) < 1e-8
 
     def test_delta0_even_odd_pairing_at_strong_drive(self):
         series = spectrum_vs_drive(FockSpace(80), 0.0, np.array([3.0, 4.0, 5.0, 6.0]), 3)
-        gap = np.abs(series.column(1, 0) - series.column(-1, 0))
+        gap = np.abs(column(series, 1, 0) - column(series, -1, 0))
         assert np.all(np.diff(gap) < 0)          # tunnel splitting shrinks with f
-        assert gap[-1] < 1e-3 * abs(series.column(1, 0)[-1])
+        assert gap[-1] < 1e-3 * abs(column(series, 1, 0)[-1])
 
     def test_delta1p8_vacuum_state_stays_third_lowest(self):
         sp = FockSpace(60)
         series = spectrum_vs_drive(sp, 1.8, np.linspace(0.0, 3.0, 25), 4)
-        target = series.column(1, 1)   # the flow connected to |0>
+        target = column(series, 1, 1)   # the flow connected to |0>
         for i in range(len(series.f_grid)):
             position = np.sum(series.levels[i] < target[i] - 1e-12)
             assert position == 2
@@ -80,7 +76,7 @@ class TestSpectrumSeries:
         for delta in (0.0, 1.8, 2.5):
             series = spectrum_vs_drive(FockSpace(60), delta, np.linspace(0, 3, 61), 4)
             for parity in (1, -1):
-                cols = [series.column(parity, r) for r in range(3)]
+                cols = [column(series, parity, r) for r in range(3)]
                 for lo, hi in zip(cols[:-1], cols[1:]):
                     assert np.all(hi - lo > -1e-12)
 
@@ -90,7 +86,7 @@ class TestSpectrumSeries:
         # value (it dips ~5% around f~1.8 at delta=0 before growing again)
         for delta in (0.0, 1.8):
             series = spectrum_vs_drive(FockSpace(80), delta, np.linspace(0, 4, 41), 4)
-            even = np.stack([series.column(1, r) for r in range(4)], axis=1)
+            even = np.stack([column(series, 1, r) for r in range(4)], axis=1)
             gaps = np.diff(even, axis=1).min(axis=1)
             assert np.all(gaps >= 0.9 * gaps[0])
 
