@@ -43,7 +43,7 @@ from .spectrum import (
 )
 from .floquet import (
     LabFrameParams,
-    build_floquet_matrix,
+    floquet_parity_block,
     floquet_vs_rwa,
     quasienergy_from_rwa,
 )

@@ -1,11 +1,14 @@
 """Lab-frame Floquet eigenproblem in the Fourier x Fock basis.
 
 Serves as an independent oracle for the rotating-frame treatment: quasienergies
-computed from the full Fourier matrix must agree with the RWA energies mapped
+computed from the Fourier matrix must agree with the RWA energies mapped
 through the parity-dependent modular relation, with the residual shrinking as
 the nonlinearity becomes small compared to the oscillator frequency.
 ``floquet_vs_rwa`` makes that comparison state by state, and its table is what
-``parosc run floquet_check`` ships.
+``parosc run floquet_check`` ships.  The drive changes the Fock number by 0 or
+2, so the matrix never couples even and odd n: each parity block is built on
+its own (``floquet_parity_block``) and diagonalised, and the whole
+(2 k_cut + 1) n_cut matrix is never formed.
 
 Lab-frame quantities (omega0, omegaF, F) appear only in this module; everything
 else in the package works in units of the nonlinearity V.
@@ -69,37 +72,24 @@ def oscillator_levels(p: LabFrameParams, n: np.ndarray) -> np.ndarray:
     return p.omega0 * n + 0.5 * p.V * (n ** 2 + n)
 
 
-def q_squared_matrix(p: LabFrameParams) -> np.ndarray:
-    """Matrix of q^2 in the harmonic Fock basis, q = (a + a_dag) sqrt(1/(2 omega0))."""
-    n = np.arange(p.n_cut)
-    q2 = np.diag((2.0 * n + 1.0) / (2.0 * p.omega0))
-    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / (2.0 * p.omega0)
-    q2 += np.diag(off, 2) + np.diag(off, -2)
-    return q2
+def floquet_parity_block(p: LabFrameParams, parity: int) -> np.ndarray:
+    """The Fourier x Fock eigenvalue matrix of the time-periodic problem on one Fock parity.
 
-
-def build_floquet_matrix(p: LabFrameParams) -> np.ndarray:
-    """Fourier x Fock eigenvalue matrix of the time-periodic problem.
-
-    Index layout is k-major: row (k, n) sits at (k + k_cut) * n_cut + n with
-    k in [-k_cut, k_cut].  The diagonal carries the undriven levels shifted by
-    -k*omegaF; the drive couples Fourier neighbors through (F/4) q^2.
+    The block holds the n < n_cut of the given parity (+1 even, -1 odd),
+    k-major: row (k, n) sits at (k + k_cut) * len(n) + n//2 with k in
+    [-k_cut, k_cut].  Its diagonal carries the undriven levels shifted by
+    -k*omegaF, and the drive couples neighbouring k through (F/4) q_p^2, with
+    q = (a + a_dag) sqrt(1/(2 omega0)) and q_p^2 the tridiagonal part of q^2
+    on these n.
     """
-    n = np.arange(p.n_cut)
-    en = oscillator_levels(p, n)
-    nk = 2 * p.k_cut + 1
-    size = nk * p.n_cut
-    m = np.zeros((size, size))
-    coupling = 0.25 * p.F * q_squared_matrix(p)
-    for ik in range(nk):
-        k = ik - p.k_cut
-        i0 = ik * p.n_cut
-        m[i0:i0 + p.n_cut, i0:i0 + p.n_cut] = np.diag(en - k * p.omegaF)
-        if ik + 1 < nk:
-            j0 = (ik + 1) * p.n_cut
-            m[i0:i0 + p.n_cut, j0:j0 + p.n_cut] = coupling
-            m[j0:j0 + p.n_cut, i0:i0 + p.n_cut] = coupling
-    return m
+    n = np.arange(0 if parity == 1 else 1, p.n_cut, 2)
+    ks = np.arange(-p.k_cut, p.k_cut + 1)
+    q2 = np.diag((2.0 * n + 1.0) / (2.0 * p.omega0))
+    off = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / (2.0 * p.omega0)
+    q2 += np.diag(off, 1) + np.diag(off, -1)
+    hop = np.eye(len(ks), k=1) + np.eye(len(ks), k=-1)
+    return (np.diag((oscillator_levels(p, n)[None, :] - ks[:, None] * p.omegaF).ravel())
+            + np.kron(hop, 0.25 * p.F * q2))
 
 
 def _fold(x: float, period: float) -> float:
@@ -134,26 +124,20 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6) -> dict[str, np.ndarray]
                      for parity, (_, ws, _) in chains.items() for r, w in enumerate(ws)),
                     key=lambda t: t[0])
 
-    m = build_floquet_matrix(p)
-    nk = 2 * p.k_cut + 1
-    # q^2 changes n by 0 or 2, so rows of even and odd n never meet: one eigh per parity
-    sign = 1 - 2 * (np.arange(nk * p.n_cut) % p.n_cut % 2)
-    blocks = {}
-    for parity in chains:
-        rows = np.flatnonzero(sign == parity)
-        blocks[parity] = (rows, *np.linalg.eigh(m[np.ix_(rows, rows)]))
+    blocks = {parity: np.linalg.eigh(floquet_parity_block(p, parity)) for parity in chains}
 
     table = {key: [] for key in ("parity", "rank", "eps_fourier", "eps_rwa", "overlap",
                                  "discrepancy")}
     for energy, parity, rank in states[:n_track]:
         idx, _, v = chains[parity]
-        keep = (idx < p.n_cut) & (idx // 2 <= p.k_cut)
+        keep = idx // 2 <= p.k_cut
         n = idx[keep]
-        embedded = np.zeros(nk * p.n_cut)
-        embedded[(n // 2 + p.k_cut) * p.n_cut + n] = v[keep, rank]
+        # Fock component n at Fourier index k = n//2: row (n//2 + k_cut) len(idx) + n//2
+        embedded = np.zeros((2 * p.k_cut + 1) * len(idx))
+        embedded[(n // 2 + p.k_cut) * len(idx) + n // 2] = v[keep, rank]
         embedded /= np.linalg.norm(embedded)
-        rows, w, vecs = blocks[parity]
-        overlaps = np.abs(vecs.T @ embedded[rows])
+        w, vecs = blocks[parity]
+        overlaps = np.abs(vecs.T @ embedded)
         j = int(np.argmax(overlaps))
         eps_fourier = _fold(w[j], p.omegaF)
         eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)

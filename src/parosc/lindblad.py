@@ -3,17 +3,16 @@
 d rho/dt = -i [H, rho] - gamma_tilde (n rho - 2 a rho a_dag + rho n)
 
 with the single lowering-operator dissipator (bath temperature far below the
-oscillator quantum).  The generator is written once, as a sparse matrix on the
-row-stacked vec(rho) built by index arithmetic on the two bands of H
-(``rwa.h_rwa_bands``): it moves each Fock index by at most 2, so each row has
-at most six entries.
+oscillator quantum).
 
 H changes the Fock number by 0 or 2 and the dissipator moves |m><n| to
 |m-1><n-1|, so the generator never couples entries with even m + n to entries
-with odd m + n.  Each Liouvillian carries these two parity sectors as separate
-dense blocks (Buca & Prosen, New J. Phys. 14, 073007 (2012)); the steady state
-is solved on the even block, and ``radiation`` steps the spectra block by
-block.
+with odd m + n (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  The d^2 x d^2
+generator is never formed: each parity sector is built on its own, by index
+arithmetic on the two bands of H (``rwa.h_rwa_bands``), as six terms per entry
+(H moves each Fock index by at most 2), and kept with its dense block;
+``Liouvillian.apply`` works sector by sector.  The steady state is solved on
+the even block, and ``radiation`` steps the spectra block by block.
 
 Within a sector, H moves rho_mn to rho_{m+-2,n} and rho_{m,n+-2}, and the jump
 term feeds rho_{m+1,n+1} into rho_mn, so row s = m + n reads only s - 2, s and
@@ -27,10 +26,11 @@ A Lindblad generator preserves Hermiticity, L(rho^dag) = L(rho)^dag (Alicki &
 Lendi, Lect. Notes Phys. 286 (1987)), and each sector is closed under the
 adjoint.  In the Hermitian basis E_mm, (E_mn + E_nm)/sqrt(2),
 i(E_mn - E_nm)/sqrt(2) (m < n) every sector block is therefore a real matrix,
-and a Hermitian rho has real coordinates.  Each ``Sector`` keeps only that real
-block, with the two gathers between its Fock entries and its Hermitian-basis
-coordinates.  ``radiation`` relies on that layout: it reads vec(rho) at
-``Sector.idx`` (entries m*dim + n) and composes the gathers with its own maps.
+and a Hermitian rho has real coordinates.  Each ``Sector`` keeps that real
+block, its generator on its Fock entries and the two gathers between those
+entries and its Hermitian-basis coordinates.  ``radiation`` relies on that
+layout: it reads vec(rho) at ``Sector.idx`` (entries m*dim + n) and composes
+the gathers with its own maps.
 """
 
 from __future__ import annotations
@@ -84,16 +84,17 @@ class Sector(NamedTuple):
     sector's Fock vector is x = vec(rho)[idx].  The columns of the unitary T
     are the Hermitian basis, and y = T^H x are the coordinates, real for a
     Hermitian rho: ``to_herm`` applies T^H and ``to_fock`` applies T, two
-    terms per entry each, and ``block`` is the real matrix T^H L_s T, with L_s
-    the generator's rows and columns at idx.  Coordinate k belongs to entry
-    idx[k]: E_mm on the diagonal, the symmetric element of the pair (m, n)
-    above it and the antisymmetric one below it.
+    terms per entry each.  ``gen`` is L_s, the generator on x, six terms per
+    entry, and ``block`` is the real matrix T^H L_s T.  Coordinate k belongs
+    to entry idx[k]: E_mm on the diagonal, the symmetric element of the pair
+    (m, n) above it and the antisymmetric one below it.
     """
 
     idx: np.ndarray
     block: np.ndarray
     to_herm: Gather
     to_fock: Gather
+    gen: Gather
 
 
 class _Elimination(NamedTuple):
@@ -155,14 +156,19 @@ def _eliminate(even: Sector, dim: int) -> _Elimination:
     return _Elimination(groups, ups, inverses, links, ratio)
 
 
-def _superoperator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float) -> csr_array:
-    """L on the row-stacked vec(rho), index m*d + n, for H with bands (diag, off2) of ``h_rwa_bands``.
+def _sector(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float, parity: int) -> Sector:
+    """The sector of the given (m + n) parity for H with bands (diag, off2) of ``h_rwa_bands``.
 
-    Row (m, n) reads rho[m + dm, n + dn] for the six shifts below, so the
-    matrix has at most six entries per row.
+    Row (m, n) of the generator reads rho[m + dm, n + dn] for the six shifts
+    below; each keeps the parity of m + n, so every term is a local index of
+    the sector, and a shift off the d x d matrix is a zero term.
     """
     d = len(diag)
     m, n = np.divmod(np.arange(d * d), d)
+    idx = np.flatnonzero((m + n) % 2 == parity)
+    local = np.zeros(d * d, dtype=np.intp)
+    local[idx] = np.arange(idx.size)
+    m, n = m[idx], n[idx]
     # <k|H|k+2> = <k+2|H|k> = off2[k]: up[k] = <k|H|k+2>, down[k] = <k|H|k-2>
     up, down = np.concatenate([off2, [0.0, 0.0]]), np.concatenate([[0.0, 0.0], off2])
     root = np.sqrt(2.0 * gamma_tilde * (np.arange(d) + 1.0))    # sqrt(2 gamma_tilde (k+1))
@@ -174,31 +180,24 @@ def _superoperator(diag: np.ndarray, off2: np.ndarray, gamma_tilde: float) -> cs
         # 2 gamma_tilde (a rho a_dag)[m, n] = root[m] root[n] rho[m+1, n+1]
         (1, 1, root[m] * root[n]),
     )
-    rows, cols, vals = [], [], []
-    for dm, dn, coef in terms:
+    pos, coef = [], []
+    for dm, dn, c in terms:
         ok = (m + dm >= 0) & (m + dm < d) & (n + dn >= 0) & (n + dn < d)
-        rows.append(np.flatnonzero(ok))
-        cols.append(((m + dm) * d + n + dn)[ok])
-        vals.append(coef[ok])
-    return csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(d * d, d * d))
+        pos.append(local[np.where(ok, idx + dm * d + dn, idx)])
+        coef.append(np.where(ok, c, 0.0))
+    gen = Gather(np.stack(pos, axis=1), np.stack(coef, axis=1))
 
-
-def _sector(matrix: csr_array, dim: int, parity: int) -> Sector:
-    """The sector of the given (m + n) parity of the generator ``matrix`` on vec(rho)."""
-    m, n = np.divmod(np.arange(dim * dim), dim)
-    idx = np.flatnonzero((m + n) % 2 == parity)
-    local = np.zeros(dim * dim, dtype=np.intp)
-    local[idx] = np.arange(idx.size)
-    m, n = m[idx], n[idx]
-    pos = np.stack([np.arange(idx.size), local[n * dim + m]], axis=1)   # entry, its transpose
+    pos = np.stack([np.arange(idx.size), local[n * d + m]], axis=1)   # entry, its transpose
     r = np.sqrt(0.5)
     upper, lower = (m < n)[:, None], (m > n)[:, None]
     herm = np.where(upper, [r, r], np.where(lower, [1j * r, -1j * r], [0.5, 0.5]))
     fock = np.where(upper, [r, 1j * r], np.where(lower, [-1j * r, r], [0.5, 0.5]))
     to_herm, to_fock = Gather(pos, herm), Gather(pos, fock)
-    block = (to_herm.matrix @ matrix[idx][:, idx] @ to_fock.matrix).real.toarray()
-    return Sector(idx, block, to_herm, to_fock)
+    # T^H L_s T, its terms summed into the dense real block
+    full, k = to_herm.after(gen).after(to_fock), idx.size
+    block = np.bincount((np.arange(k)[:, None] * k + full.pos).ravel(), full.coef.real.ravel(),
+                        minlength=k * k).reshape(k, k)
+    return Sector(idx, block, to_herm, to_fock, gen)
 
 
 @dataclass
@@ -208,24 +207,26 @@ class Liouvillian:
     space: FockSpace
     sys: RwaSystem
     gamma_tilde: float
-    matrix: csr_array = field(init=False, repr=False)    # L on the row-stacked vec(rho)
     sectors: tuple[Sector, Sector] = field(init=False, repr=False)
     _steady: np.ndarray | None = field(default=None, init=False, repr=False)
     _elimination: _Elimination | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = _superoperator(*h_rwa_bands(self.dim, self.sys), self.gamma_tilde)
-        self.sectors = tuple(_sector(self.matrix, self.dim, parity) for parity in (0, 1))
+        bands = h_rwa_bands(self.dim, self.sys)
+        self.sectors = tuple(_sector(*bands, self.gamma_tilde, parity) for parity in (0, 1))
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L[rho] for one d x d matrix or a stack of them on the last two axes."""
+        """L[rho] for one d x d matrix or a stack of them on the last two axes, by sector."""
         rho = np.asarray(rho)
         rows = rho.reshape(-1, self.dim * self.dim)
-        return (self.matrix @ rows.T).T.reshape(rho.shape)
+        out = np.empty(rows.shape, complex)
+        for sector in self.sectors:
+            out[:, sector.idx] = sector.gen(rows[:, sector.idx])
+        return out.reshape(rho.shape)
 
     def even_solve(self, b: np.ndarray, y0: float) -> np.ndarray:
         """Even-sector coordinates y with rho_00 = y0 that satisfy L y = b but for its s = 0 row.

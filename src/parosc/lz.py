@@ -69,8 +69,6 @@ class LzSolution:
     c_minus: np.ndarray
     c_up: np.ndarray
     c_down: np.ndarray
-    alpha_up: complex | None = None
-    alpha_down: complex | None = None
     steps: int | None = None                # CF4 steps of a numeric sweep
     error_estimate: float | None = None     # and its step-doubling error estimate
 

@@ -209,10 +209,10 @@ class _SteppingFlow:
         for start, rows in self.states(s, np.stack([y.real, y.imag]), adjoint):
             yield start, rows[:, 0] + 1j * rows[:, 1]
 
-def _operators(liou: Liouvillian):
-    """Row tr_a with Tr[a M] = tr_a . vec(M), and a_dag for the seeds M a_dag."""
-    a, a_dag = ladder_operators(liou.space)
-    return a.T.reshape(-1), a_dag
+def _operators(liou: Liouvillian) -> np.ndarray:
+    """Row tr_a with Tr[a M] = tr_a . vec(M)."""
+    a, _ = ladder_operators(liou.space)
+    return a.T.reshape(-1)
 
 
 def _odd_operators(liou: Liouvillian):
@@ -225,7 +225,7 @@ def _odd_operators(liou: Liouvillian):
     """
     d = liou.dim
     even, odd = liou.sectors
-    tr_a, _ = _operators(liou)
+    tr_a = _operators(liou)
     pos = np.zeros(d * d, dtype=np.intp)
     pos[even.idx] = np.arange(even.idx.size)
     last = odd.idx % d == d - 1

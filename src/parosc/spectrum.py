@@ -45,7 +45,6 @@ def eigenstate_by_label(space: FockSpace, delta: float, f: float,
 class SpectrumSeries:
     """Level flows over a drive grid; column j carries label (parities[j], ranks[j])."""
 
-    delta: float
     f_grid: np.ndarray
     levels: np.ndarray          # shape (len(f_grid), n_levels)
     parities: np.ndarray        # +-1 per column
@@ -80,7 +79,7 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
     parities = np.concatenate([np.ones(n_even, dtype=int), -np.ones(n_odd, dtype=int)])
     ranks = np.concatenate([np.arange(n_even), np.arange(n_odd)])
     order = np.argsort(levels[0], kind="stable")
-    return SpectrumSeries(delta=delta, f_grid=f_grid, levels=levels[:, order],
+    return SpectrumSeries(f_grid=f_grid, levels=levels[:, order],
                           parities=parities[order], ranks=ranks[order])
 
 

@@ -6,6 +6,7 @@ import cmath
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -212,7 +213,40 @@ def same_parity_gap(series: SpectrumSeries, parity: int, rank: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# reduced Fourier chains of the lab-frame Floquet problem
+# the whole Fourier x Fock matrix and the reduced chains of the lab-frame Floquet problem
+
+def q_squared_matrix(p: LabFrameParams) -> np.ndarray:
+    """Matrix of q^2 in the harmonic Fock basis, q = (a + a_dag) sqrt(1/(2 omega0))."""
+    n = np.arange(p.n_cut)
+    q2 = np.diag((2.0 * n + 1.0) / (2.0 * p.omega0))
+    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / (2.0 * p.omega0)
+    q2 += np.diag(off, 2) + np.diag(off, -2)
+    return q2
+
+
+def build_floquet_matrix(p: LabFrameParams) -> np.ndarray:
+    """Fourier x Fock eigenvalue matrix of the time-periodic problem.
+
+    Index layout is k-major: row (k, n) sits at (k + k_cut) * n_cut + n with
+    k in [-k_cut, k_cut].  The diagonal carries the undriven levels shifted by
+    -k*omegaF; the drive couples Fourier neighbors through (F/4) q^2.
+    """
+    n = np.arange(p.n_cut)
+    en = oscillator_levels(p, n)
+    nk = 2 * p.k_cut + 1
+    size = nk * p.n_cut
+    m = np.zeros((size, size))
+    coupling = 0.25 * p.F * q_squared_matrix(p)
+    for ik in range(nk):
+        k = ik - p.k_cut
+        i0 = ik * p.n_cut
+        m[i0:i0 + p.n_cut, i0:i0 + p.n_cut] = np.diag(en - k * p.omegaF)
+        if ik + 1 < nk:
+            j0 = (ik + 1) * p.n_cut
+            m[i0:i0 + p.n_cut, j0:j0 + p.n_cut] = coupling
+            m[j0:j0 + p.n_cut, i0:i0 + p.n_cut] = coupling
+    return m
+
 
 def reduced_resonant_set(p: LabFrameParams, base_k: int, base_n: int) -> np.ndarray:
     """Tridiagonal system over the resonantly coupled chain through (base_k, base_n).
@@ -281,7 +315,15 @@ def parabolic_cylinder_on_ray(nu: complex, k: complex, t_grid: np.ndarray) -> np
     return sol.y[0]
 
 
-def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
+@dataclass
+class WeberSolution(LzSolution):
+    """The exact solution, with the limiting amplitudes of ``lz_asymptotic_alphas``."""
+
+    alpha_up: complex | None = None
+    alpha_down: complex | None = None
+
+
+def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> WeberSolution:
     """Exact C_+-(t) as combinations of parabolic cylinder functions.
 
     C_+- = A_+- D_{+-ip-1}(-+ i z_+-) + B_+- D_{-+ip}(z_+-) with
@@ -320,8 +362,8 @@ def weber_solution(prob: LzProblem, t_grid: np.ndarray) -> LzSolution:
         )
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, t_grid)
     au, ad = lz_asymptotic_alphas(prob) if p else (None, None)
-    return LzSolution(t_grid=t_grid, c_plus=c_plus, c_minus=c_minus,
-                      c_up=c_up, c_down=c_down, alpha_up=au, alpha_down=ad)
+    return WeberSolution(t_grid=t_grid, c_plus=c_plus, c_minus=c_minus,
+                         c_up=c_up, c_down=c_down, alpha_up=au, alpha_down=ad)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +413,8 @@ def two_time_correlator(liou: Liouvillian, rho0: np.ndarray,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n_t = len(t_grid)
-    tr_a, a_dag = _operators(liou)
+    tr_a = _operators(liou)
+    _, a_dag = ladder_operators(liou.space)
     seeds = (evolve_master(liou, rho0, t_grid) @ a_dag).reshape(n_t, -1)
     rows = fock_rows(_SteppingFlow(liou, t_grid), tr_a, adjoint=True)  # tr_a Lambda^{j dt}
     full = rows @ seeds.T                                    # (tau index, t1 index)

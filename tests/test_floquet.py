@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reduced_resonant_set, reduced_rwa_equations
+from helpers import (build_floquet_matrix, q_squared_matrix, reduced_resonant_set,
+                     reduced_rwa_equations)
 from parosc.floquet import (
     LabFrameParams,
     _circular_distance,
-    build_floquet_matrix,
+    floquet_parity_block,
     floquet_vs_rwa,
     oscillator_levels,
-    q_squared_matrix,
     quasienergy_from_rwa,
 )
 from parosc.fock import FockSpace, ladder_operators
@@ -223,6 +223,19 @@ def test_even_and_odd_fock_rows_never_meet(n_cut):
     odd = np.arange(len(m)) % n_cut % 2 == 1
     assert m[np.ix_(~odd, odd)].size > 0
     assert np.all(m[np.ix_(~odd, odd)] == 0.0)
+
+
+@pytest.mark.parametrize("n_cut", [24, 25])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_parity_block_is_the_full_matrix_on_its_rows(parity, n_cut):
+    # the block built on its own is, entry for entry, the oracle's rows and
+    # columns of Fock parity `parity`, in the same k-major order
+    p = make_params(1.8, 1.0, k_cut=6, n_cut=n_cut)
+    m = build_floquet_matrix(p)
+    rows = np.flatnonzero(np.arange(len(m)) % n_cut % 2 == (1 - parity) // 2)
+    block = floquet_parity_block(p, parity)
+    assert block.shape == (len(rows), len(rows))
+    assert np.all(block == m[np.ix_(rows, rows)])
 
 
 @pytest.mark.parametrize("delta, f", [(1.8, 1.0), (0.3, 0.8), (2.5, 2.0)])
