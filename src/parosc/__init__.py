@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 from .fock import (
     ConvergenceError,
     FockSpace,
+    check_edge,
     convergence_report,
     ladder_operators,
-    tail_population,
 )
 from .rwa import (
     RwaSystem,
@@ -47,7 +47,7 @@ from .floquet import (
     floquet_vs_rwa,
     quasienergy_from_rwa,
 )
-from .ramp import RampProtocol, RampResult, evolve_ramp, instantaneous_fidelity
+from .ramp import RampProtocol, RampResult, evolve_ramp
 from .wigner import WignerGrid, wigner_transform
 from .lz import (
     LzProblem,

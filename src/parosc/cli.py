@@ -28,14 +28,14 @@ import numpy as np
 
 from . import __version__
 from .floquet import LabFrameParams, floquet_vs_rwa
-from .fock import FockSpace, convergence_report
+from .fock import FockSpace, check_edge, convergence_report
 from .io import write_csv, write_json
 from .lindblad import build_liouvillian, state_decay_rate
 from .lz import LzProblem, lz_asymptotic_alphas, lz_evolve_numeric
 from .radiation import emission_spectra, spectrum_time_grid, sum_rule_check
-from .ramp import RampProtocol, evolve_ramp, instantaneous_fidelity
+from .ramp import RampProtocol, evolve_ramp
 from .rwa import RwaSystem, h_rwa_bands, parity_eigh, zero_drive_levels
-from .spectrum import _check_tracked_tails, spectrum_vs_drive
+from .spectrum import eigenstate_by_label, spectrum_vs_drive
 from .wigner import wigner_transform
 
 # experiment name -> {key: (type, default, domain)}; None default means required.
@@ -116,7 +116,7 @@ RADIATION_REL_TOL = 1e-4
 IN_DOMAIN = {">": operator.gt, ">=": operator.ge,
              "in": lambda value, allowed: value in allowed}
 
-COMMON_KEYS = {"experiment": (str, None), "output_dir": (str, None)}
+COMMON_KEYS = ("experiment", "output_dir")     # required strings
 
 
 class ConfigError(ValueError):
@@ -142,8 +142,11 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    if "experiment" not in raw:
-        raise ConfigError("missing key: experiment")
+    for key in COMMON_KEYS:
+        if key not in raw:
+            raise ConfigError(f"missing key: {key}")
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"key {key} must be str, got {raw[key]!r}")
     name = raw["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choices: {sorted(EXPERIMENTS)}")
@@ -152,8 +155,6 @@ def validate_config(raw: dict) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) for {name}: {sorted(unknown)}")
-    if "output_dir" not in raw:
-        raise ConfigError("missing key: output_dir")
     cfg = {"experiment": name, "output_dir": raw["output_dir"]}
     for key, (typ, default, domain) in schema.items():
         if key in raw:
@@ -178,7 +179,8 @@ def validate_config(raw: dict) -> dict:
     if name == "floquet_check" and cfg["n_track"] > cfg["n_cut"]:
         raise ConfigError(f"key n_track = {cfg['n_track']} must be <= key n_cut = "
                           f"{cfg['n_cut']}, the number of RWA states at n_cut")
-    # the two bounds of floquet.LabFrameParams, in its own arithmetic
+    # the two bounds of floquet.LabFrameParams, with its omegaF = 2 (omega0 + delta V),
+    # checked before the run so that the message names the keys
     if name == "floquet_check":
         omega0, v = cfg["omega0"], cfg["V"]
         if v >= 0.05 * omega0:
@@ -267,8 +269,8 @@ def _run_ramp(cfg):
     prob = np.abs(result.trajectory) ** 2
     n = np.arange(space.dim)
     table = {"t": result.times, "f": f_t,
-             "fidelity": [instantaneous_fidelity(psi, space, cfg["delta"], f,
-                                                 *result.target_label)
+             "fidelity": [np.abs(np.vdot(eigenstate_by_label(space, cfg["delta"], f,
+                                                             *result.target_label)[1], psi)) ** 2
                           for psi, f in zip(result.trajectory, f_t)],
              "n_expect": prob @ n, "parity_expect": prob @ (-1.0) ** n}
     results = {"final_fidelity": result.final_fidelity,
@@ -330,7 +332,7 @@ def _decay_gap_data(dim, delta, gamma_tildes, f_grid):
     for i, f in enumerate(f_grid):
         idx, w, v = parity_eigh(dim, RwaSystem(delta=delta, f=f), 1)
         gaps[i], phis[i, idx] = w[1] - w[0], v[:, 0]
-    _check_tracked_tails(idx, v[:, :2], dim)
+    check_edge(idx, v[:, :2], dim, range(2))
     rates = np.array([[state_decay_rate(phi, gt) for phi in phis] for gt in gamma_tildes])
     return rates, gaps
 
@@ -392,8 +394,8 @@ def _run_radiation(cfg):
 
 def _run_floquet_check(cfg):
     def eps_over_v(n_cut):
-        p = LabFrameParams.from_reduced(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
-                                        k_cut=cfg["k_cut"], n_cut=n_cut)
+        p = LabFrameParams(cfg["omega0"], cfg["V"], cfg["delta"], cfg["f"],
+                           k_cut=cfg["k_cut"], n_cut=n_cut)
         columns = floquet_vs_rwa(p, n_track=cfg["n_track"])
         return columns, columns["eps_fourier"] / cfg["V"]
 

@@ -10,8 +10,11 @@ the nonlinearity becomes small compared to the oscillator frequency.
 its own (``floquet_parity_block``) and diagonalised, and the whole
 (2 k_cut + 1) n_cut matrix is never formed.
 
-Lab-frame quantities (omega0, omegaF, F) appear only in this module; everything
-else in the package works in units of the nonlinearity V.
+``LabFrameParams`` takes the reduced controls delta and f, with omega0, V and
+the cutoffs, and derives the drive frequency omegaF and amplitude F from them,
+so the RWA side is diagonalised at exactly the delta and f given.  Lab-frame
+quantities (omega0, omegaF, F) appear only in this module; everything else in
+the package works in units of the nonlinearity V.
 """
 
 from __future__ import annotations
@@ -25,22 +28,25 @@ from .rwa import RwaSystem, parity_eigh
 
 @dataclass(frozen=True)
 class LabFrameParams:
-    """Lab-frame oscillator and drive parameters with Fourier/Fock cutoffs.
+    """Lab-frame oscillator on the reduced drive controls, with Fourier/Fock cutoffs.
 
-    The model is valid near parametric resonance with weak nonlinearity, so the
-    constructor enforces |omegaF - 2 omega0| < 0.2 omega0 and V < 0.05 omega0.
+    The drive frequency omegaF = 2 (omega0 + delta V) and amplitude
+    F = 4 omega0 f V follow from the scaled detuning delta and drive f of the
+    rotating frame.  The model is valid near parametric resonance with weak
+    nonlinearity, so the constructor enforces |omegaF - 2 omega0| < 0.2 omega0
+    and V < 0.05 omega0.
     """
 
     omega0: float
     V: float
-    F: float
-    omegaF: float
+    delta: float
+    f: float
     k_cut: int = 12
     n_cut: int = 24
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.V <= 0 or self.F < 0 or self.omegaF <= 0:
-            raise ValueError("omega0, V, omegaF must be > 0 and F >= 0")
+        if self.omega0 <= 0 or self.V <= 0 or self.f < 0:
+            raise ValueError("omega0 and V must be > 0 and f >= 0")
         if abs(self.omegaF - 2 * self.omega0) >= 0.2 * self.omega0:
             raise ValueError("drive is too far from parametric resonance: "
                              "|omegaF - 2 omega0| must be < 0.2 omega0")
@@ -49,22 +55,13 @@ class LabFrameParams:
         if self.k_cut < 4 or self.n_cut < 4:
             raise ValueError("cutoffs must be >= 4")
 
-    @classmethod
-    def from_reduced(cls, omega0: float, V: float, delta: float, f: float,
-                     k_cut: int = 12, n_cut: int = 24) -> "LabFrameParams":
-        """Build lab parameters from the reduced controls delta and f."""
-        d_omega = delta * V
-        omegaF = 2.0 * (omega0 + d_omega)
-        F = 4.0 * omega0 * f * V
-        return cls(omega0=omega0, V=V, F=F, omegaF=omegaF, k_cut=k_cut, n_cut=n_cut)
+    @property
+    def omegaF(self) -> float:
+        return 2.0 * (self.omega0 + self.delta * self.V)
 
     @property
-    def delta(self) -> float:
-        return (self.omegaF / 2.0 - self.omega0) / self.V
-
-    @property
-    def f(self) -> float:
-        return self.F / (4.0 * self.omega0 * self.V)
+    def F(self) -> float:
+        return 4.0 * self.omega0 * self.f * self.V
 
 
 def oscillator_levels(p: LabFrameParams, n: np.ndarray) -> np.ndarray:

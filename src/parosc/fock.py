@@ -1,7 +1,10 @@
 """Truncated Fock space: ladder operators, states, and convergence checks.
 
 All operators are dense complex matrices; the truncation sizes needed here
-(dim of order tens) make sparse machinery pointless.
+(dim of order tens) make sparse machinery pointless.  The package's two
+truncation tests live here: ``check_edge``, the one test that a state does not
+lean on the top Fock levels, and ``convergence_report``, the dim vs dim + 10
+comparison of every experiment.
 
 ``FockSpace.coherent_state`` is library API that no experiment runs: the
 coherent states that are exact eigenstates of the paper's Hamiltonian at delta = 1.
@@ -84,19 +87,18 @@ def edge_levels(dim: int) -> int:
     return max(4, dim // 8)
 
 
-def tail_population(state_or_rho: np.ndarray, tail_levels: int) -> float:
-    """Total population in the top ``tail_levels`` Fock levels.
+def check_edge(idx: np.ndarray, v: np.ndarray, dim: int, ranks) -> None:
+    """Raise ConvergenceError if a state leans on the truncation edge.
 
-    Above EDGE_TOL in the top edge_levels(dim), the truncation has not converged.
+    The columns of v are states over the Fock indices idx of a dim-level
+    truncation, column j labelled ranks[j]; each may hold at most EDGE_TOL in
+    the top edge_levels(dim) levels.
     """
-    dim = state_or_rho.shape[0]
-    if not 0 < tail_levels < dim:
-        raise ValueError(f"tail_levels must be in (0, {dim}), got {tail_levels}")
-    if state_or_rho.ndim == 1:
-        return float(np.sum(np.abs(state_or_rho[dim - tail_levels:]) ** 2))
-    if state_or_rho.ndim == 2:
-        return float(np.real(np.trace(state_or_rho[dim - tail_levels:, dim - tail_levels:])))
-    raise ValueError("expected a state vector or a density matrix")
+    pops = np.sum(np.abs(v[idx >= dim - edge_levels(dim)]) ** 2, axis=0)
+    bad = np.flatnonzero(pops > EDGE_TOL)
+    if bad.size:
+        raise ConvergenceError(f"tracked level rank {ranks[bad[0]]} has tail population "
+                               f"{pops[bad[0]]:.3g} > {EDGE_TOL:.3g}; increase dim")
 
 
 def convergence_report(base, probe, dim: int, dim_step: int = 10,

@@ -2,7 +2,9 @@
 
 The drive amplitude grows as f(t) = s_tilde * t until it reaches f_final, so a
 Fock state at zero drive is carried into the eigenstate with the same
-(parity, rank) label; the fidelity of that mapping is the figure of merit.
+(parity, rank) label; the fidelity of that mapping, the squared overlap with
+``spectrum.eigenstate_by_label``, is the figure of merit.  ``evolve_ramp``
+holds the target to ``fock.check_edge``.
 ``propagate_linear`` integrates every linear ramp H(t) = A + t B (this one and the
 Landau-Zener sweep of ``parosc.lz``) with the fourth-order commutator-free Magnus
 exponential: H splits into independent tridiagonal chains (the two parity chains
@@ -33,7 +35,7 @@ import numpy as np
 # kept bound for bench/tracer.py, which wraps ramp.solve_ivp; ROADMAP item 3 retires it
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .fock import EDGE_TOL, ConvergenceError, FockSpace, check_state, edge_levels, tail_population
+from .fock import FockSpace, check_edge, check_state
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import eigenstate_by_label
 
@@ -313,8 +315,7 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
     dim = space.dim
     label = initial_label(space, protocol.delta, protocol.initial_state)
     _, target = eigenstate_by_label(space, protocol.delta, protocol.f_final, *label)
-    if tail_population(target, edge_levels(dim)) > EDGE_TOL:
-        raise ConvergenceError("target eigenstate leans on the truncation edge; increase dim")
+    check_edge(np.arange(dim), target[:, None], dim, [label[1]])
 
     # bands at unit drive: H(t) = diag + (s_tilde*t) * off2 on the |n>, |n+2> pairs
     diag, off2 = h_rwa_bands(dim, RwaSystem(delta=protocol.delta, f=1.0))
@@ -335,12 +336,3 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
     return RampResult(times=times, trajectory=traj, final_state=traj[-1],
                       target_label=label, final_fidelity=fidelity,
                       steps=steps, error_estimate=estimate)
-
-
-def instantaneous_fidelity(state: np.ndarray, space: FockSpace, delta: float,
-                           f: float, parity: int, rank: int) -> float:
-    """|<phi_label|state>|^2 against the labeled stationary eigenstate at drive f."""
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    _, phi = eigenstate_by_label(space, delta, f, parity, rank)
-    return float(np.abs(np.vdot(phi, np.asarray(state, dtype=complex))) ** 2)

@@ -99,8 +99,7 @@ def zero_drive_levels(delta: float, n_max: int) -> np.ndarray:
     """Eigenvalues E_n = Ebar_n - Ebar_0 at zero drive, Ebar_n = (n + 1/2 - delta)^2 / 2."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    n = np.arange(n_max + 1)
-    ebar = 0.5 * (n + 0.5 - delta) ** 2
+    ebar = _ebar(delta, np.arange(n_max + 1))
     return ebar - ebar[0]
 
 
@@ -115,7 +114,7 @@ def level_label_at_zero_drive(delta: float, n: int) -> tuple[int, int]:
     return (-1) ** n, int(np.flatnonzero(order == n // 2)[0])
 
 
-def _ebar(delta: float, n: int) -> float:
+def _ebar(delta: float, n):     # n an integer or an array of them
     return 0.5 * (n + 0.5 - delta) ** 2
 
 

@@ -5,7 +5,9 @@ parity holds by construction and every level carries the label (parity,
 ascending rank within the chain).  Same-parity levels repel and never cross
 as the drive grows, so the rank is a stable label along the whole flow; this
 is what makes adiabatic state preparation and the labeling used by the ramp
-and radiation modules well defined.
+and radiation modules well defined.  ``spectrum_vs_drive`` holds every tracked
+level to ``fock.check_edge`` at the largest drive, and ``eigenstate_by_label``
+is the labelled state that a ramp's fidelity is the squared overlap with.
 
 ``find_degeneracy_points`` is library API that no experiment runs: the paper's
 scan for level coincidences in the detuning, which checks no other code.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import EDGE_TOL, ConvergenceError, FockSpace, edge_levels
+from .fock import FockSpace, check_edge
 from .rwa import RwaSystem, parity_eigh
 
 _DEGENERACY_TOL = 1e-8      # largest gap that find_degeneracy_points calls a coincidence
@@ -71,9 +73,10 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
         system = RwaSystem(delta=delta, f=f)
         for parity, flow in ((1, even_flow), (-1, odd_flow)):
             idx, w, v = parity_eigh(dim, system, parity)
-            flow[i] = w[:flow.shape[1]]
+            n = flow.shape[1]
+            flow[i] = w[:n]
             if i == len(f_grid) - 1:
-                _check_tracked_tails(idx, v[:, :flow.shape[1]], dim)
+                check_edge(idx, v[:, :n], dim, range(n))
 
     levels = np.concatenate([even_flow, odd_flow], axis=1)
     parities = np.concatenate([np.ones(n_even, dtype=int), -np.ones(n_odd, dtype=int)])
@@ -81,16 +84,6 @@ def spectrum_vs_drive(space: FockSpace, delta: float, f_grid: np.ndarray,
     order = np.argsort(levels[0], kind="stable")
     return SpectrumSeries(f_grid=f_grid, levels=levels[:, order],
                           parities=parities[order], ranks=ranks[order])
-
-
-def _check_tracked_tails(idx, v, dim):
-    """Truncation check at the largest drive: the tracked eigenvectors (columns
-    of v over Fock indices idx) must not lean on the top Fock levels."""
-    pops = np.sum(np.abs(v[idx >= dim - edge_levels(dim)]) ** 2, axis=0)
-    bad = np.flatnonzero(pops > EDGE_TOL)
-    if bad.size:
-        raise ConvergenceError(f"tracked level rank {bad[0]} has tail population "
-                               f"{pops[bad[0]]:.3g} > {EDGE_TOL:.3g}; increase dim")
 
 
 def find_degeneracy_points(space: FockSpace, delta_grid: np.ndarray, f: float) -> list[dict]:

@@ -97,7 +97,7 @@ def test_c04_coherent_eigenstates():
 def test_c05_floquet_rwa_consistency():
     worst = []
     for v in (1e-3, 5e-4, 2.5e-4):
-        table = floquet_vs_rwa(LabFrameParams.from_reduced(1.0, v, 0.3, 0.8))
+        table = floquet_vs_rwa(LabFrameParams(1.0, v, 0.3, 0.8))
         worst.append(float(np.max(table["discrepancy"])) / v)
     ok = worst[0] > worst[1] > worst[2]
     assert report(5, ok, "quasienergy discrepancy/V over two halvings: "

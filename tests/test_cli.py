@@ -1,12 +1,15 @@
 import ast
 import dataclasses
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import record_parity_eigh, same_parity_gap, weber_solution
 from parosc import cli, io, radiation
@@ -135,6 +138,9 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("lz", "n_out=2.7", "n_out"),           # int(2.7) used to run 2 quietly
     ("lz", "sign=1.5", "sign"),
     ("radiation", "gamma_tilde=0", "gamma_tilde"),
+    ("lz", 'experiment=["lz"]', "experiment"),   # validate used to die: unhashable type 'list'
+    ("lz", "output_dir=5", "output_dir"),        # run used to compute it all, then fail at Path(5)
+    ("lz", "output_dir=null", "output_dir"),
     # sizes and rates outside the domain of the library call they feed
     ("lz", "n_out=0", "n_out"),
     ("lz", "n_out=1", "n_out"),
@@ -198,6 +204,28 @@ def test_benchmark_config_validates(tmp_path, raw):
     # the domains of validate_config must not fail a benchmark operation
     cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
     assert cfg["experiment"] == raw["experiment"]
+
+
+TINY_CONFIGS = json.loads((BENCH_CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.inf, -math.inf, math.nan]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_validate_config_returns_a_config_or_raises_config_error(data):
+    # any JSON value in one key of a valid config: a config, or ConfigError and nothing else
+    name = data.draw(st.sampled_from(sorted(TINY_CONFIGS)))
+    key = data.draw(st.sampled_from(["experiment", "output_dir", *cli.EXPERIMENTS[name]]))
+    raw = {**TINY_CONFIGS[name], "output_dir": "out", key: data.draw(JSON_VALUES)}
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, dict) and cfg["experiment"] in cli.EXPERIMENTS
 
 
 @pytest.mark.parametrize("override, key", [

@@ -21,22 +21,43 @@ V = 1e-3
 
 
 def make_params(delta, f, **kw):
-    return LabFrameParams.from_reduced(OM0, V, delta, f, **kw)
+    return LabFrameParams(OM0, V, delta, f, **kw)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        LabFrameParams(omega0=1.0, V=1e-3, F=0.0, omegaF=3.0)   # far off resonance
+        LabFrameParams(omega0=1.0, V=1e-3, delta=500.0, f=0.0)  # omegaF = 3, far off resonance
     with pytest.raises(ValueError):
-        LabFrameParams(omega0=1.0, V=0.2, F=0.0, omegaF=2.0)    # V too large
+        LabFrameParams(omega0=1.0, V=0.2, delta=0.0, f=0.0)     # V too large
     with pytest.raises(ValueError):
-        LabFrameParams(omega0=1.0, V=1e-3, F=0.0, omegaF=2.0, k_cut=2)
+        LabFrameParams(omega0=1.0, V=1e-3, delta=0.0, f=-0.1)   # negative drive
+    with pytest.raises(ValueError):
+        LabFrameParams(omega0=1.0, V=1e-3, delta=0.0, f=0.0, k_cut=2)
 
 
-def test_round_trip_reduced_params():
+def test_lab_drive_from_reduced_controls():
+    # omegaF = 2 (omega0 + delta V) and F = 4 omega0 f V, exact in binary here
+    p = LabFrameParams(omega0=1.0, V=2.0 ** -10, delta=1.5, f=0.75)
+    assert p.omegaF == 2.0 + 3.0 / 1024.0
+    assert p.F == 3.0 / 1024.0
+    # and as the float operations of the formulas at the package's usual values
     p = make_params(1.8, 0.7)
-    assert p.delta == pytest.approx(1.8)
-    assert p.f == pytest.approx(0.7)
+    assert p.omegaF == 2.0 * (OM0 + 1.8 * V)
+    assert p.F == 4.0 * OM0 * 0.7 * V
+
+
+def test_eps_rwa_is_the_rwa_chain_at_the_given_controls():
+    # the RWA side diagonalises the chains at the delta and f it was given, to
+    # the bit: a round trip through the lab frame used to shift delta = 1.8
+    for delta, f, n_cut in ((1.8, 1.0, 12), (1.8, 0.7, 24), (0.3, 0.8, 24)):
+        p = make_params(delta, f, n_cut=n_cut)
+        table = floquet_vs_rwa(p)
+        chains = {parity: parity_eigh(n_cut, RwaSystem(delta, f), parity)[1]
+                  for parity in (1, -1)}
+        labels = zip(table["parity"].astype(int), table["rank"].astype(int))
+        expected = [quasienergy_from_rwa(chains[parity][rank] * V, parity, p.omegaF)
+                    for parity, rank in labels]
+        assert table["eps_rwa"].tolist() == expected
 
 
 def test_q_squared_oracle():
@@ -201,7 +222,7 @@ def test_fourier_quasienergy_a_hair_below_zero_folds_to_zero(monkeypatch):
 def test_rwa_error_decreases_with_nonlinearity():
     worst = []
     for v in (1e-3, 5e-4, 2.5e-4):
-        table = floquet_vs_rwa(LabFrameParams.from_reduced(OM0, v, 0.3, 0.8))
+        table = floquet_vs_rwa(LabFrameParams(OM0, v, 0.3, 0.8))
         worst.append(float(np.max(table["discrepancy"])) / v)
     assert worst[0] > worst[1] > worst[2]
 

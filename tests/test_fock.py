@@ -7,8 +7,8 @@ from parosc.fock import (
     FockSpace,
     convergence_report,
     check_state,
+    check_edge,
     ladder_operators,
-    tail_population,
 )
 
 
@@ -58,31 +58,35 @@ def test_parity_expectations():
     assert np.vdot(cat, p @ cat).real == pytest.approx(1.0)
 
 
-def test_tail_population_vacuum_and_top():
-    sp = FockSpace(10)
-    assert tail_population(sp.vacuum(), 5) == 0.0
-    assert tail_population(sp.basis_state(9), 1) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        tail_population(sp.vacuum(), 10)
-
-
-def test_tail_population_density_matrix():
-    sp = FockSpace(6)
-    rho = np.outer(sp.basis_state(5), sp.basis_state(5))
-    assert tail_population(rho, 2) == pytest.approx(1.0)
-
-
 def test_coherent_tail_matches_poisson_and_shrinks():
     alpha = 1.3
     tails = []
     for dim in (12, 18, 24):
         psi = FockSpace(dim).coherent_state(alpha)
-        tail = tail_population(psi, 4)
+        tail = float(np.sum(np.abs(psi[-4:]) ** 2))
         # oracle: Poisson occupation statistics, mass in levels [dim-4, dim)
         expected = poisson_tail(alpha**2, dim - 4) - poisson_tail(alpha**2, dim)
         assert tail == pytest.approx(expected, rel=1e-8, abs=1e-15)
         tails.append(tail)
     assert tails[0] > tails[1] > tails[2]
+
+
+def test_check_edge_names_the_rank_that_leans_on_the_edge():
+    # dim 16 holds its top edge_levels(16) = 4 levels to EDGE_TOL = 1e-8
+    idx = np.arange(16)
+    v = np.zeros((16, 3))
+    v[0, 0] = 1.0
+    v[11, 1] = 1.0                                      # just below the edge
+    v[[0, 12], 2] = np.sqrt([1.0 - 2e-8, 2e-8])         # 2e-8 on level 12
+    check_edge(idx, v[:, :2], 16, range(2))
+    with pytest.raises(ConvergenceError, match="rank 7 has tail population 2e-08 > 1e-08"):
+        check_edge(idx, v, 16, [5, 6, 7])
+    # idx holds Fock levels: row j of an odd chain is level 2j + 1
+    odd = np.zeros((8, 2))
+    odd[5, 0], odd[6, 1] = 1.0, 1.0                     # levels 11 and 13
+    check_edge(np.arange(1, 16, 2), odd[:, :1], 16, [0])
+    with pytest.raises(ConvergenceError, match="rank 3 has tail population 1 "):
+        check_edge(np.arange(1, 16, 2), odd, 16, [2, 3])
 
 
 def test_coherent_tail_tol_raises():

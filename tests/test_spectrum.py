@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import build_h_rwa, column, same_parity_gap
-from parosc.fock import ConvergenceError, FockSpace, tail_population
+from parosc.fock import ConvergenceError, FockSpace
 from parosc.rwa import (RwaSystem, h_rwa_bands, level_label_at_zero_drive, parity_eigh,
                         semiclassics, zero_drive_levels)
 from parosc.spectrum import eigenstate_by_label, find_degeneracy_points, spectrum_vs_drive
@@ -94,7 +94,7 @@ class TestSpectrumSeries:
         # reference: tail weight of the embedded rank-0 eigenvector at the last drive
         sp = FockSpace(16)
         _, phi = eigenstate_by_label(sp, 0.0, 5.0, 1, 0)
-        expected = f"tail population {tail_population(phi, 4):.3g} "
+        expected = f"tail population {np.sum(np.abs(phi[-4:]) ** 2):.3g} "
         with pytest.raises(ConvergenceError, match=f"rank 0 has {expected}"):
             spectrum_vs_drive(sp, 0.0, np.array([0.0, 5.0]), 3)
         spectrum_vs_drive(FockSpace(60), 0.0, np.array([0.0, 5.0]), 3)
@@ -162,3 +162,14 @@ def test_eigenstate_by_label_phase_and_energy():
     assert phi[k].real > 0
     with pytest.raises(ValueError):
         eigenstate_by_label(sp, 0.0, 0.0, 1, 100)
+
+
+def test_eigenstate_by_label_trivial_overlaps():
+    # |<phi_label|psi>|^2, the ramp's fidelity, in the cases with a known answer
+    sp = FockSpace(20)
+    _, phi = eigenstate_by_label(sp, 0.7, 0.0, 1, 0)
+    assert np.abs(np.vdot(phi, sp.vacuum())) ** 2 == pytest.approx(1.0)
+    _, phi = eigenstate_by_label(sp, 0.7, 1.3, 1, 0)      # orthogonal parity
+    assert np.abs(np.vdot(phi, sp.basis_state(1))) ** 2 == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(ValueError):
+        eigenstate_by_label(sp, 0.0, -1.0, 1, 0)
