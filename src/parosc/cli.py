@@ -79,7 +79,7 @@ EXPERIMENTS: dict[str, dict[str, tuple[type, object, tuple | None]]] = {
     "lz": {
         "delta2_over_s": (float, None, NON_NEGATIVE),
         "sign": (int, 1, ("in", {-1, 1})),
-        "t_max": (float, 12.0, POSITIVE),
+        "t_max": (float, 12.0, (">=", sys.float_info.min)),   # normal: strictly ascending times
         "n_out": (int, 1201, (">=", 2)),
     },
     "decay_rates": {
@@ -171,6 +171,10 @@ def validate_config(raw: dict) -> dict:
     if name == "radiation" and cfg["T_max"] < 10.0 / cfg["gamma_tilde"]:
         raise ConfigError(f"key T_max = {cfg['T_max']} too short; "
                           f"need >= 10/gamma_tilde = {10.0 / cfg['gamma_tilde']}")
+    # as for lz's t_max, a ramp's output times ascend strictly only over a normal float
+    drive = "f" if name == "radiation" else "f_final"
+    if "s_tilde" in schema and cfg[drive] / cfg["s_tilde"] < sys.float_info.min:
+        raise ConfigError(f"ramp time key {drive} / key s_tilde is below {sys.float_info.min}")
     # spectrum_vs_drive needs an ascending drive grid
     if "f_min" in schema and cfg["f_min"] > cfg["f_max"]:
         raise ConfigError(f"key f_min = {cfg['f_min']} must be <= key f_max = {cfg['f_max']}")

@@ -17,10 +17,10 @@ P^128, the square after the last.  The stepping hands out these blocks in turn
 and keeps only the last one.
 
 The stepping is real arithmetic: ``lindblad.Sector.block`` is L_s in the
-Hermitian basis, where it is a real matrix, so P, P^128 and every stepped row
-are real.  A Hermitian state (rho0 - rho_st, say) is one real row; any other
-vector, such as the seeds rho a_dag or the row of Tr[a .], is two real rows,
-its real and imaginary coordinates.
+Hermitian basis, where it is a real matrix, so P and P^128 act on the float view
+of the states, in which a complex vector is two interleaved real ones.  A
+Hermitian rho0 (``emission_spectra`` requires one) has real coordinates; the
+row of Tr[a .] is stepped as the complex vector it is.
 
 The steady state and every rho built from parity eigenstates live in the even
 sector.  The trace against a sees only the odd sector, which the seeds
@@ -30,7 +30,7 @@ tr_a Lambda^tau; ``emission_spectra`` reads both spectra, as arrays on the
 caller's grid, off one stepping of those rows.  K is linear, so the trapezoid
 prefix over t' of the seeds is K of the prefix B of the even deviation.  B,
 formed block by block as the deviation is stepped, is the one array of all
-n_t times that the spectra keep: n_t x d^2/2 reals for a Hermitian rho0.
+n_t times that the spectra keep: n_t x d^2/2 reals.
 Each block of adjoint rows tau_j, j in [a, b), then meets the reversed slice
 B[n_t-b : n_t-a] through K alone, so the odd seeds and rows never exist for
 more than one block of times.
@@ -69,7 +69,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .fock import ladder_operators
 from .lindblad import Gather, Liouvillian, steady_state
@@ -83,7 +82,7 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
     40840800, 960960, 16380, 182, 1))
 _THETA13 = 5.371920351148152
 _RELAX_TOL = 1e-4   # largest |rho(T_max) - rho_st| entry before the relaxation warning
-_HERMITIAN_TOL = 1e-14      # largest |Im y| / max|y| of coordinates stepped as one real row
+_HERMITIAN_TOL = 1e-12      # largest max|rho0 - rho0^dag| / max|rho0| of a Hermitian rho0
 _SPECTRUM_PHASE = 0.2       # largest x dt of the spectra: each x resolved
 
 
@@ -165,49 +164,35 @@ class _SteppingFlow:
     def states(self, s: int, x: np.ndarray, adjoint: bool = False):
         """Blocks (start, rows) of the rows exp(L_s t) x, or x^T exp(L_s t) if adjoint.
 
-        rows[k] is the state at ts[start + k], and a block holds at most
-        _BLOCK times: shape (n,) + x.shape.  x holds real coordinates of
-        sector s: one vector, or a stack of them (shape (r, m)) that is
-        stepped together.  Each block is computed from the one before, the
-        only one kept, so callers must not write to a block.
+        x is one coordinate vector of sector s, real or complex; rows[k] is the
+        state at ts[start + k], of the dtype of x, and a block holds at most
+        _BLOCK times: shape (n, len(x)).  Each block is computed from the one
+        before, the only one kept, so callers must not write to a block.
         """
-        # rows advance as rows[k + j] = rows[j] @ M^k with M = P (adjoint) or
-        # P^T: the first block doubles from rows[0], squaring M as it goes,
-        # and the square after the last is the jump M^_BLOCK to the next block
-        m = x.shape[-1]
-        block = np.empty((min(self.n_t, _BLOCK),) + x.shape)
-        block[0] = x
+        # the states are the columns of an (m, n) block, column k + j = M^k
+        # column j with M = P^T (adjoint) or P.  M is real, so it multiplies the
+        # block's float view, in which a complex column is two real columns.
+        # The first block doubles from column 0, squaring M as it goes, and the
+        # square after the last is the jump M^_BLOCK to the next block
+        block = np.empty((len(x), min(self.n_t, _BLOCK)), x.dtype)
+        block[:, 0] = x
         k, power = 1, None
-        while k < len(block):
+        while k < block.shape[1]:
             if power is None:
-                power = self._prop(s) if adjoint else self._prop(s).T
+                power = self._prop(s).T if adjoint else self._prop(s)
             else:
                 power = power @ power
-            n = min(k, len(block) - k)
-            np.matmul(block[:n].reshape(-1, m), power, out=block[k:k + n].reshape(-1, m))
+            n = min(k, block.shape[1] - k)
+            np.matmul(power, block[:, :n].view(float), out=block[:, k:k + n].view(float))
             k *= 2
-        yield 0, block
+        yield 0, block.T
         if self.n_t > _BLOCK:
             jump = power @ power
         for start in range(_BLOCK, self.n_t, _BLOCK):
             n = min(_BLOCK, self.n_t - start)
-            # the r rows of each time are consecutive rows of one matrix
-            block = (block[:n].reshape(-1, m) @ jump).reshape((n,) + x.shape)
-            yield start, block
+            block = (jump @ block[:, :n].view(float)).view(x.dtype)
+            yield start, block.T
 
-    def complex_blocks(self, s: int, y: np.ndarray, adjoint: bool = False):
-        """``states`` of complex coordinates y: one real row if y is real to rounding, else two.
-
-        A Hermitian matrix has real coordinates, but products such as
-        psi psi^dag round its imaginary parts only to about eps, not to 0.
-        Real rows are yielded as they are stepped, two rows as complex rows.
-        """
-        imag = np.max(np.abs(y.imag), initial=0.0)
-        if imag <= _HERMITIAN_TOL * np.max(np.abs(y), initial=0.0):
-            yield from self.states(s, y.real, adjoint)
-            return
-        for start, rows in self.states(s, np.stack([y.real, y.imag]), adjoint):
-            yield start, rows[:, 0] + 1j * rows[:, 1]
 
 def _operators(liou: Liouvillian) -> np.ndarray:
     """Row tr_a with Tr[a M] = tr_a . vec(M)."""
@@ -236,25 +221,26 @@ def _odd_operators(liou: Liouvillian):
 
 
 def _fourier_quadrature(xs: np.ndarray, ts: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """2 Re sum_j signal_j e^{i x_k t_j} for every x_k, on uniform grids xs and ts.
+    """2 Re sum_j signal[..., j] e^{i x_k t_j} for every x_k, on uniform grids xs and ts.
 
-    With x_k = x_0 + k h and t_j = t_0 + j dt the phase splits as
-    x_k t_0 + x_0 j dt + h dt (k^2 + j^2 - (k - j)^2) / 2, so the sum is a chirp
-    times the convolution of the chirped samples with the conjugate chirp,
-    evaluated by FFT (chirp-z transform).  The chirp phases reach h dt n^2 / 2
-    for n = max(len(xs), len(ts)), so their rounding error is about
-    eps h dt n^2 where the direct sum has eps max|x t|.
+    signal is one time signal or a stack of them, on its last axis.  With
+    x_k = x_0 + k h and t_j = t_0 + j dt the phase splits as x_k t_0 + x_0 j dt
+    + h dt (k^2 + j^2 - (k - j)^2) / 2, so the sum is a chirp times the
+    convolution of the chirped samples with the conjugate chirp: a chirp-z
+    transform by NumPy's FFT of a power-of-two length, the kernel's once for
+    the stack.  The chirp phases reach h dt n^2 / 2 for n = max(len(xs), len(ts)),
+    so their rounding error is about eps h dt n^2 where the direct sum has eps max|x t|.
     """
     n_x, n_t = len(xs), len(ts)
     if n_x == 0:
-        return np.zeros(0)
+        return np.zeros(signal.shape[:-1] + (0,))
     dt = _uniform_step(ts, "time grid")
     theta = _uniform_step(xs, "omega_grid") * dt
     j, k, m = np.arange(n_t), np.arange(n_x), np.arange(1 - n_t, n_x)
-    n_fft = next_fast_len(n_t + n_x - 1)
+    n_fft = 1 << (n_t + n_x - 2).bit_length()         # the least power of two >= n_t + n_x - 1
     chirped = signal * np.exp(1j * (xs[0] * dt * j + 0.5 * theta * j * j))
-    kernel = np.exp(-0.5j * theta * m * m)
-    conv = ifft(fft(chirped, n_fft) * fft(kernel, n_fft))[n_t - 1:n_t - 1 + n_x]
+    kernel = np.fft.fft(np.exp(-0.5j * theta * m * m), n_fft)
+    conv = np.fft.ifft(np.fft.fft(chirped, n_fft) * kernel)[..., n_t - 1:n_t - 1 + n_x]
     return 2.0 * np.real(np.exp(1j * (xs * ts[0] + 0.5 * theta * k * k)) * conv)
 
 
@@ -289,14 +275,23 @@ def emission_spectra(liou: Liouvillian, rho0: np.ndarray, T_max: float,
     frequency, windowed at T_max like E_rad.  n_excess is the trapezoid sum of
     Int_0^T_max dt (<n>(t) - <n>_st) on the same grid with its end correction
     -dt^2/12 [d<n>/dt]_0^T_max, the time side of ``sum_rule_check``.
-    Requires T_max >= 10/gamma_tilde and warns if rho(T_max) has not relaxed
-    to the steady state.
+    Requires a Hermitian rho0 (see ``_hermitian``) and T_max >= 10/gamma_tilde,
+    and warns if rho(T_max) has not relaxed to the steady state.
     """
+    rho0 = _hermitian(rho0)
     omega_grid = np.asarray(omega_grid, dtype=float)
     ts = spectrum_time_grid(liou, T_max, omega_grid)
-    u_s, u_c, n_excess = _transient(liou, rho0, ts)
-    return (_fourier_quadrature(omega_grid, ts, u_s), _fourier_quadrature(omega_grid, ts, u_c),
-            n_excess)
+    signals, n_excess = _transient(liou, rho0, ts)
+    return *_fourier_quadrature(omega_grid, ts, signals), n_excess
+
+
+def _hermitian(rho0) -> np.ndarray:
+    """rho0 as a complex array; ValueError if max|rho0 - rho0^dag| > _HERMITIAN_TOL max|rho0|."""
+    rho0 = np.asarray(rho0, complex)
+    skew = float(np.max(np.abs(rho0 - rho0.conj().T), initial=0.0))
+    if skew > _HERMITIAN_TOL * np.max(np.abs(rho0), initial=0.0):
+        raise ValueError(f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {skew:.3g}")
+    return rho0
 
 
 def _diagonal_row(liou: Liouvillian, w) -> np.ndarray:
@@ -306,14 +301,13 @@ def _diagonal_row(liou: Liouvillian, w) -> np.ndarray:
 
 
 def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
-    """(w S(tau), w C_st(tau), Int dt (<n>(t) - <n>_st)) on the uniform grid ts.
+    """([w S(tau), w C_st(tau)], Int dt (<n>(t) - <n>_st)) on the uniform grid ts, rho0 Hermitian.
 
     w are the trapezoid weights, so E_rad and Q_st are the Fourier sums
-    2 Re sum_j u_j e^{i x t_j} of the first two.  Both correlators are the odd
-    adjoint rows tr_a Lambda^tau against different seeds.
+    2 Re sum_j u_j e^{i x t_j} of the two rows of the first value.  Both
+    correlators are the odd adjoint rows tr_a Lambda^tau against different seeds.
     """
     dt, n_t = ts[1] - ts[0], len(ts)
-
     even, odd = liou.sectors
     tr_a, seed = _odd_operators(liou)
     flow = _SteppingFlow(liou, ts)
@@ -322,7 +316,7 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     # Only its even part seeds the odd sector that tr_a sees; the odd part
     # enters the relaxation check alone.
     rho_st = steady_state(liou).reshape(-1)
-    dev0 = np.asarray(rho0, complex).reshape(-1) - rho_st
+    dev0 = rho0.reshape(-1) - rho_st
     # the sum rule's Int dt (<n>(t) - <n>_st); d<n>/dt = n_rate . dev for its end term
     n_row = _diagonal_row(liou, np.arange(liou.dim))
     n_rate = n_row @ even.block
@@ -332,12 +326,12 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     # and c its running sum (c[-1] = 0).  The seed map K is linear, so K B[r] is
     # the prefix of the seeds; B is the one full-length array of the spectra.
     carry = 0.0
-    for start, dev in flow.complex_blocks(0, even.to_herm(dev0[even.idx])):
+    for start, dev in flow.states(0, even.to_herm(dev0[even.idx]).real):
         if start == 0:
             prefix = np.empty((n_t, dev.shape[1]), dev.dtype)
             h0 = 0.5 * dt * dev[0]
-            rate0 = float(np.real(dev[0] @ n_rate))
-        excess[start:start + len(dev)] = np.real(dev @ n_row)
+            rate0 = float(dev[0] @ n_rate)
+        excess[start:start + len(dev)] = dev @ n_row
         c = prefix[start:start + len(dev)]
         np.multiply(dev, 0.5 * dt, out=c)
         c[0] += carry
@@ -348,10 +342,10 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
         c -= h0
         carry = last
     left = float(np.max(np.abs(even.to_fock(dev[-1]))))
-    odd0 = odd.to_herm(dev0[odd.idx])
+    odd0 = odd.to_herm(dev0[odd.idx]).real
     if np.any(odd0):
         # only the last row counts; each block replaces the one before
-        for _, rows in flow.complex_blocks(1, odd0):
+        for _, rows in flow.states(1, odd0):
             pass
         left = max(left, float(np.max(np.abs(odd.to_fock(rows[-1])))))
     if left > _RELAX_TOL:
@@ -362,16 +356,16 @@ def _transient(liou: Liouvillian, rho0: np.ndarray, ts: np.ndarray):
     #          = [tr_a Lambda^{tau_j}] . K B[n-1-j],
     # so the adjoint rows j in [a, b) pair with B[n-b : n-a] reversed
     seed_st = seed(even.to_herm(rho_st[even.idx]).real)
-    s_tau, c_st = np.empty(n_t, complex), np.empty(n_t, complex)
-    for a, rows in flow.complex_blocks(1, tr_a, adjoint=True):
+    s_tau, c_st = signals = np.empty((2, n_t), complex)
+    for a, rows in flow.states(1, tr_a, adjoint=True):
         b = a + len(rows)
         s_tau[a:b] = np.einsum("jm,jm->j", rows, seed(prefix[n_t - b:n_t - a][::-1]))
         c_st[a:b] = rows @ seed_st
     w = np.full(n_t, dt)
     w[0] = w[-1] = 0.5 * dt
     # Euler-Maclaurin: the trapezoid exceeds the integral by dt^2/12 [d<n>/dt]_0^T + O(dt^4)
-    end = dt**2 / 12.0 * (float(np.real(dev[-1] @ n_rate)) - rate0)
-    return w * s_tau, w * c_st, float(np.sum(w * excess)) - end
+    end = dt**2 / 12.0 * (float(dev[-1] @ n_rate) - rate0)
+    return w * signals, float(np.sum(w * excess)) - end
 
 
 def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:
@@ -384,18 +378,19 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:
     block elimination of ``Liouvillian.even_solve`` gives a solution y with
     rho_00 = 0, and Y = y - (Tr y) rho_st.  The row it leaves out, s = 0, is
     the solvability condition Tr(rho0 - rho_st) = 0, so rho0 must have unit
-    trace (to 1e-10), or ``ValueError``.  lhs matches the n_excess of
-    ``emission_spectra`` once rho(T_max) has relaxed.  slowest_odd_rate is
+    trace (to 1e-10) and, as for ``emission_spectra``, be Hermitian, or
+    ``ValueError``.  lhs matches the n_excess of ``emission_spectra`` once
+    rho(T_max) has relaxed.  slowest_odd_rate is
     min -Re mu over the eigenvalues mu of the odd block: the correlators keep
     about exp(-rate T_max) past T_max.
     """
-    rho0 = np.asarray(rho0, complex)
+    rho0 = _hermitian(rho0)
     trace = complex(np.trace(rho0))
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"sum rule needs a unit-trace rho0: Tr rho0 = {trace:.12g}")
     even, odd = liou.sectors
     rho_st = steady_state(liou).reshape(-1)[even.idx]
-    # L maps real coordinates to real ones, so the real part of Y carries Re <n>
+    # L maps real coordinates to real ones, and a Hermitian rho0 has real ones
     y = liou.even_solve(-even.to_herm(rho0.reshape(-1)[even.idx] - rho_st).real, 0.0)
     y -= (_diagonal_row(liou, 1.0) @ y) * even.to_herm(rho_st).real     # Y, with Tr Y = 0
     return (float(_diagonal_row(liou, np.arange(liou.dim)) @ y),

@@ -382,8 +382,8 @@ def fock_rows(flow: _SteppingFlow, x: np.ndarray, adjoint: bool = False) -> np.n
     out = np.zeros((flow.n_t, x.size), dtype=complex)
     for s, sector in enumerate(flow.sectors):
         if np.any(x[sector.idx]):
-            for start, rows in flow.complex_blocks(
-                    s, flip(sector.to_herm(flip(x[sector.idx]))), adjoint):
+            for start, rows in flow.states(s, flip(sector.to_herm(flip(x[sector.idx]))),
+                                           adjoint):
                 out[start:start + len(rows), sector.idx] = flip(sector.to_fock(flip(rows)))
     return out
 

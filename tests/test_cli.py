@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -166,6 +167,11 @@ def assert_rejected_before_run(tmp_path, capsys, payload, override, *needles):
     ("floquet_check", "n_track=13", "n_track,n_cut"),   # used to die in a numpy broadcast
     ("spectrum", "f_min=1.0", "f_min,f_max"),
     ("decay_rates", "f_min=7.0", "f_min,f_max"),
+    # a subnormal duration held no strictly ascending output grid: the runs
+    # died in a bare ValueError of the CF4 sweep
+    ("lz", "t_max=1e-323", "t_max"),
+    ("ramp", "f_final=1e-323", "f_final,s_tilde"),
+    ("radiation", "f=1e-323", "f,s_tilde"),
 ])
 def test_bad_value_rejected_before_run(tmp_path, capsys, experiment, override, key):
     keys = {**TINY, "zero_drive": {"delta": 2.0}, "lz": {"delta2_over_s": 1.0},
@@ -226,6 +232,54 @@ def test_validate_config_returns_a_config_or_raises_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, dict) and cfg["experiment"] in cli.EXPERIMENTS
+
+
+def sweep_values(name, key):
+    """Values of one numeric key of the tiny.json ``name`` config, inside its validated domain.
+
+    Each range ends at twice tiny's value (the default where tiny sets none), so
+    no run is more than twice tiny's size; s_tilde and rel_tol, which cost more
+    as they shrink, start at half of it.  T_max starts at 10/gamma_tilde.
+    """
+    typ, default, domain = cli.EXPERIMENTS[name][key]
+    v0 = TINY_CONFIGS[name].get(key, default)
+    if domain and domain[0] == "in":
+        return st.sampled_from(sorted(domain[1]))
+    if key == "T_max":
+        lo = 10.0 / TINY_CONFIGS[name]["gamma_tilde"]
+    elif key in ("s_tilde", "rel_tol"):
+        lo = v0 / 2
+    elif domain:
+        lo = domain[1]
+    else:
+        return st.floats(-2 * abs(v0) - 2, 2 * abs(v0) + 2)
+    if typ is int:
+        return st.integers(lo + (domain[0] == ">"), max(2 * v0, lo))
+    return st.floats(lo, 2 * v0, exclude_min=domain == cli.POSITIVE)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_each_run_writes_its_manifest_or_raises_a_named_error(data):
+    # one numeric key of a tiny.json config drawn inside its domain: the run writes
+    # its manifest, converged or flagged, or ends in ConfigError (a cross-key
+    # check), ConvergenceError (a truncation edge) or wigner's grid-too-small error
+    name = data.draw(st.sampled_from(sorted(TINY_CONFIGS)))
+    key = data.draw(st.sampled_from([k for k, (typ, _, _) in cli.EXPERIMENTS[name].items()
+                                     if typ in (int, float)]))
+    raw = {**TINY_CONFIGS[name], key: data.draw(sweep_values(name, key))}
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            run_experiment(validate_config({**raw, "output_dir": out}))
+        except (ConfigError, ConvergenceError):
+            return
+        except ValueError as exc:
+            if name == "wigner" and "grid too small" in str(exc):
+                return
+            raise
+        manifest = json.loads((Path(out) / "manifest.json").read_text(encoding="utf-8"))
+    assert isinstance(manifest["convergence"]["converged"], bool)
 
 
 @pytest.mark.parametrize("override, key", [
