@@ -258,12 +258,16 @@ def _cf4_record(result):
     return {"cf4_steps": result.steps, "cf4_error_estimate": result.error_estimate}
 
 
-def _vacuum_ramp(dim, cfg, f_final, rel_tol, output_times=None):
-    """(space, result) of the vacuum of a dim-level truncation ramped from zero drive to f_final."""
+def _vacuum_ramp(dim, cfg, f_final, rel_tol, output_times=None, counts=None):
+    """(space, result) of the vacuum of a dim-level truncation ramped from zero drive to f_final.
+
+    A dim+10 probe passes the step counts its run accepted: one CF4 pass on the
+    run's schedule, so the report measures truncation alone.
+    """
     space = FockSpace(dim)
     protocol = RampProtocol(delta=cfg["delta"], f_final=f_final, s_tilde=cfg["s_tilde"],
                             initial_state=space.vacuum(), output_times=output_times)
-    return space, evolve_ramp(space, protocol, rel_tol=rel_tol)
+    return space, evolve_ramp(space, protocol, rel_tol=rel_tol, counts=counts)
 
 
 def _run_ramp(cfg):
@@ -281,7 +285,8 @@ def _run_ramp(cfg):
                "target_label": list(result.target_label), **_cf4_record(result)}
 
     def probe(dim):
-        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1].final_fidelity
+        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"], times,
+                            result.counts)[1].final_fidelity
 
     return ({"ramp.csv": table}, results,
             convergence_report(result.final_fidelity, probe, cfg["dim"]))
@@ -304,7 +309,8 @@ def _run_wigner(cfg):
     # zero-padded to dim + step, so weight above level dim counts; since
     # |W_psi - W_phi| <= 2 ||psi - phi|| / (pi lam) at every point, it bounds the grid
     def probe(dim):
-        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"])[1].final_state.view(float)
+        return _vacuum_ramp(dim, cfg, cfg["f_final"], cfg["rel_tol"],
+                            counts=result.counts)[1].final_state.view(float)
 
     step = 10
     return {"wigner.csv": table}, results, convergence_report(
@@ -357,9 +363,12 @@ def _run_decay_rates(cfg):
     return {"decay_rates.csv": table}, {}, convergence_report(base, probe, cfg["dim"])
 
 
-def _radiation_run(dim, cfg, xs):
-    """``emission_spectra`` at truncation dim, and the Liouvillian, rho0 and ramp behind it."""
-    space, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8)
+def _radiation_run(dim, cfg, xs, counts=None):
+    """``emission_spectra`` at truncation dim, and the Liouvillian, rho0 and ramp behind it.
+
+    ``counts`` fixes the ramp's CF4 schedule, as for ``_vacuum_ramp``.
+    """
+    space, ramp = _vacuum_ramp(dim, cfg, cfg["f"], 1e-8, counts=counts)
     rho0 = np.outer(ramp.final_state, ramp.final_state.conj())
     liou = build_liouvillian(space, RwaSystem(delta=cfg["delta"], f=cfg["f"]),
                              cfg["gamma_tilde"])
@@ -389,7 +398,7 @@ def _run_radiation(cfg):
     k = max(1, len(xs) // 16)
 
     def probe(dim):
-        return np.concatenate(_radiation_run(dim, cfg, xs[::k])[:2])
+        return np.concatenate(_radiation_run(dim, cfg, xs[::k], ramp.counts)[:2])
 
     base = np.concatenate([e_rad[::k], q_st[::k]])
     return tables, results, convergence_report(base, probe, cfg["dim"],

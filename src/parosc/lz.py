@@ -106,11 +106,11 @@ def lz_evolve_numeric(prob: LzProblem, t_max: float, rel_tol: float = 1e-10,
     a = (np.zeros(2), np.array([Delta]))
     b = (np.array([s, -s]), np.zeros(1))
     y0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    states, steps, estimate = propagate_linear(a, b, y0, ts, rel_tol)
+    states, counts, estimate = propagate_linear(a, b, y0, ts, rel_tol)
     c_plus, c_minus = states.T
     c_up, c_down = _up_down_projection(c_plus, c_minus, Delta, s, ts)
     return LzSolution(t_grid=ts, c_plus=c_plus, c_minus=c_minus, c_up=c_up, c_down=c_down,
-                      steps=steps, error_estimate=estimate)
+                      steps=int(counts.sum()), error_estimate=estimate)
 
 
 # above this p the ratio Gamma(-ip/2) / Gamma((1 - ip)/2) comes from its large-|z| expansion

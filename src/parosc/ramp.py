@@ -9,7 +9,8 @@ holds the target to ``fock.check_edge``.
 Landau-Zener sweep of ``parosc.lz``) with the fourth-order commutator-free Magnus
 exponential: H splits into independent tridiagonal chains (the two parity chains
 here), each step applies two exact chain exponentials, and step doubling meets
-``rel_tol`` as a global error target.  Mixed-parity initial states evolve on the
+``rel_tol`` as a global error target; given the step counts a sweep accepted, one
+pass on that schedule replaces the search.  Mixed-parity initial states evolve on the
 same path.  The kernel goes by chain length: chains of two states (the
 Landau-Zener sweep) build their exponentials from the Rabi formula as
 whole-array expressions and apply a block of steps through its prefix products,
@@ -73,8 +74,13 @@ class RampResult:
     final_state: np.ndarray
     target_label: tuple[int, int]
     final_fidelity: float       # |<target|state>|^2, the preparation probability
-    steps: int                  # CF4 steps of the accepted sweep
-    error_estimate: float       # its step-doubling error estimate
+    counts: np.ndarray          # CF4 steps in each interval times[i:i+2] of the sweep
+    error_estimate: float | None    # its step-doubling error estimate; None at given counts
+
+    @property
+    def steps(self) -> int:
+        """CF4 steps of the sweep."""
+        return int(self.counts.sum())
 
 
 def initial_label(space: FockSpace, delta: float, state: np.ndarray) -> tuple[int, int]:
@@ -236,15 +242,16 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
 
 
 def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
-                     psi0: np.ndarray, times: np.ndarray,
-                     rel_tol: float) -> tuple[np.ndarray, int, float]:
+                     psi0: np.ndarray, times: np.ndarray, rel_tol: float,
+                     counts: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """States psi(t), shape (len(times), dim), for i d/dt psi = (A + t B) psi from psi0.
 
     A and B are real symmetric, each given as (diag, off) with one off-diagonal
     at the offset k = len(diag) - len(off) that both share, so H(t) splits into
     the k independent tridiagonal chains r::k.  Returns the states at ``times``
-    (strictly ascending, psi0 at times[0]), the step count of the accepted
-    sweep and its error estimate.
+    (strictly ascending, psi0 at times[0]), the accepted sweep's step counts,
+    counts[i] equal steps in times[i:i+2], and its error estimate.
 
     Integrator: the fourth-order commutator-free Magnus exponential (Blanes &
     Moan 2006; Alvermann & Fehske 2011).  A step of size h from t is
@@ -263,7 +270,14 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     Each output interval gets ceil(dt/h) equal steps, so the state is recorded
     exactly at every output time, and the norm is kept to rounding.
 
-    Non-finite psi0, A or B, or a non-finite error estimate, raise ValueError.
+    Given ``counts`` (len(times) - 1 positive integers, such as the counts
+    an earlier sweep accepted), the schedule is fixed: one pass at those
+    counts, no search, and the estimate is None.  On the counts a search
+    accepted, the pass is bitwise the search's sweep; the dim+10 truncation
+    probes run so, and measure truncation alone.
+
+    Non-finite psi0, A or B, a non-finite error estimate or non-finite
+    states at given counts raise ValueError.
     ``rel_tol`` is a global error target on the unit-norm state.  Step
     doubling over the whole trajectory, starting from one step per output
     interval, halves h until max|psi_{h/2} - psi_h|/15 <= rel_tol and returns
@@ -282,6 +296,15 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     psi0 = np.asarray(psi0, dtype=complex)
     if not all(np.all(np.isfinite(x)) for x in (psi0, *a, *b)):
         raise ValueError("psi0, A and B must be finite")
+    if counts is not None:
+        counts = np.asarray(counts)
+        if (counts.shape != dts.shape or not np.issubdtype(counts.dtype, np.integer)
+                or not np.all(counts > 0)):
+            raise ValueError(f"counts must be {dts.size} positive integers, one per interval")
+        states = _cf4_pass(a, b, psi0, times, counts)
+        if not np.all(np.isfinite(states)):
+            raise ValueError(f"CF4 states are not finite at {int(counts.sum())} steps")
+        return states, counts, None
     h = dts.max()
     coarse, previous = _cf4_pass(a, b, psi0, times, np.ones(dts.size, dtype=int)), np.inf
     while True:
@@ -292,23 +315,28 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
         if not np.isfinite(estimate):
             raise ValueError(f"CF4 error estimate is {estimate} at {steps} steps")
         if estimate <= rel_tol:
-            return fine, steps, estimate
+            return fine, counts, estimate
         if estimate > previous / 4.0 and estimate <= len(psi0) * np.finfo(float).eps * steps:
             warnings.warn(f"rel_tol = {rel_tol:.1e} is below the rounding floor of "
                           f"{steps} steps; returning at error estimate {estimate:.1e}",
                           RuntimeWarning, stacklevel=2)
-            return fine, steps, estimate
+            return fine, counts, estimate
         coarse, previous = fine, estimate
 
 
-def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8) -> RampResult:
+def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8,
+                counts: np.ndarray | None = None) -> RampResult:
     """Integrate i d/dt phi = H(f = s_tilde*t) phi and score against the target.
 
     ``rel_tol`` is the global error target of ``propagate_linear``: the CF4
     sweep halves its step until the step-doubling estimate of the error on
     the unit-norm trajectory is at most ``rel_tol`` (below the rounding floor
-    it stops with a RuntimeWarning); ``steps`` and ``error_estimate`` of the
+    it stops with a RuntimeWarning); ``counts`` and ``error_estimate`` of the
     result record the accepted sweep.
+    Given ``counts``, the step counts of an earlier result on the same output
+    times (another truncation of the same ramp), the sweep is one CF4 pass on
+    that schedule, with no search and no estimate; the checks of finite input
+    and states and of the target's truncation edge still hold.
     The target eigenstate is the one sharing the initial state's (parity, rank)
     label at f_final.
     """
@@ -331,8 +359,9 @@ def evolve_ramp(space: FockSpace, protocol: RampProtocol, rel_tol: float = 1e-8)
         if abs(times[-1] - t_end) > 1e-12:
             times = np.concatenate([times, [t_end]])
 
-    traj, steps, estimate = propagate_linear(a, b, protocol.initial_state, times, rel_tol)
+    traj, counts, estimate = propagate_linear(a, b, protocol.initial_state, times, rel_tol,
+                                              counts)
     fidelity = float(np.abs(np.vdot(target, traj[-1])) ** 2)
     return RampResult(times=times, trajectory=traj, final_state=traj[-1],
                       target_label=label, final_fidelity=fidelity,
-                      steps=steps, error_estimate=estimate)
+                      counts=counts, error_estimate=estimate)

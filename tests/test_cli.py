@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import record_parity_eigh, same_parity_gap, weber_solution
-from parosc import cli, io, radiation
+from parosc import cli, io, radiation, ramp
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
 from parosc.fock import ConvergenceError, FockSpace
 from parosc.io import write_csv
@@ -599,9 +599,14 @@ TINY = {
 
 @pytest.mark.parametrize("experiment", sorted(TINY))
 def test_truncation_probe_runs_only_at_dim_check(tmp_path, monkeypatch, experiment):
-    # the report's base value is the run's own result: only dim_check is recomputed
-    dims = []
-    report = cli.convergence_report
+    # the report's base value is the run's own result: only dim_check is recomputed,
+    # and a ramp at dim_check is one CF4 pass on the run's accepted step counts
+    dims, pass_dims = [], []
+    report, cf4_pass = cli.convergence_report, ramp._cf4_pass
+
+    def recording_pass(a, b, psi0, times, counts):
+        pass_dims.append(len(psi0))
+        return cf4_pass(a, b, psi0, times, counts)
 
     def recording_probe(probe):
         def wrapped(dim):
@@ -613,11 +618,17 @@ def test_truncation_probe_runs_only_at_dim_check(tmp_path, monkeypatch, experime
         return report(*(recording_probe(a) if callable(a) else a for a in args), **kwargs)
 
     monkeypatch.setattr(cli, "convergence_report", recording_report)
+    monkeypatch.setattr(ramp, "_cf4_pass", recording_pass)
     cfg = validate_config({"experiment": experiment, **TINY[experiment],
                            "output_dir": str(tmp_path)})
     manifest = run_experiment(cfg)
-    assert dims == [manifest["convergence"]["dim_check"]]
+    dim_check = manifest["convergence"]["dim_check"]
+    assert dims == [dim_check]
     assert manifest["convergence"]["converged"]
+    ramps = experiment in ("ramp", "wigner", "radiation")
+    assert pass_dims.count(dim_check) == (1 if ramps else 0)
+    if experiment == "ramp":    # run and probe share grid and steps: truncation adds nothing
+        assert manifest["convergence"]["rel_diff"] == 0.0
 
 
 def test_wigner_report_sees_weight_above_dim(tmp_path, monkeypatch):

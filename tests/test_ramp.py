@@ -223,9 +223,9 @@ TWO_STATE_RAMPS = (linear_ramp(2, 1, 5, None, 5), linear_ramp(4, 2, 6, 1, 4))
 def test_propagate_linear_matches_oracle(case):
     a, b, psi0, times, k, empty = case
     rel_tol = 1e-8
-    states, steps, estimate = propagate_linear(a, b, psi0, times, rel_tol)
-    assert states.shape == (len(times), len(psi0)) and steps >= len(times) - 1
-    assert estimate <= rel_tol
+    states, counts, estimate = propagate_linear(a, b, psi0, times, rel_tol)
+    assert states.shape == (len(times), len(psi0)) and counts.shape == (len(times) - 1,)
+    assert np.all(counts >= 1) and estimate <= rel_tol
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
     if empty is not None:
         assert np.all(states[:, empty::k] == 0.0)
@@ -371,8 +371,8 @@ def test_rounding_floor_stops_with_warning():
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     times = np.linspace(0.0, 4.0, 41)
     with pytest.warns(RuntimeWarning, match="rounding floor"):
-        states, steps, estimate = propagate_linear(a, b, psi0, times, 1e-16)
-    assert 1e-16 < estimate <= 2 * np.finfo(float).eps * steps
+        states, counts, estimate = propagate_linear(a, b, psi0, times, 1e-16)
+    assert 1e-16 < estimate <= 2 * np.finfo(float).eps * counts.sum()
     # the oracle itself runs at rtol 1e-12
     assert np.max(np.abs(states - oracle(a, b, psi0, times))) <= 1e-10
     # a reachable target returns without a warning, at or below it, also when
@@ -393,18 +393,41 @@ def test_rounding_floor_stops_with_warning():
         propagate_linear(a, b, psi0, times, 0.0)
 
 
-
 @pytest.mark.parametrize("where", ["a", "b", "psi0"])
 def test_propagate_linear_rejects_non_finite(where):
     # a NaN A (`parosc run lz` with Delta = sqrt(-1)) made every error estimate
-    # NaN, so the step doubling never ended; non-finite input now fails at once
+    # NaN, so the step doubling never ended; non-finite input now fails at once,
+    # also on a given schedule
     good = {"a": (np.zeros(2), np.array([1.0])), "b": (np.array([1.0, -1.0]), np.zeros(1)),
             "psi0": np.array([1.0, 1.0]) / np.sqrt(2.0)}
     bad = {"a": (np.zeros(2), np.array([np.nan])), "b": (np.array([np.inf, -1.0]), np.zeros(1)),
            "psi0": np.array([np.nan, 1.0])}
     args = good | {where: bad[where]}
-    with pytest.raises(ValueError, match="finite"):
-        propagate_linear(args["a"], args["b"], args["psi0"], np.linspace(0.0, 1.0, 3), 1e-8)
+    for counts in (None, np.array([3, 5])):
+        with pytest.raises(ValueError, match="finite"):
+            propagate_linear(args["a"], args["b"], args["psi0"], np.linspace(0.0, 1.0, 3), 1e-8,
+                             counts)
+
+
+def test_a_pass_at_given_counts_rejects_non_finite_states():
+    # finite bands whose H(t) overflows within the sweep: no estimate catches
+    # the NaN states of a single pass, so the pass checks them itself
+    a, b = (np.zeros(2), np.array([1.0])), (np.array([1e308, -1e308]), np.zeros(1))
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        propagate_linear(a, b, psi0, np.array([0.0, 1.0, 4.0]), 1e-8, np.array([2, 2]))
+
+
+@pytest.mark.parametrize("counts", [[2, 2], [2, 2, 2, 2], [2, 0, 2], [2, -1, 2],
+                                    [2.0, 2.0, 2.0], [[2, 2, 2]]])
+def test_given_counts_are_one_positive_integer_per_interval(counts):
+    a, b, psi0, times, _, _ = linear_ramp(6, 2, 1, None, 4)
+    with pytest.raises(ValueError, match="counts"):
+        propagate_linear(a, b, psi0, times, 1e-8, np.array(counts))
+    space = FockSpace(16)
+    protocol = make_protocol(space, 0.0, 0.5, 0.5, output_times=np.array([0.0, 0.25, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="counts"):
+        evolve_ramp(space, protocol, counts=np.array(counts))
 
 
 # twice the infidelity 1 - F measured for each rank k
@@ -507,6 +530,37 @@ def test_pool_leaves_every_state_bitwise_unchanged(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ramp, "_BLOCK_ENTRIES", 64)
         assert_bitwise_equal(pool_variants(lambda: propagate_linear(a, b, psi0, times, 1e-8)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(linear_ramps())
+@example(TWO_STATE_RAMPS[0])
+@example(TWO_STATE_RAMPS[1])
+def test_a_pass_at_the_accepted_counts_is_the_search_bitwise(case):
+    # the dim+10 probes make one pass on the counts their run accepted; on the
+    # run's own ramp that pass is the accepted sweep, pooled or not
+    a, b, psi0, times, _, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ramp, "_BLOCK_ENTRIES", 64)
+        states, counts, _ = propagate_linear(a, b, psi0, times, 1e-8)
+        for again, given_counts, estimate in pool_variants(
+                lambda: propagate_linear(a, b, psi0, times, 1e-8, counts)):
+            assert again.tobytes() == states.tobytes()
+            assert np.array_equal(given_counts, counts) and estimate is None
+
+
+def test_the_tomography_probe_is_its_own_search_bitwise():
+    # the README wigner example: its d = 50 probe, one pass at the d = 40 run's
+    # counts, is the sweep that a search at d = 50 accepts, so the report keeps its value
+    runs = {}
+    for dim in (40, 50):
+        space = FockSpace(dim)
+        runs[dim] = evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0))
+    space = FockSpace(50)
+    probe = evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0), counts=runs[40].counts)
+    assert probe.steps == runs[40].steps == runs[50].steps == 400
+    assert probe.trajectory.tobytes() == runs[50].trajectory.tobytes()
+    assert probe.final_fidelity == runs[50].final_fidelity and probe.error_estimate is None
 
 
 def test_pool_leaves_the_tomography_ramp_bitwise_unchanged():
