@@ -9,8 +9,10 @@ its results and its truncation report (a summary of the run's own result at dim
 against the same quantity recomputed at dim+10).  ``run_experiment`` is the only
 code that writes: one CSV per table through ``io.write_csv``, and manifest.json
 with the parameters, the table names, the report, the results, the message of
-every warning the run raised and the wall time.
-Nothing else is written, and CSV output is byte-reproducible for identical configs.
+every warning the run raised, the BLAS thread count it started with and the
+wall time.  Nothing else is written, and CSV output is byte-reproducible for
+identical configs at the same BLAS thread count (across counts, the radiation
+spectra differ at rounding).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import _blas_threads
 from .floquet import LabFrameParams, floquet_vs_rwa
 from .fock import FockSpace, check_edge, convergence_report
 from .io import write_csv, write_json
@@ -436,9 +439,10 @@ def run_experiment(cfg: dict) -> dict:
     """Execute a validated config, write its tables and manifest.json; return the manifest.
 
     The manifest lists every warning the run raises; the caller's warning
-    filters decide only which of them are shown.
+    filters decide only which of them are shown.  ``blas_threads`` is the
+    thread count of NumPy's OpenBLAS at the start, None where it cannot be read.
     """
-    start = time.perf_counter()
+    start, blas_threads = time.perf_counter(), _blas_threads()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -459,6 +463,7 @@ def run_experiment(cfg: dict) -> dict:
         "convergence": conv,
         "results": results,
         "warnings": [str(w.message) for w in caught],
+        "blas_threads": blas_threads,
         "wall_time_s": time.perf_counter() - start,
     }
     write_json(outdir / "manifest.json", manifest)

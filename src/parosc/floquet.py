@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .rwa import RwaSystem, parity_eigh
 
 
@@ -121,25 +122,26 @@ def floquet_vs_rwa(p: LabFrameParams, n_track: int = 6) -> dict[str, np.ndarray]
                      for parity, (_, ws, _) in chains.items() for r, w in enumerate(ws)),
                     key=lambda t: t[0])
 
-    blocks = {parity: np.linalg.eigh(floquet_parity_block(p, parity)) for parity in chains}
-
     table = {key: [] for key in ("parity", "rank", "eps_fourier", "eps_rwa", "overlap",
                                  "discrepancy")}
-    for energy, parity, rank in states[:n_track]:
-        idx, _, v = chains[parity]
-        keep = idx // 2 <= p.k_cut
-        n = idx[keep]
-        # Fock component n at Fourier index k = n//2: row (n//2 + k_cut) len(idx) + n//2
-        embedded = np.zeros((2 * p.k_cut + 1) * len(idx))
-        embedded[(n // 2 + p.k_cut) * len(idx) + n // 2] = v[keep, rank]
-        embedded /= np.linalg.norm(embedded)
-        w, vecs = blocks[parity]
-        overlaps = np.abs(vecs.T @ embedded)
-        j = int(np.argmax(overlaps))
-        eps_fourier = _fold(w[j], p.omegaF)
-        eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)
-        row = (parity, rank, eps_fourier, eps_rwa, float(overlaps[j]),
-               _circular_distance(eps_fourier, eps_rwa, p.omegaF))
-        for column, value in zip(table.values(), row):
-            column.append(value)
+    # at one BLAS thread: a second gains these sizes little and spins idle after them
+    with _one_blas_thread():
+        blocks = {parity: np.linalg.eigh(floquet_parity_block(p, parity)) for parity in chains}
+        for energy, parity, rank in states[:n_track]:
+            idx, _, v = chains[parity]
+            keep = idx // 2 <= p.k_cut
+            n = idx[keep]
+            # Fock component n at Fourier index k = n//2: row (n//2 + k_cut) len(idx) + n//2
+            embedded = np.zeros((2 * p.k_cut + 1) * len(idx))
+            embedded[(n // 2 + p.k_cut) * len(idx) + n // 2] = v[keep, rank]
+            embedded /= np.linalg.norm(embedded)
+            w, vecs = blocks[parity]
+            overlaps = np.abs(vecs.T @ embedded)
+            j = int(np.argmax(overlaps))
+            eps_fourier = _fold(w[j], p.omegaF)
+            eps_rwa = quasienergy_from_rwa(energy, parity, p.omegaF)
+            row = (parity, rank, eps_fourier, eps_rwa, float(overlaps[j]),
+                   _circular_distance(eps_fourier, eps_rwa, p.omegaF))
+            for column, value in zip(table.values(), row):
+                column.append(value)
     return {key: np.array(column) for key, column in table.items()}

@@ -3,7 +3,8 @@
 CSV contract: a header line, comma separators, UTF-8 and LF endings.  A table
 is a mapping from column name to an equal-length 1-D array; integer columns are
 written with ``%d`` and every other column in full-precision scientific
-notation (``%.17e``), so identical configs give byte-identical files.
+notation (``%.17e``), so identical configs give byte-identical files at the
+same BLAS thread count (the manifest's ``blas_threads``).
 
 A column in which each distinct value appears at least twice on average (the
 Q and P axes of a long-format grid) has each distinct value formatted once, and

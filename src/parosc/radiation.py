@@ -70,6 +70,7 @@ import warnings
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .fock import ladder_operators
 from .lindblad import Gather, Liouvillian, steady_state
 
@@ -393,5 +394,6 @@ def sum_rule_check(liou: Liouvillian, rho0: np.ndarray) -> tuple[float, float]:
     # L maps real coordinates to real ones, and a Hermitian rho0 has real ones
     y = liou.even_solve(-even.to_herm(rho0.reshape(-1)[even.idx] - rho_st).real, 0.0)
     y -= (_diagonal_row(liou, 1.0) @ y) * even.to_herm(rho_st).real     # Y, with Tr Y = 0
-    return (float(_diagonal_row(liou, np.arange(liou.dim)) @ y),
-            float(np.min(-np.linalg.eigvals(odd.block).real)))
+    with _one_blas_thread():    # a second BLAS thread gains dgeev little and then spins
+        mu = np.linalg.eigvals(odd.block)
+    return float(_diagonal_row(liou, np.arange(liou.dim)) @ y), float(np.min(-mu.real))

@@ -17,10 +17,12 @@ whole-array expressions and apply a block of steps through its prefix products,
 formed by a scan; longer chains take theirs from a batched ``eigh`` and apply
 them one step at a time.  The exponentials do not depend on the state, so a
 thread pool computes them block by block ahead of the calling thread, which
-applies them in order; the states are bitwise those of one thread.  It runs
-where batched ``eigh`` is serial: on two or more cores, for sweeps of two or
-more blocks whose longest chain holding weight has 3 to _SMLSIZ states.
-Longer chains get their parallelism from the threaded BLAS inside ``eigh``.
+applies them in order; the states are bitwise those of one thread.  Every pass
+holds NumPy's OpenBLAS at one thread (``_blas``), so ``eigh`` is serial at any
+chain length and no idle BLAS thread spins beside the pool: it runs on two or
+more cores, for sweeps of two or more blocks whose longest chain holding
+weight has 3 states or more.  Where BLAS cannot be held, chains of more than
+_SMLSIZ states run on the calling thread, with the threaded BLAS inside ``eigh``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 # kept bound for bench/tracer.py, which wraps ramp.solve_ivp; ROADMAP item 3 retires it
 from scipy.integrate import solve_ivp  # noqa: F401
 
+from ._blas import _one_blas_thread
 from .fock import FockSpace, check_edge, check_state
 from .rwa import RwaSystem, h_rwa_bands, zero_drive_levels
 from .spectrum import eigenstate_by_label
@@ -100,7 +103,8 @@ _BLOCK_ENTRIES = 2**14
 # blocks computed ahead of the one being applied, so at most this many are held
 _IN_FLIGHT = 4
 # LAPACK's SMLSIZ: dsyevd's dstedc solves a tridiagonal matrix of at most this
-# order with dsteqr, which runs no threaded BLAS; above it, divide and conquer does
+# order with dsteqr, which runs no threaded BLAS; above it, divide and conquer
+# does, so where BLAS cannot be held at one thread longer chains do not pool
 _SMLSIZ = 25
 # for H linear in t, the two Gauss-node combinations of CF4 are H at t + h/6 and t + 5h/6
 _NODES = np.array([1.0 / 6.0, 5.0 / 6.0])
@@ -182,8 +186,9 @@ def _computed_ahead(jobs: list[tuple], pooled: bool):
     ahead of the one the caller is applying; the pool's threads end before the
     last block is yielded, or when the caller closes the generator.  Otherwise
     each block is computed on the calling thread when it is asked for.  Only
-    passes whose batched ``eigh`` is serial (3 to _SMLSIZ states) pool: above
-    that, eigh's threaded BLAS already holds the cores the workers would use.
+    passes whose batched ``eigh`` is serial pool, as every pass is where
+    ``_cf4_pass`` holds BLAS at one thread: a threaded ``eigh`` would already
+    hold the cores the workers use.
     """
     if not pooled:
         for job in jobs:
@@ -220,9 +225,13 @@ def _cf4_pass(a, b, psi0: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
         starts[r] = range(0, h.size, block)
         jobs += [(chain_a, chain_b, taus[2 * s:2 * s + 2 * block], halves[2 * s:2 * s + 2 * block])
                  for s in starts[r]]
-    # the pool pays with two cores, two blocks and a serial eigh (two-state chains have none)
-    pooled = _cores() > 1 and len(jobs) > 1 and 3 <= max(len(psi0[r::k]) for r in chains) <= _SMLSIZ
-    with closing(_computed_ahead(jobs, pooled)) as blocks:   # no pool outlives the pass
+    # the pool pays with two cores, two blocks and a serial eigh (two-state chains
+    # have none): with BLAS held at one thread, eigh is serial at any chain
+    # length, and where it cannot be held, up to _SMLSIZ states
+    longest = max(len(psi0[r::k]) for r in chains)
+    pooled = _cores() > 1 and len(jobs) > 1 and longest >= 3
+    with (_one_blas_thread() as held,   # no pool outlives the pass
+          closing(_computed_ahead(jobs, pooled and (held or longest <= _SMLSIZ))) as blocks):
         for r in chains:
             psi, out = psi0[r::k], []
             if len(psi) == 2:   # a block's states are its prefix products times psi
@@ -262,11 +271,13 @@ def propagate_linear(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.n
     products, and one batched product reads its output states.  A longer
     chain gets them from one batched ``eigh`` per block of steps and applies
     them one step at a time.
-    When a sweep has two or more blocks, two usable cores and a longest
-    weighted chain of 3 to _SMLSIZ states, whose batched ``eigh`` is serial,
-    a pool of one thread per core computes the blocks' propagators, at most
-    _IN_FLIGHT blocks ahead, and this thread applies them in order; the pool
-    ends with the sweep, also when it raises.
+    Each pass holds NumPy's OpenBLAS at one thread, and restores its count
+    after.  When a sweep has two or more blocks, two usable cores and a
+    longest weighted chain of 3 states or more (at most _SMLSIZ, whose
+    batched ``eigh`` is serial, where BLAS cannot be held), a pool of one
+    thread per core computes the blocks' propagators, at most _IN_FLIGHT
+    blocks ahead, and this thread applies them in order; the pool ends with
+    the sweep, also when it raises.
     Each output interval gets ceil(dt/h) equal steps, so the state is recorded
     exactly at every output time, and the norm is kept to rounding.
 

@@ -70,9 +70,11 @@ def bench_config(workload, name, tmp_path):
 
 def test_selfcheck_counts_match_while_ramps_run_on_the_pool(tmp_path):
     # the ramp's worker threads call no public function, so the tracer's spans
-    # (main thread) and cProfile's counts (main thread) still agree
+    # (main thread) and cProfile's counts (main thread) still agree; nor is the
+    # BLAS hold of the ramps, floquet_check and the sum rule a public function
     tracer_mod = load_tracer()
-    cfgs = [bench_config("tiny", name, tmp_path) for name in ("wigner", "ramp", "lz", "radiation")]
+    cfgs = [bench_config("tiny", name, tmp_path)
+            for name in ("wigner", "ramp", "lz", "radiation", "floquet_check", "spectrum")]
     compared, mismatches = tracer_mod.call_count_mismatches(
         lambda: [cli.run_experiment(cfg) for cfg in cfgs])
     assert compared > 0

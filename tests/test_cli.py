@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import record_parity_eigh, same_parity_gap, weber_solution
-from parosc import cli, io, radiation, ramp
+from parosc import _blas, cli, io, radiation, ramp
 from parosc.cli import ConfigError, load_config, main, run_experiment, validate_config
 from parosc.fock import ConvergenceError, FockSpace
 from parosc.io import write_csv
@@ -688,6 +688,8 @@ def test_run_writes_only_its_tables_and_manifest(tmp_path, experiment):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] and all(name.endswith(".csv") for name in manifest["outputs"])
     assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+    # the BLAS thread count the run had, after the run restored it
+    assert manifest["blas_threads"] == _blas._blas_threads()
 
 
 def test_lz_csv_layout(tmp_path):

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 import parosc
 from helpers import initial_label_by_eigensolve, record_parity_eigh, same_parity_gap
-from parosc import ramp
+from parosc import _blas, ramp
 from parosc.fock import FockSpace
 from parosc.ramp import (
     RampProtocol,
@@ -597,25 +597,35 @@ def tridiagonal_pass(n, blocks, k=1, empty=None):
     return _cf4_pass(a, b, psi0 / np.linalg.norm(psi0), np.array([0.0, 1.0]), np.array([steps]))
 
 
-# the pool runs where batched eigh is serial: LAPACK solves chains of 3 to 25
-# states without threaded BLAS, and from 26 on by divide and conquer
-@pytest.mark.parametrize("n, k, blocks, cores", [
-    pytest.param(2, 1, 3, 2, id="2-3-2"),       # a Landau-Zener chain: 2,048 steps a block
-    pytest.param(26, 1, 8, 2, id="26-8-2"),     # eigh runs threaded BLAS
-    pytest.param(51, 2, 8, 2, id="26+25-8-2"),  # mixed parity, the longest chain decides
-    pytest.param(20, 1, 1, 2, id="20-1-2"),     # one block: nothing to compute ahead
-    pytest.param(20, 1, 8, 1, id="20-8-1"),     # one core
+# the pool runs on two cores for two blocks or more of chains of three states
+# or more.  Where NumPy's OpenBLAS cannot be held at one thread (``found`` False
+# stands in for that), it runs only where batched eigh is serial: LAPACK solves
+# chains of 3 to 25 states without threaded BLAS, and from 26 on by divide and
+# conquer
+@pytest.mark.parametrize("n, k, blocks, cores, found", [
+    pytest.param(2, 1, 3, 2, True, id="2-3-2"),         # a Landau-Zener chain: 2,048 steps a block
+    pytest.param(26, 1, 8, 2, False, id="26-8-2"),      # eigh runs threaded BLAS
+    pytest.param(51, 2, 8, 2, False, id="26+25-8-2"),   # mixed parity, the longest chain decides
+    pytest.param(20, 1, 1, 2, True, id="20-1-2"),       # one block: nothing to compute ahead
+    pytest.param(20, 1, 8, 1, True, id="20-8-1"),       # one core
 ])
-def test_calling_thread_passes_start_no_pool(monkeypatch, n, k, blocks, cores):
+def test_calling_thread_passes_start_no_pool(monkeypatch, n, k, blocks, cores, found):
+    if not found:
+        monkeypatch.setattr(_blas, "_OPENBLAS", None)
     monkeypatch.setattr(ramp, "_cores", lambda: cores)
     monkeypatch.setattr(ramp, "ThreadPoolExecutor", NoExecutor)
     assert np.isclose(np.linalg.norm(tridiagonal_pass(n, blocks, k)[-1]), 1.0)
+
+
+BLAS_FOUND = pytest.mark.skipif(_blas._OPENBLAS is None, reason="NumPy's OpenBLAS not found")
 
 
 @pytest.mark.parametrize("n, k, empty", [
     (3, 1, None),
     (25, 1, None),
     (51, 2, 0),     # the 26-state chain holds no weight, so the 25-state one decides
+    pytest.param(26, 1, None, marks=BLAS_FOUND),    # held at one thread, eigh is serial
+    pytest.param(51, 2, None, marks=BLAS_FOUND),
 ])
 def test_chains_with_a_serial_eigh_use_the_pool(monkeypatch, n, k, empty):
     monkeypatch.setattr(ramp, "_cores", lambda: 2)
@@ -625,13 +635,34 @@ def test_chains_with_a_serial_eigh_use_the_pool(monkeypatch, n, k, empty):
     assert CountingExecutor.peaks == [ramp._IN_FLIGHT]
 
 
+@BLAS_FOUND
+def test_a_pooled_pass_holds_blas_at_one_thread_and_restores_it(monkeypatch, two_blas_threads):
+    # every block's eigh, on the pool's threads, sees one BLAS thread
+    block_steps, seen = ramp._block_steps, []
+
+    def recording(*job):
+        seen.append(_blas._blas_threads())
+        return block_steps(*job)
+
+    monkeypatch.setattr(ramp, "_cores", lambda: 2)
+    monkeypatch.setattr(ramp, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(CountingExecutor, "peaks", [])
+    monkeypatch.setattr(ramp, "_block_steps", recording)
+    tridiagonal_pass(40, 8)
+    assert CountingExecutor.peaks == [ramp._IN_FLIGHT]
+    assert seen == [1] * 8
+    assert _blas._blas_threads() == 2
+
+
 def test_a_pass_that_raises_leaves_no_worker_thread(monkeypatch):
     # the caller fails on the third block while the pool holds blocks ahead;
-    # the traceback keeps the pass's frame, and still no worker outlives it
+    # the traceback keeps the pass's frame, and still no worker outlives it,
+    # and NumPy's OpenBLAS is back at the thread count it had
     computed_ahead = ramp._computed_ahead
+    threads = _blas._blas_threads()
 
     def failing_on_third(jobs, pooled):
-        assert pooled
+        assert pooled and _blas._blas_threads() == (1 if threads else None)
         with closing(computed_ahead(jobs, pooled)) as blocks:
             yield next(blocks)
             yield next(blocks)
@@ -644,15 +675,23 @@ def test_a_pass_that_raises_leaves_no_worker_thread(monkeypatch):
         tridiagonal_pass(20, 12)
     assert raised.traceback
     assert set(threading.enumerate()) == before
+    assert _blas._blas_threads() == threads
 
 
 def test_import_starts_no_thread_and_sweeps_leave_none():
     src = str(Path(parosc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import threading, parosc, parosc.cli; print(threading.active_count())"
+    # the BLAS thread count is read before parosc is imported, from its module file
+    code = ("import importlib.util, threading\n"
+            f"spec = importlib.util.spec_from_file_location('blas', {_blas.__file__!r})\n"
+            "blas = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(blas)\n"
+            "before = blas._blas_threads()\n"
+            "import parosc, parosc.cli\n"
+            "print(threading.active_count(), before == parosc._blas._blas_threads())")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "1"
+    assert out.stdout.split() == ["1", "True"]
     before = set(threading.enumerate())
     space = FockSpace(40)
     evolve_ramp(space, make_protocol(space, 0.0, 5.0, 1.0))
